@@ -20,13 +20,13 @@ Conventions
 * a conditional codon pmf is a length-64 vector whose entry u is
   p(u | amino(u)); every synonym block sums to one on its own.
 
-Two evaluation paths back every divergence.  The ordinary one works on
-the explicit 64x64 channel matrix.  For very deep cascades, when every
-channel entry sits within ~1e-6 of 1/64, divergences are instead expanded
-to second order in the deviations from uniform: the first-order terms
-cancel algebraically and are never computed, so rates far below machine
-epsilon (they arise beyond the capacity cut-off) keep full relative
-accuracy instead of drowning in cancellation noise.
+One kernel computes every divergence D_u of a channel row from the output
+pmf, as a sum of non-negative terms ``W(z|u) * phi(p(z)/W(z|u) - 1)`` with
+``phi(t) = t - log1p(t)``, so no first-order terms cancel.  Each term takes
+``p(z) - W(z|u)`` from the form of the channel that holds it to full
+precision: the probabilities where the entry is small (shallow cascades)
+and the deviations from 1/64 elsewhere (deep cascades, whose rates fall
+far below machine epsilon).  Rates keep full relative accuracy at any depth.
 """
 
 from __future__ import annotations
@@ -52,8 +52,11 @@ from .mutation_channel import (
 )
 
 _LN2 = math.log(2.0)
-_TINY_DEVIATION = 1e-6
 _MONOTONE_SLACK = 1e-12
+# Below this |t| the series t**2/2 - t**3/3 of phi(t) is accurate to 5e-11
+# relative; above it t - log1p(t) loses at most 4.4e-11 (log1p rounds by up
+# to 2.2e-16*|t|, against t**2/2), so the cut-off follows from the bounds.
+_SERIES_BELOW = 1e-5
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -84,6 +87,7 @@ class CodingCapacity(NamedTuple):
     best_amino: str
     rate: float
     per_amino: np.ndarray
+    converged: bool  # every optimizer run converged
 
 
 def entropy_bits(pmf: np.ndarray) -> float:
@@ -149,87 +153,60 @@ def _check_conditional(cond, host) -> np.ndarray:
 
 
 def _kimura_channel(params: ChannelParams):
-    matrix = codon_matrix(base_matrix_power(params))
-    deviations = codon_matrix_deviations(params)
-    tiny = bool(np.abs(deviations).max() < _TINY_DEVIATION)
-    return matrix, deviations, tiny
+    return codon_matrix(base_matrix_power(params)), codon_matrix_deviations(params)
 
 
-def _divergences(matrix, deviations, tiny, p_input, support):
-    """KL divergence of each supported channel row from the output pmf, nats."""
-    if tiny:
-        out_dev = p_input @ deviations
-        diff = deviations[support] - out_dev
-        return 0.5 * (diff * diff).sum(axis=1) / matrix.shape[1]
-    p_out = p_input @ matrix
-    rows = matrix[support]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = rows * (np.log(rows) - np.log(p_out))
-    return np.where(rows > 0.0, terms, 0.0).sum(axis=1)
+class _Problem:
+    """A channel restricted to the inputs the host can emit.
 
-
-def _ba_loop(matrix, deviations, tiny, groups, host_mass, tol, max_iter):
-    n_inputs = matrix.shape[0]
-    mass_of = np.zeros(n_inputs)
-    cond = np.zeros(n_inputs)
-    for gi, idx in enumerate(groups):
-        mass_of[idx] = host_mass[gi]
-        cond[idx] = 1.0 / len(idx)
-    support = mass_of > 0.0
-    active = [idx for gi, idx in enumerate(groups) if host_mass[gi] > 0.0]
-
-    info = 0.0
-    info_old = -np.inf
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        p_input = mass_of * cond
-        div = _divergences(matrix, deviations, tiny, p_input, support)
-        info = float((p_input[support] * div).sum() / _LN2)
-        if info < info_old - _MONOTONE_SLACK:
-            raise AssertionError(
-                f"Blahut-Arimoto objective decreased: {info_old} -> {info}"
-            )
-        if abs(info - info_old) < tol:
-            converged = True
-            break
-        info_old = info
-        boost = np.zeros(n_inputs)
-        boost[support] = np.exp(div - div.max())
-        scaled = cond * boost
-        for idx in active:
-            total = scaled[idx].sum()
-            if total > 0.0:
-                cond[idx] = scaled[idx] / total
-    return info, cond, iterations, converged
-
-
-def _evaluate_info(matrix, deviations, tiny, groups, host_mass, cond) -> float:
-    n_inputs = matrix.shape[0]
-    mass_of = np.zeros(n_inputs)
-    for gi, idx in enumerate(groups):
-        mass_of[idx] = host_mass[gi]
-    support = mass_of > 0.0
-    p_input = mass_of * cond
-    div = _divergences(matrix, deviations, tiny, p_input, support)
-    return float((p_input[support] * div).sum() / _LN2)
-
-
-def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
-                   max_iter=DEFAULT_MAX_ITER) -> RateResult:
-    """Partition-constrained Blahut-Arimoto on an arbitrary channel.
-
-    ``channel`` is a row-stochastic (inputs x outputs) matrix, ``groups``
-    a list of index arrays partitioning the inputs into synonym sets, and
-    ``host_mass`` the pmf over groups.  This is the generic engine behind
-    :func:`ba_optimize`; it exists separately so reduced synthetic codes
-    can be optimized in tests and experiments.
+    ``deviations`` is the channel as w, with entries ``(1 + w)/n`` for n
+    outputs.  All the kernel needs from channel and support is set up here.
     """
-    channel = np.asarray(channel, dtype=float)
-    host_mass = np.asarray(host_mass, dtype=float)
-    info, cond, iterations, converged = _ba_loop(
-        channel, None, False, groups, host_mass, tol, max_iter
-    )
+
+    def __init__(self, matrix, deviations, groups, host_mass):
+        n_inputs, n_outputs = matrix.shape
+        sizes = np.array([len(idx) for idx in groups])
+        group_of = np.zeros(n_inputs, dtype=np.intp)
+        group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), sizes)
+        self.start = 1.0 / sizes[group_of]  # the uniform conditional
+        mass_of = host_mass[group_of]
+        self.support = np.flatnonzero(mass_of > 0.0)
+        self.mass = mass_of[self.support]
+        self.group = group_of[self.support]
+        self.n = n_outputs
+
+        rows = matrix[self.support]
+        offsets = deviations[self.support] / n_outputs  # W - 1/n
+        # p - W is exact to rounding in the probability form where W is
+        # small and in the deviation form elsewhere; the absolute errors
+        # (about eps*W and eps*|W - 1/n|) cross at W = 1/(2n)
+        self.small = rows < 0.5 / n_outputs
+        self.entry = np.where(self.small, rows, offsets)
+        self.stacked = np.hstack([rows, offsets])
+        # entries below the smallest normal double count as zero (1/W would
+        # overflow): their term is the limit p(z), the direct form at t = 0
+        zero = rows < np.finfo(float).tiny
+        self.inv = np.divide(1.0, rows, out=np.zeros_like(rows), where=~zero)
+        self.series_below = np.where(zero, 0.0, _SERIES_BELOW**2)
+        self.rows = rows
+
+    def information(self, cond):
+        """I(Z;U) in bits, and D_u in nats for every supported input.
+
+        D_u sums ``W*phi(t) = (p - W) - W*log1p(t)`` over the outputs z, or
+        ``(p - W)*t*(1/2 - t/3)`` from the series, with t = (p - W)/W.
+        """
+        p_in = self.mass * cond
+        out = p_in @ self.stacked  # p(z), then p(z) - 1/n
+        num = np.where(self.small, out[:self.n], out[self.n:]) - self.entry
+        t = num * self.inv
+        terms = np.where(t * t < self.series_below, num * t * (0.5 - t / 3.0),
+                         num - self.rows * np.log1p(t))
+        div = terms.sum(axis=1)
+        return float(p_in @ div) / _LN2, div
+
+
+def _rate_result(info, cond, iterations, converged, host_mass) -> RateResult:
     host_entropy = entropy_bits(host_mass)
     return RateResult(
         rate=max(0.0, info - host_entropy),
@@ -239,6 +216,48 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
         mutual_information=info,
         host_entropy=host_entropy,
     )
+
+
+def _blahut_arimoto(matrix, deviations, groups, host_mass, tol, max_iter) -> RateResult:
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    problem = _Problem(matrix, deviations, groups, host_mass)
+    cond = problem.start[problem.support]
+    info_old = -np.inf
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        info, div = problem.information(cond)
+        if info < info_old - _MONOTONE_SLACK:
+            raise AssertionError(
+                f"Blahut-Arimoto objective decreased: {info_old} -> {info}"
+            )
+        if abs(info - info_old) < tol:
+            converged = True
+            break
+        info_old = info
+        scaled = cond * np.exp(div - div.max())
+        cond = scaled / np.bincount(problem.group, scaled)[problem.group]
+    full = problem.start.copy()  # uniform where the host has no mass
+    full[problem.support] = cond
+    return _rate_result(info, full, iterations, converged, host_mass)
+
+
+def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
+                   max_iter=DEFAULT_MAX_ITER) -> RateResult:
+    """Partition-constrained Blahut-Arimoto on an arbitrary channel.
+
+    ``channel`` is a row-stochastic (inputs x outputs) matrix, ``groups``
+    a list of index arrays partitioning the inputs into synonym sets, and
+    ``host_mass`` the pmf over groups.  It runs the engine of
+    :func:`ba_optimize` on any channel, so reduced synthetic codes can be
+    optimized in tests and experiments.
+    """
+    channel = np.asarray(channel, dtype=float)
+    host_mass = np.asarray(host_mass, dtype=float)
+    deviations = channel.shape[1] * channel - 1.0
+    return _blahut_arimoto(channel, deviations, groups, host_mass, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +271,9 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
     """
     host = _check_host(host)
     cond = _check_conditional(cond, host)
-    matrix, deviations, tiny = _kimura_channel(params)
-    info = _evaluate_info(matrix, deviations, tiny, SYNONYM_INDICES, host, cond)
-    host_entropy = entropy_bits(host)
-    return RateResult(
-        rate=max(0.0, info - host_entropy),
-        conditional=cond,
-        iterations=0,
-        converged=True,
-        mutual_information=info,
-        host_entropy=host_entropy,
-    )
+    problem = _Problem(*_kimura_channel(params), SYNONYM_INDICES, host)
+    info, _ = problem.information(cond[problem.support])
+    return _rate_result(info, cond, 0, True, host)
 
 
 def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
@@ -281,24 +292,8 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     reach that point through ``converged`` rather than an exception.
     Aminos the host never emits keep their uniform conditional.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     host = _check_host(host)
-    matrix, deviations, tiny = _kimura_channel(params)
-    info, cond, iterations, converged = _ba_loop(
-        matrix, deviations, tiny, SYNONYM_INDICES, host, tol, max_iter
-    )
-    host_entropy = entropy_bits(host)
-    return RateResult(
-        rate=max(0.0, info - host_entropy),
-        conditional=cond,
-        iterations=iterations,
-        converged=converged,
-        mutual_information=info,
-        host_entropy=host_entropy,
-    )
+    return _blahut_arimoto(*_kimura_channel(params), SYNONYM_INDICES, host, tol, max_iter)
 
 
 def rate_q0(host) -> float:
@@ -393,14 +388,7 @@ def deterministic_rate(amino: str, params: ChannelParams, method: str = "ba",
     ai = _amino_index(amino)
     host = point_mass_host(amino)
     if MULTIPLICITIES[ai] == 1:
-        return RateResult(
-            rate=0.0,
-            conditional=uniform_conditional(),
-            iterations=0,
-            converged=True,
-            mutual_information=0.0,
-            host_entropy=0.0,
-        )
+        return _rate_result(0.0, uniform_conditional(), 0, True, host)
     if method == "ba":
         return ba_optimize(host, params, tol=tol, max_iter=max_iter)
     if method == "uniform":
@@ -423,15 +411,13 @@ def capacity_c(params: ChannelParams, include_stp: bool = True,
     ``include_stp=False`` the stop symbol, which a real gene can use only
     once, is excluded from the argmax but still reported in the table.
     """
-    rates = np.zeros(len(AMINO_ACIDS))
-    for ai, amino in enumerate(AMINO_ACIDS):
-        if MULTIPLICITIES[ai] == 1:
-            continue
-        rates[ai] = deterministic_rate(amino, params, "ba", tol, max_iter).rate
+    results = [deterministic_rate(amino, params, "ba", tol, max_iter) for amino in AMINO_ACIDS]
+    rates = np.array([result.rate for result in results])
     candidates = rates.copy()
     if not include_stp:
         candidates[AMINO_INDEX["Stp"]] = -np.inf
     best = int(np.argmax(candidates))
     return CodingCapacity(
-        best_amino=AMINO_ACIDS[best], rate=float(rates[best]), per_amino=rates
+        best_amino=AMINO_ACIDS[best], rate=float(rates[best]), per_amino=rates,
+        converged=all(result.converged for result in results),
     )

@@ -123,34 +123,35 @@ def _point_value(spec: SweepSpec, m: int) -> dict:
         "quantity": spec.quantity,
         "method": "-",
         "host": "-",
+        "value_bits": None,  # set below; the keys are in output order
     }
     if spec.quantity == "ncdna":
         row["value_bits"] = ncdna.capacity_nc(params).value
         return row
     if spec.quantity == "capacity":
         result = cdna.capacity_c(params, include_stp=spec.include_stp,
-                                 max_iter=spec.max_iter)
-        row.update(method="ba", value_bits=result.rate, best_amino=result.best_amino)
-        return row
-    host, usage, label = _resolve_host(spec)
-    row["host"] = label
-    if spec.quantity == "steg_rate":
-        if usage is None:
-            raise UsageError("steg_rate needs a host with codon usage (uniform or fasta)")
-        result = cdna.steganographic_rate(usage, host, params)
-    elif spec.method == "ba":
-        result = cdna.ba_optimize(host, params, tol=spec.tol, max_iter=spec.max_iter)
-        row["method"] = "ba"
-    elif spec.method == "uniform":
-        result = cdna.uniform_conditional_rate(host, params)
-        row["method"] = "uniform"
-    else:  # linearized: only defined for point-mass hosts
-        if not spec.host_source.startswith("amino:"):
-            raise UsageError("method 'linearized' needs a deterministic host (amino:NAME)")
-        result = cdna.deterministic_rate(
-            spec.host_source.split(":", 1)[1], params, method="linearized"
-        )
-        row["method"] = "linearized"
+                                 tol=spec.tol, max_iter=spec.max_iter)
+        row.update(method="ba", best_amino=result.best_amino)
+    else:
+        host, usage, label = _resolve_host(spec)
+        row["host"] = label
+        if spec.quantity == "steg_rate":
+            if usage is None:
+                raise UsageError("steg_rate needs a host with codon usage (uniform or fasta)")
+            result = cdna.steganographic_rate(usage, host, params)
+        elif spec.method == "ba":
+            result = cdna.ba_optimize(host, params, tol=spec.tol, max_iter=spec.max_iter)
+            row["method"] = "ba"
+        elif spec.method == "uniform":
+            result = cdna.uniform_conditional_rate(host, params)
+            row["method"] = "uniform"
+        else:  # linearized: only defined for point-mass hosts
+            if not spec.host_source.startswith("amino:"):
+                raise UsageError("method 'linearized' needs a deterministic host (amino:NAME)")
+            result = cdna.deterministic_rate(
+                spec.host_source.split(":", 1)[1], params, method="linearized"
+            )
+            row["method"] = "linearized"
     if spec.strict and not result.converged:
         raise NumericalError(
             f"optimizer did not converge at m={m} within {spec.max_iter} iterations"

@@ -64,50 +64,67 @@ def eigenvalues(params: ChannelParams) -> Eigenpair:
     )
 
 
-def _signed_power(x: float, m: int) -> float:
-    # x**m for possibly huge integer m: exp/log avoids libm pow quirks and
-    # underflows cleanly; parity of m carries the sign when x < 0.
+def _power_and_rest(a: float, m: int) -> tuple[float, float]:
+    """``x**m`` and ``1 - x**m`` for the eigenvalue ``x = 1 - a``, a in [0, 2].
+
+    Works from the unrounded decrement a: rounding ``1 - a`` to double
+    first would multiply its rounding error by m.  exp/log take any
+    integer m, avoid libm pow quirks and underflow cleanly.
+    """
     if m == 0:
-        return 1.0
-    if x == 0.0:
-        return 0.0
-    ax = abs(x)
-    value = math.exp(m * math.log(ax)) if ax != 1.0 else 1.0
-    if x < 0.0 and m % 2 == 1:
-        value = -value
-    return value
+        return 1.0, 0.0
+    if a < 1.0:
+        exponent = m * math.log1p(-a)
+        return math.exp(exponent), -math.expm1(exponent)
+    # x = 1 - a <= 0 is exact here, and the parity of m carries its sign
+    power = math.exp(m * math.log(a - 1.0)) if a > 1.0 else 0.0
+    power = -power if m % 2 == 1 else power
+    return power, 1.0 - power
+
+
+def _stage_entries(params: ChannelParams):
+    """Diagonal, within-category and other entries of the m-stage base matrix.
+
+    Returns ``(entries, deviations)``: the three entries, and the three d
+    with entry ``(1 + d)/4``.  The entries keep full relative precision
+    when they are small (shallow cascades), the deviations when they are
+    close to 1/4 (deep cascades).
+    """
+    lam_m, lam_rest = _power_and_rest((4.0 * params.gamma / 3.0) * params.q, params.m)
+    mu_m, mu_rest = _power_and_rest(2.0 * (1.0 - params.gamma / 3.0) * params.q, params.m)
+    deviations = (2.0 * mu_m + lam_m, lam_m - 2.0 * mu_m, -lam_m)
+    entries = (0.25 * (1.0 + deviations[0]), 0.25 * (2.0 * mu_rest - lam_rest),
+               0.25 * lam_rest)
+    return entries, deviations
+
+
+def _symmetric(diag: float, within: float, other: float) -> np.ndarray:
+    # 4x4 matrix with the Kimura layout: A<->G and C<->T are the within-
+    # category pairs (index i pairs with 3 - i in the base order A, C, T, G)
+    matrix = np.full((4, 4), other)
+    for i in range(4):
+        matrix[i, i] = diag
+        matrix[i, 3 - i] = within
+    return matrix
 
 
 def build_base_matrix(params: ChannelParams) -> np.ndarray:
     """Single-stage 4x4 transition matrix (the stage count m is ignored)."""
     q, gamma = params.q, params.gamma
-    transversion = (gamma / 3.0) * q
-    transition = (1.0 - 2.0 * gamma / 3.0) * q
-    pi = np.full((4, 4), transversion)
-    for i in range(4):
-        pi[i, i] = 1.0 - q
-        pi[i, 3 - i] = transition
+    pi = _symmetric(1.0 - q, (1.0 - 2.0 * gamma / 3.0) * q, (gamma / 3.0) * q)
     return np.clip(pi, 0.0, 1.0)
 
 
 def base_matrix_power(params: ChannelParams) -> np.ndarray:
     """m-stage 4x4 transition matrix, evaluated in closed form."""
-    lam, mu = eigenvalues(params)
-    lam_m = _signed_power(lam, params.m)
-    mu_m = _signed_power(mu, params.m)
-    power = np.full((4, 4), 0.25 * (1.0 - lam_m))
-    for i in range(4):
-        power[i, i] = 0.25 * (1.0 + 2.0 * mu_m + lam_m)
-        power[i, 3 - i] = 0.25 * (1.0 - 2.0 * mu_m + lam_m)
-    return np.clip(power, 0.0, 1.0)
+    entries, _ = _stage_entries(params)
+    return np.clip(_symmetric(*entries), 0.0, 1.0)
 
 
 def accumulated_rate(params: ChannelParams) -> float:
     """Probability that a base differs from the original after m stages."""
-    lam, mu = eigenvalues(params)
-    lam_m = _signed_power(lam, params.m)
-    mu_m = _signed_power(mu, params.m)
-    return min(max(1.0 - 0.25 * (1.0 + 2.0 * mu_m + lam_m), 0.0), 1.0)
+    (_, within, other), _ = _stage_entries(params)
+    return min(max(within + 2.0 * other, 0.0), 1.0)
 
 
 def codon_matrix(base: np.ndarray) -> np.ndarray:
@@ -120,19 +137,20 @@ def codon_matrix(base: np.ndarray) -> np.ndarray:
     base = np.asarray(base, dtype=float)
     if base.shape != (4, 4):
         raise ValueError(f"base matrix must be 4x4, got {base.shape}")
-    return np.kron(np.kron(base, base), base)
+    return _kron(np.multiply, _kron(np.multiply, base, base), base)
+
+
+def _kron(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # op(x[i, j], y[k, l]) at [i*len(y) + k, j*len(y) + l]; broadcasting
+    # gives np.kron's entries at a fraction of its cost on these small blocks
+    shape = (x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
+    return op(x[:, None, :, None], y[None, :, None, :]).reshape(shape)
 
 
 def base_matrix_deviations(params: ChannelParams) -> np.ndarray:
     """4x4 matrix d with m-stage transition probabilities (1 + d)/4."""
-    lam, mu = eigenvalues(params)
-    lam_m = _signed_power(lam, params.m)
-    mu_m = _signed_power(mu, params.m)
-    dev = np.full((4, 4), -lam_m)
-    for i in range(4):
-        dev[i, i] = 2.0 * mu_m + lam_m
-        dev[i, 3 - i] = -2.0 * mu_m + lam_m
-    return dev
+    _, deviations = _stage_entries(params)
+    return _symmetric(*deviations)
 
 
 def codon_matrix_deviations(params: ChannelParams) -> np.ndarray:
@@ -146,12 +164,10 @@ def codon_matrix_deviations(params: ChannelParams) -> np.ndarray:
     dev = base_matrix_deviations(params)
 
     def combine(x, y):
-        # (1+x)(1+y) - 1 for every outer pair, kept in deviation form
-        ones_x = np.ones(x.shape)
-        ones_y = np.ones(y.shape)
-        return np.kron(x, ones_y) + np.kron(ones_x, y) + np.kron(x, y)
+        # (1+x)(1+y) - 1, kept in deviation form
+        return x + y + x * y
 
-    return combine(combine(dev, dev), dev)
+    return _kron(combine, _kron(combine, dev, dev), dev)
 
 
 def gamma_from_ti_tv(epsilon: float) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mutation_channel import ChannelParams, _signed_power, eigenvalues
+from .mutation_channel import ChannelParams, _stage_entries
 
 _ZERO_DUST = 1e-15
 
@@ -36,14 +36,9 @@ def binary_entropy(p: float) -> float:
 
 def row_entropy(params: ChannelParams) -> float:
     """Entropy in bits of any row of the m-stage base transition matrix."""
-    lam, mu = eigenvalues(params)
-    lam_m = _signed_power(lam, params.m)
-    mu_m = _signed_power(mu, params.m)
-    diag = max(0.25 * (1.0 + 2.0 * mu_m + lam_m), 0.0)
-    skew = max(0.25 * (1.0 - 2.0 * mu_m + lam_m), 0.0)
-    rest = max(0.25 * (1.0 - lam_m), 0.0)
+    entries, _ = _stage_entries(params)
     total = 0.0
-    for p, weight in ((diag, 1.0), (skew, 1.0), (rest, 2.0)):
+    for p, weight in zip(entries, (1.0, 1.0, 2.0)):
         if p > 0.0:
             total -= weight * p * np.log2(p)
     return float(total)
@@ -64,8 +59,8 @@ def capacity_nc_gamma0(q: float, m: int) -> float:
     and the large-m capacity limit is 1 bit/base instead of 0.
     """
     params = ChannelParams(q=q, gamma=0.0, m=m)  # reuse range validation
-    mixing = _signed_power(1.0 - 2.0 * params.q, params.m)
-    value = 2.0 - binary_entropy(0.5 + 0.5 * mixing)
+    (_, within, _), _ = _stage_entries(params)
+    value = 2.0 - binary_entropy(within)
     return 0.0 if value < _ZERO_DUST else value
 
 

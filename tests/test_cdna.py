@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,42 @@ def test_evaluate_rate_input_validation(gene_a):
     evaluate_rate(host_no_ser, broken, params)
 
 
+def decimal_ser_information(q, gamma, m):
+    """I(Z;U) in bits for the Ser host under the uniform conditional.
+
+    Reference in 60-digit decimal arithmetic, from the channel's own
+    eigenvalues: the m-stage base entries, their threefold products and
+    the divergences of the six Ser rows from their mean.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        q, gamma = Decimal(q), Decimal(gamma)
+        lam = (1 - 4 * gamma / 3 * q) ** m
+        mu = (1 - 2 * (1 - gamma / 3) * q) ** m
+        diag, within, other = (1 + 2 * mu + lam) / 4, (1 - 2 * mu + lam) / 4, (1 - lam) / 4
+
+        def base(i, j):
+            return diag if i == j else within if i + j == 3 else other
+
+        rows = [[base(u // 16, z // 16) * base(u // 4 % 4, z // 4 % 4) * base(u % 4, z % 4)
+                 for z in range(64)]
+                for u in SYNONYM_INDICES[AMINO_INDEX["Ser"]]]
+        p_out = [sum(row[z] for row in rows) / len(rows) for z in range(64)]
+        info = sum(w * (w / p_out[z]).ln() for row in rows for z, w in enumerate(row))
+        return float(info / len(rows) / Decimal(2).ln())
+
+
+@pytest.mark.parametrize("q,m", [(1e-2, m) for m in (1, 300, 5000, 11000, 11125, 20000)]
+                         + [(1e-9, m) for m in (1, 10**3, 10**6, 10**9)])
+def test_evaluate_rate_matches_decimal_reference(q, m):
+    # spans shallow cascades (tiny channel entries), the depths where rates
+    # fall through machine epsilon, and deep cascades (rates near 1e-24)
+    result = evaluate_rate(point_mass_host("Ser"), uniform_conditional(),
+                           ChannelParams(q, 0.1, m))
+    assert result.mutual_information == pytest.approx(
+        decimal_ser_information(q, 0.1, m), rel=1e-9, abs=0.0)
+
+
 # --- Blahut-Arimoto ----------------------------------------------------------
 
 def test_ba_no_mutation_recovers_expected_rate(gene_a):
@@ -149,6 +186,14 @@ def test_ba_conditionals_near_uniform_for_small_synonym_sets(gene_a):
     for ai, idx in enumerate(SYNONYM_INDICES):
         if host[ai] > 0 and MULTIPLICITIES[ai] in (1, 2, 4):
             assert np.abs(result.conditional[idx] - 1.0 / len(idx)).max() < 0.05
+
+
+def test_ba_shallow_cascade_keeps_tiny_channel_entries():
+    # entries near (q/3)**3 = 4e-29 vanish from 1/64 + deviation; they must
+    # still enter the divergences, or the optimizer never converges
+    result = ba_optimize(point_mass_host("Ser"), ChannelParams(1e-9, 1.0, 1))
+    assert result.converged
+    assert result.rate == pytest.approx(LOG2_6, abs=1e-6)
 
 
 def test_ba_reports_non_convergence_without_raising(gene_a):

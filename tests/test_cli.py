@@ -48,6 +48,16 @@ def test_point_capacity_no_mutation(capsys):
     assert json.loads(out)["value_bits"] == pytest.approx(2.584962500721156, abs=1e-9)
 
 
+def test_point_capacity_uses_the_same_tolerance_as_the_rate(capsys):
+    # Ser is the best amino here, so the capacity is its optimized rate
+    common = ["--q", "1e-2", "--gamma", "0.1", "--m", "5000"]
+    _, out_cap, _ = run(capsys, "point", "--quantity", "capacity", *common)
+    _, out_ser, _ = run(capsys, "point", "--quantity", "cdna_rate",
+                        "--host", "amino:Ser", *common)
+    assert json.loads(out_cap)["best_amino"] == "Ser"
+    assert json.loads(out_cap)["value_bits"] == json.loads(out_ser)["value_bits"]
+
+
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_ncdna_rows_decrease(capsys):
@@ -157,6 +167,15 @@ def test_strict_flags_non_convergence(capsys):
     code, _, err = run(capsys, "point", "--quantity", "cdna_rate",
                        "--q", "1e-2", "--gamma", "0.3", "--m", "50",
                        "--host", f"fasta:{GENE_A}", "--max-iter", "1", "--strict")
+    assert code == 3
+    assert "converge" in err
+
+
+def test_strict_flags_non_convergence_of_capacity(capsys):
+    # the Ser run stalls at max_iter at this tolerance
+    code, _, err = run(capsys, "point", "--quantity", "capacity",
+                       "--q", "1e-3", "--gamma", "0.5", "--m", "10000",
+                       "--tol", "1e-12", "--strict")
     assert code == 3
     assert "converge" in err
 

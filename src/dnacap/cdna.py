@@ -183,9 +183,10 @@ class _Problem:
         self.small = rows < 0.5 / n_outputs
         self.entry = np.where(self.small, rows, offsets)
         self.stacked = np.hstack([rows, offsets])
-        # entries below the smallest normal double count as zero (1/W would
-        # overflow): their term is the limit p(z), the direct form at t = 0
-        zero = rows < np.finfo(float).tiny
+        # entries below 1e-150 count as zero: with t up to 1/W the series
+        # (about W*t**3) could overflow.  Their term is the limit p(z), to
+        # within W*log(1/W) < 1e-147, and the direct form gives it at t = 0
+        zero = rows < 1e-150
         self.inv = np.divide(1.0, rows, out=np.zeros_like(rows), where=~zero)
         self.series_below = np.where(zero, 0.0, _SERIES_BELOW**2)
         self.rows = rows

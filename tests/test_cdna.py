@@ -188,10 +188,12 @@ def test_ba_conditionals_near_uniform_for_small_synonym_sets(gene_a):
             assert np.abs(result.conditional[idx] - 1.0 / len(idx)).max() < 0.05
 
 
-def test_ba_shallow_cascade_keeps_tiny_channel_entries():
-    # entries near (q/3)**3 = 4e-29 vanish from 1/64 + deviation; they must
-    # still enter the divergences, or the optimizer never converges
-    result = ba_optimize(point_mass_host("Ser"), ChannelParams(1e-9, 1.0, 1))
+@pytest.mark.parametrize("q", [1e-9, 1e-100])
+def test_ba_shallow_cascade_keeps_tiny_channel_entries(q):
+    # entries near (q/3)**3 vanish from 1/64 + deviation; they must still
+    # enter the divergences, or the optimizer never converges; at q=1e-100
+    # (entries near 1e-302) they must not overflow the kernel either
+    result = ba_optimize(point_mass_host("Ser"), ChannelParams(q, 1.0, 1))
     assert result.converged
     assert result.rate == pytest.approx(LOG2_6, abs=1e-6)
 

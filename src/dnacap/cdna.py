@@ -31,6 +31,7 @@ far below machine epsilon).  Rates keep full relative accuracy at any depth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,6 +58,8 @@ _MONOTONE_SLACK = 1e-12
 # relative; above it t - log1p(t) loses at most 4.4e-11 (log1p rounds by up
 # to 2.2e-16*|t|, against t**2/2), so the cut-off follows from the bounds.
 _SERIES_BELOW = 1e-5
+# one group per codon: the partition under which a rate needs only the input pmf
+_CODON_GROUPS = tuple(np.array([u]) for u in range(64))
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -152,8 +155,14 @@ def _check_conditional(cond, host) -> np.ndarray:
 # core engine, generic in the channel and in the synonym partition
 
 
+@functools.lru_cache(maxsize=1)
 def _kimura_channel(params: ChannelParams):
-    return codon_matrix(base_matrix_power(params)), codon_matrix_deviations(params)
+    # a capacity search and a sweep point's rates all run at one parameter
+    # set; the cached arrays are shared, so they are read-only
+    matrix = codon_matrix(base_matrix_power(params))
+    deviations = codon_matrix_deviations(params)
+    matrix.flags.writeable = deviations.flags.writeable = False
+    return matrix, deviations
 
 
 class _Problem:
@@ -272,8 +281,11 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
     """
     host = _check_host(host)
     cond = _check_conditional(cond, host)
-    problem = _Problem(*_kimura_channel(params), SYNONYM_INDICES, host)
-    info, _ = problem.information(cond[problem.support])
+    # I(Z;U) depends on the input pmf alone.  With one group per codon the
+    # support leaves out the inputs of zero mass, whose divergence may be
+    # infinite (an output no supported input reaches), so they weigh zero
+    problem = _Problem(*_kimura_channel(params), _CODON_GROUPS, host[AMINO_OF_CODON] * cond)
+    info, _ = problem.information(np.ones(len(problem.support)))
     return _rate_result(info, cond, 0, True, host)
 
 

@@ -82,8 +82,9 @@ def log_m_grid(start: int, stop: int, points: int) -> list[int]:
 def _resolve_host(spec: SweepSpec):
     """Return (host_pmf, usage_or_None, label) for the spec's host source."""
     source = spec.host_source
-    if source in spec._host_cache:
-        return spec._host_cache[source]
+    key = (source, spec.frame)
+    if key in spec._host_cache:
+        return spec._host_cache[key]
     if source == "uniform":
         host = cdna.uniform_codon_host()
         usage = cdna.uniform_conditional()
@@ -109,7 +110,7 @@ def _resolve_host(spec: SweepSpec):
         raise UsageError(
             f"host must be 'uniform', 'amino:NAME' or 'fasta:PATH', got {source!r}"
         )
-    spec._host_cache[source] = resolved
+    spec._host_cache[key] = resolved
     return resolved
 
 
@@ -259,6 +260,12 @@ def _figure_specs(genes: dict[str, Path]) -> dict[str, list[SweepSpec]]:
         for a in ("Ser", "Leu")
         for meth in ("ba", "linearized", "uniform")
     ])
+    # one host cache for the whole bundle: each gene file is read, ingested
+    # and warned about once
+    host_cache = {}
+    for specs in bundle.values():
+        for spec in specs:
+            spec._host_cache = host_cache
     return bundle
 
 

@@ -4,10 +4,16 @@ A noncoding host can be overwritten at will, so the embedding channel is
 just the quaternary symmetric substitution channel and capacity is
 ``2 - H(row)`` bits/base, with H(row) the entropy of any row of the
 m-stage transition matrix.  All logarithms are base 2.
+
+The capacity is computed as the row's divergence from the uniform pmf,
+a sum of non-negative terms in the deviations d of the entries
+``(1 + d)/4``, so it keeps its relative accuracy when it is tiny, where
+``2 - H(row)`` would cancel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +21,12 @@ import numpy as np
 from .mutation_channel import ChannelParams, _stage_entries
 
 _ZERO_DUST = 1e-15
+# Below this |d| the series of (1 + d)*ln(1 + d) - d through d**8 is
+# accurate to 3e-16 relative; above it the direct form loses at most about
+# 5e-14 (rounding of order eps*|d| against a result near d**2/2).
+_SERIES_BELOW = 1e-2
+# coefficients (-1)**k / (k*(k - 1)) of d**k, k = 8 down to 2 (Horner order)
+_SERIES = tuple((-1) ** k / (k * (k - 1)) for k in range(8, 1, -1))
 
 
 @dataclass(frozen=True)
@@ -44,10 +56,36 @@ def row_entropy(params: ChannelParams) -> float:
     return float(total)
 
 
+def _excess(entry: float, deviation: float) -> float:
+    """``(1 + d)*ln(1 + d) - d >= 0`` for a row entry ``(1 + d)/4``.
+
+    ``1 + d`` is taken as ``4*entry``, and its log from the entry when the
+    entry is small, where the entry holds it to full precision.
+    """
+    d = deviation
+    if abs(d) < _SERIES_BELOW:
+        poly = 0.0
+        for coefficient in _SERIES:
+            poly = poly * d + coefficient
+        return poly * d * d
+    if entry == 0.0:
+        return -d
+    log = math.log(4.0 * entry) if d < -0.5 else math.log1p(d)
+    return 4.0 * entry * log - d
+
+
 def capacity_nc(params: ChannelParams) -> CapacityResult:
-    """Capacity in bits/base of embedding in a freely writable host."""
-    value = 2.0 - row_entropy(params)
-    if value < _ZERO_DUST:  # keep sweep output clean of floating-point dust
+    """Capacity in bits/base of embedding in a freely writable host.
+
+    Equals ``2 - row_entropy(params)``, computed as the row's divergence
+    from uniform, ``sum_z ((1 + d_z)*ln(1 + d_z) - d_z) / (4*ln 2)``: the
+    deviations d_z of a row sum to zero, and every term is non-negative.
+    """
+    entries, deviations = _stage_entries(params)
+    total = sum(weight * _excess(entry, d)
+                for weight, entry, d in zip((1.0, 1.0, 2.0), entries, deviations))
+    value = total / (4.0 * math.log(2.0))
+    if value < _ZERO_DUST:  # capacities below 1e-15 bits/base are reported as 0
         value = 0.0
     return CapacityResult(value=value, params=params)
 

@@ -5,18 +5,30 @@ usage that the rate computations in :mod:`dnacap.cdna` consume.  Parsing
 is deliberately strict: sequences may only contain A/C/G/T (plus U, read
 as T, and N as an explicit unknown), anything else is an error with a
 line/column position.
+
+The work per base is done by whole-string and array operations.  A
+record's lines are joined, stripped of whitespace and cleaned (uppercase,
+U to T) by one ``str.translate``; only a record that holds anything but a
+base is rescanned character by character, to name the line and column of
+the first offending character.  All records of a file are framed in one
+uint8 array, codons as rows of three base indices, and counted with one
+``np.bincount``; the per-record warnings come from ``np.add.reduceat``
+over the record offsets.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .genetic_code import (
     AMINO_ACIDS,
+    BASE_INDEX,
+    CODON_INDEX,
     CODONS,
     STOP_CODONS,
     SYNONYM_INDICES,
@@ -26,6 +38,19 @@ from .genetic_code import (
 logger = logging.getLogger(__name__)
 
 _ALLOWED = set("ACGTUN")
+# uppercase, with U read as T
+_CLEAN = str.maketrans("acgtnuU", "ACGTNTT")
+# a cleaned record is valid when nothing is left after this
+_DROP_BASES = str.maketrans("", "", "ACGTN")
+
+# byte -> base index in codon order (A, C, T, G = 0..3), N -> 4, anything
+# else -> 255; a codon holds an N exactly when its three codes OR above 3
+_UNKNOWN = 4
+_BASE_CODE = bytes({**BASE_INDEX, "N": _UNKNOWN}.get(chr(b), 255) for b in range(256))
+# indexed by 16*i1 + 4*i2 + i3 with codes up to 4, so N codons index it too
+_IS_STOP = np.zeros(85, dtype=bool)
+_IS_STOP[[CODON_INDEX[c] for c in STOP_CODONS]] = True
+_CODON_STRINGS = np.array(CODONS)
 
 
 class FastaError(ValueError):
@@ -69,41 +94,99 @@ def parse_fasta(text: str) -> list[RawSequence]:
     rejected with their line and column.  A record with no sequence data
     is an error; an empty input yields an empty list.
     """
-    records: list[RawSequence] = []
-    header: str | None = None
-    chunks: list[str] = []
-
-    def flush(line_no):
-        if header is None:
-            return
-        if not chunks:
-            raise FastaError(f"record {header!r} has no sequence data (line {line_no})")
-        records.append(RawSequence(header=header, bases="".join(chunks)))
-
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith(">"):
-            flush(line_no)
-            header = stripped[1:].strip()
-            chunks = []
-            continue
-        if header is None:
+    lines = text.splitlines()
+    heads = [i for i, line in enumerate(lines) if ">" in line and line.lstrip().startswith(">")]
+    first = heads[0] if heads else len(lines)
+    for line_no, line in enumerate(lines[:first], start=1):
+        if line.strip():
             raise FastaError(f"sequence data before any '>' header (line {line_no})")
-        cleaned = []
-        for col, ch in enumerate(line, start=1):
-            if ch.isspace():
-                continue
-            up = ch.upper()
-            if up not in _ALLOWED:
-                raise FastaError(
-                    f"illegal character {ch!r} at line {line_no}, column {col}"
-                )
-            cleaned.append("T" if up == "U" else up)
-        chunks.append("".join(cleaned))
-    flush(line_no="end of input")
+    records: list[RawSequence] = []
+    for start, end in zip(heads, heads[1:] + [len(lines)]):
+        header = lines[start].strip()[1:].strip()
+        bases = "".join("".join(lines[start + 1:end]).split()).translate(_CLEAN)
+        if not bases:
+            where = end + 1 if end < len(lines) else "end of input"
+            raise FastaError(f"record {header!r} has no sequence data (line {where})")
+        if bases.translate(_DROP_BASES):
+            raise _illegal_character(lines, start + 1, end)
+        records.append(RawSequence(header=header, bases=bases))
     return records
+
+
+def _illegal_character(lines: list[str], first: int, end: int) -> FastaError:
+    """The error for the first non-base character of ``lines[first:end]``.
+
+    Runs only on a record that failed the whole-record check, which
+    rejects exactly the characters this scan rejects.
+    """
+    for line_no in range(first, end):
+        for col, ch in enumerate(lines[line_no], start=1):
+            if not ch.isspace() and ch.upper() not in _ALLOWED:
+                return FastaError(
+                    f"illegal character {ch!r} at line {line_no + 1}, column {col}"
+                )
+
+
+def _frame(seqs: list[str], frame: int, n_policy: str, headers=None) -> np.ndarray:
+    """Frame the sequences in one array; the indices of the kept codons.
+
+    The core of :func:`frame_codons` and :func:`ingest_fasta`.  Returns
+    the canonical index (uint8) of every codon kept, sequence after
+    sequence.  Logs, per sequence and in order, the trailing bases and the
+    N codons dropped and, given the headers, the stop codons before the
+    final kept codon.  The first sequence with fewer than three usable
+    bases, or with an N codon under ``n_policy="error"``, raises after the
+    warnings of the sequences before it.
+    """
+    if frame not in (0, 1, 2):
+        raise ValueError(f"frame must be 0, 1 or 2, got {frame}")
+    if n_policy not in ("drop_codon", "error"):
+        raise ValueError(f"unknown n_policy {n_policy!r}")
+    usable = [max(len(s) - frame, 0) for s in seqs]
+    short = next((r for r, n in enumerate(usable) if n < 3), len(seqs))
+    n_codons = np.array(usable[:short], dtype=np.intp) // 3
+    joined = "".join([s[frame:frame + 3 * n] for s, n in zip(seqs, n_codons.tolist())])
+    codes = np.frombuffer(joined.encode("ascii", "replace").translate(_BASE_CODE), dtype=np.uint8)
+    ends = np.cumsum(n_codons)
+    starts = ends - n_codons
+    if (codes > _UNKNOWN).any():
+        at = int(np.argmax(codes > _UNKNOWN))
+        r = int(np.searchsorted(ends, at // 3, side="right"))
+        raise ValueError(
+            f"not a base: {joined[at]!r} at offset {frame + at - 3 * starts[r]}"
+        )
+    first, second, third = codes.reshape(-1, 3).T
+    index = 16 * first + 4 * second + third
+    unknown = (first | second | third) > 3
+    kept = index[~unknown]
+    dropped = np.add.reduceat(unknown, starts)
+    stops = np.add.reduceat(np.take(_IS_STOP, index) & ~unknown, starts)
+    # the final kept codon of a sequence does not count as an early stop
+    n_kept = n_codons - dropped
+    has_kept = n_kept > 0
+    final_stop = np.zeros(short, dtype=bool)
+    final_stop[has_kept] = _IS_STOP[kept[np.cumsum(n_kept)[has_kept] - 1]]
+    early = stops - final_stop
+
+    for r, (n, n_dropped, n_early) in enumerate(zip(usable, dropped.tolist(), early.tolist())):
+        if n % 3:
+            logger.warning("dropping %d trailing base(s) beyond the last codon", n % 3)
+        if n_dropped:
+            if n_policy == "error":
+                at = frame + 3 * int(np.argmax(unknown[starts[r]:ends[r]]))
+                raise ValueError(
+                    f"codon with unknown base at offset {at}: {seqs[r][at:at + 3]}"
+                )
+            logger.warning("dropped %d codon(s) containing N", n_dropped)
+        if n_early and headers is not None:
+            logger.warning(
+                "record %r: %d stop codon(s) before the final codon", headers[r], n_early
+            )
+    if short < len(seqs):
+        raise ValueError(
+            f"fewer than 3 usable bases after frame {frame} ({usable[short]} left)"
+        )
+    return kept
 
 
 def frame_codons(seq, frame: int = 0, n_policy: str = "drop_codon") -> list[str]:
@@ -112,41 +195,18 @@ def frame_codons(seq, frame: int = 0, n_policy: str = "drop_codon") -> list[str]
     Skips ``frame`` leading bases and chunks the rest into triplets; the
     1-2 trailing leftover bases are dropped (logged).  Codons containing
     N are dropped under ``n_policy="drop_codon"`` or raise under
-    ``"error"``.  Fewer than three usable bases is an error.
+    ``"error"``.  Fewer than three usable bases is an error, and so is a
+    codon holding anything but A/C/G/T/N (a raw string is not cleaned).
     """
-    if frame not in (0, 1, 2):
-        raise ValueError(f"frame must be 0, 1 or 2, got {frame}")
-    if n_policy not in ("drop_codon", "error"):
-        raise ValueError(f"unknown n_policy {n_policy!r}")
     bases = seq.bases if isinstance(seq, RawSequence) else str(seq)
-    usable = bases[frame:]
-    if len(usable) < 3:
-        raise ValueError(
-            f"fewer than 3 usable bases after frame {frame} ({len(usable)} left)"
-        )
-    trailing = len(usable) % 3
-    if trailing:
-        logger.warning("dropping %d trailing base(s) beyond the last codon", trailing)
-    codons = []
-    dropped_n = 0
-    for i in range(0, len(usable) - 2, 3):
-        codon = usable[i:i + 3]
-        if "N" in codon:
-            if n_policy == "error":
-                raise ValueError(f"codon with unknown base at offset {frame + i}: {codon}")
-            dropped_n += 1
-            continue
-        codons.append(codon)
-    if dropped_n:
-        logger.warning("dropped %d codon(s) containing N", dropped_n)
-    return codons
+    return _CODON_STRINGS[_frame([bases], frame, n_policy)].tolist()
 
 
 def count_codons(codons) -> CodonCounts:
     """Tally codons into a 64-bin count vector."""
     counts = np.zeros(64, dtype=np.int64)
-    for codon in codons:
-        counts[codon_index(codon)] += 1
+    for codon, n in Counter(codons).items():
+        counts[codon_index(codon)] = n
     return CodonCounts(counts)
 
 
@@ -160,17 +220,8 @@ def ingest_fasta(text: str, frame: int = 0, n_policy: str = "drop_codon") -> Cod
     records = parse_fasta(text)
     if not records:
         raise FastaError("no sequences found")
-    total = CodonCounts()
-    for record in records:
-        codons = frame_codons(record, frame=frame, n_policy=n_policy)
-        early_stops = sum(c in STOP_CODONS for c in codons[:-1])
-        if early_stops:
-            logger.warning(
-                "record %r: %d stop codon(s) before the final codon", record.header,
-                early_stops,
-            )
-        total = total + count_codons(codons)
-    return total
+    kept = _frame([r.bases for r in records], frame, n_policy, [r.header for r in records])
+    return CodonCounts(np.bincount(kept, minlength=64))
 
 
 def amino_pmf(counts: CodonCounts) -> np.ndarray:

@@ -294,6 +294,18 @@ def test_steganographic_strictly_below_optimum_for_skewed_usage(gene_a):
     assert steg < best - 0.1  # the fixture's usage is heavily skewed
 
 
+def test_steganographic_rate_without_mutations_is_usage_entropy(gene_a):
+    # the gene leaves some synonyms unused and q=0 leaves channel entries
+    # zero: the unused codons' divergences are infinite and weigh nothing
+    host, usage = gene_a
+    expected = sum(host[ai] * entropy_bits(usage[idx]) for ai, idx in enumerate(SYNONYM_INDICES))
+    assert expected > 0.5
+    rate = steganographic_rate(usage, host, ChannelParams(0.0, 1.0, 1)).rate
+    assert rate == pytest.approx(expected, rel=1e-12)
+    # gamma=0 leaves the cross-category entries zero; mutations cost rate
+    assert 0.5 < steganographic_rate(usage, host, ChannelParams(1e-3, 0.0, 1)).rate < rate
+
+
 def test_steganographic_rejects_inconsistent_usage(gene_a):
     host, usage = gene_a
     broken = usage.copy()

@@ -245,3 +245,27 @@ def test_figures_bad_fasta_argument(capsys, tmp_path):
                        "--fasta", "justaname")
     assert code == 1
     assert "NAME=PATH" in err
+
+
+def test_figures_ingest_each_gene_once(tmp_path, monkeypatch):
+    # the numerics are stubbed out: only the host resolution is under test
+    from types import SimpleNamespace
+
+    from dnacap import cdna, cli, ncdna, sequences
+
+    ingested = []
+    ingest = sequences.ingest_fasta
+
+    def counting_ingest(text, **kwargs):
+        ingested.append(text)
+        return ingest(text, **kwargs)
+
+    monkeypatch.setattr(sequences, "ingest_fasta", counting_ingest)
+    result = SimpleNamespace(rate=0.0, value=0.0, converged=True)
+    for name in ("ba_optimize", "uniform_conditional_rate", "steganographic_rate",
+                 "deterministic_rate"):
+        monkeypatch.setattr(cdna, name, lambda *args, **kwargs: result)
+    monkeypatch.setattr(ncdna, "capacity_nc", lambda *args, **kwargs: result)
+    genes = {"a": DATA / "toy_gene_a.fasta", "b": DATA / "toy_gene_b.fasta"}
+    cli.run_figures(tmp_path, genes)
+    assert sorted(ingested) == sorted(path.read_text() for path in genes.values())

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,24 @@ def test_binary_entropy_range():
     assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         binary_entropy(1.5)
+
+
+def decimal_capacity(q, gamma, m):
+    """2 - H(row) in bits, in 80-digit decimal arithmetic from the eigenvalues."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        q, gamma = Decimal(q), Decimal(gamma)
+        lam = (1 - 4 * gamma / 3 * q) ** m
+        mu = (1 - 2 * (1 - gamma / 3) * q) ** m
+        row = [(1 + 2 * mu + lam) / 4, (1 - 2 * mu + lam) / 4, (1 - lam) / 4, (1 - lam) / 4]
+        return float(sum(r * (4 * r).ln() for r in row if r > 0) / Decimal(2).ln())
+
+
+@pytest.mark.parametrize("q,gamma,m", [
+    (1e-2, 1.0, 1), (1e-2, 0.1, 300), (1e-2, 1.0, 1000), (0.3, 1.4, 7), (0.9, 1.5, 3),
+    (1e-9, 1.0, 10**9), (1e-9, 0.001, 10**12),
+    (1e-9, 0.01, 10**12),  # capacity 1.9e-12, where 2 - H(row) is 6e-5 off
+])
+def test_capacity_matches_decimal_reference(q, gamma, m):
+    assert capacity_nc(ChannelParams(q, gamma, m)).value == pytest.approx(
+        decimal_capacity(q, gamma, m), rel=1e-9, abs=0.0)

@@ -1,5 +1,6 @@
 import json
 import logging
+import random
 from pathlib import Path
 
 import numpy as np
@@ -239,3 +240,193 @@ def test_counts_addition():
     total = count_codons(["TAT"]) + count_codons(["TGC", "TAT"])
     assert total.total == 3
     assert total.counts[CODONS.index("TAT")] == 2
+
+
+# --- equivalence with the per-character reference ---------------------------------
+#
+# The loops below are the reference the vectorised reader must reproduce:
+# the same counts, the same log records in the same order and the same
+# errors, with their exact line and column.
+
+_REF_ALLOWED = set("ACGTUN")
+_REF_LOGGER = logging.getLogger("dnacap.sequences")
+
+
+def reference_parse_fasta(text):
+    records = []
+    header = None
+    chunks = []
+
+    def flush(line_no):
+        if header is None:
+            return
+        if not chunks:
+            raise FastaError(f"record {header!r} has no sequence data (line {line_no})")
+        records.append(RawSequence(header=header, bases="".join(chunks)))
+
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith(">"):
+            flush(line_no)
+            header = stripped[1:].strip()
+            chunks = []
+            continue
+        if header is None:
+            raise FastaError(f"sequence data before any '>' header (line {line_no})")
+        cleaned = []
+        for col, ch in enumerate(line, start=1):
+            if ch.isspace():
+                continue
+            up = ch.upper()
+            if up not in _REF_ALLOWED:
+                raise FastaError(f"illegal character {ch!r} at line {line_no}, column {col}")
+            cleaned.append("T" if up == "U" else up)
+        chunks.append("".join(cleaned))
+    flush(line_no="end of input")
+    return records
+
+
+def reference_frame_codons(bases, frame=0, n_policy="drop_codon"):
+    if frame not in (0, 1, 2):
+        raise ValueError(f"frame must be 0, 1 or 2, got {frame}")
+    if n_policy not in ("drop_codon", "error"):
+        raise ValueError(f"unknown n_policy {n_policy!r}")
+    usable = bases[frame:]
+    if len(usable) < 3:
+        raise ValueError(f"fewer than 3 usable bases after frame {frame} ({len(usable)} left)")
+    trailing = len(usable) % 3
+    if trailing:
+        _REF_LOGGER.warning("dropping %d trailing base(s) beyond the last codon", trailing)
+    codons = []
+    dropped_n = 0
+    for i in range(0, len(usable) - 2, 3):
+        codon = usable[i:i + 3]
+        if "N" in codon:
+            if n_policy == "error":
+                raise ValueError(f"codon with unknown base at offset {frame + i}: {codon}")
+            dropped_n += 1
+            continue
+        codons.append(codon)
+    if dropped_n:
+        _REF_LOGGER.warning("dropped %d codon(s) containing N", dropped_n)
+    return codons
+
+
+def reference_ingest_fasta(text, frame=0, n_policy="drop_codon"):
+    records = reference_parse_fasta(text)
+    if not records:
+        raise FastaError("no sequences found")
+    counts = np.zeros(64, dtype=np.int64)
+    for record in records:
+        codons = reference_frame_codons(record.bases, frame=frame, n_policy=n_policy)
+        early_stops = sum(c in ("TAA", "TAG", "TGA") for c in codons[:-1])
+        if early_stops:
+            _REF_LOGGER.warning("record %r: %d stop codon(s) before the final codon",
+                                record.header, early_stops)
+        for codon in codons:
+            counts[CODONS.index(codon)] += 1
+    return counts
+
+
+def _outcome(caplog, fn, *args, **kwargs):
+    """(result, error, log records) of one call."""
+    caplog.clear()
+    result = error = None
+    try:
+        result = fn(*args, **kwargs)
+    except ValueError as exc:
+        error = (type(exc), str(exc))
+    logged = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    return result, error, logged
+
+
+def _random_record_lines(rng, name):
+    codons = [rng.choice(CODONS) for _ in range(rng.randint(0, 40))]
+    for _ in range(rng.choice((0, 0, 1, 3))):  # codons with an unknown base
+        codon = list(rng.choice(CODONS))
+        codon[rng.randrange(3)] = "N"
+        codons.insert(rng.randint(0, len(codons)), "".join(codon))
+    seq = "".join(codons) + "ACGT"[rng.randrange(4)] * rng.choice((0, 0, 1, 2))
+    if rng.random() < 0.3:
+        seq = seq.replace("T", "U")
+    if rng.random() < 0.3:
+        seq = seq.lower()
+    elif rng.random() < 0.3:
+        cut = rng.randint(0, len(seq))
+        seq = seq[:cut] + seq[cut:].lower()
+    if rng.random() < 0.1:  # illegal, non-ASCII and multi-letter-uppercase characters
+        at = rng.randint(0, len(seq))
+        seq = seq[:at] + rng.choice("X*-.0>éßıſ") + seq[at:]
+    width = rng.randint(1, 25)
+    lines = [f"{' ' * rng.randint(0, 1)}>{name} description {rng.randint(0, 9)}"]
+    for i in range(0, len(seq), width):
+        line = seq[i:i + width]
+        if rng.random() < 0.2:
+            at = rng.randint(0, len(line))
+            line = line[:at] + rng.choice(("\t", " ", " ", "　")) + line[at:]
+        lines.append(line + rng.choice(("", "", " ", "\t")))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("", "  ", "\t")))
+    return lines
+
+
+def random_fasta(rng):
+    lines = []
+    if rng.random() < 0.05:
+        lines.append("ACGT")  # data before any header
+    for r in range(rng.randint(1, 5)):
+        lines += _random_record_lines(rng, f"rec{r}")
+    newline = rng.choice(("\n", "\r\n", "\r\n", "\r"))
+    return newline.join(lines) + (newline if rng.random() < 0.8 else "")
+
+
+# every error and warning the reader has; the seeded inputs must reach each
+OUTCOMES = ("before any '>'", "has no sequence data", "illegal character", "fewer than 3",
+            "unknown base", "trailing base", "containing N", "before the final codon")
+
+
+def test_ingestion_matches_per_character_reference(caplog):
+    rng = random.Random(4)
+    messages = set()
+    # stops before a final N codon, records of N codons only, a header in
+    # the middle of a line and a line separator inside a record
+    fixed = [">a\nTAAGCATAANNN\n>b\nNNNANN\n>c\nTGAT\n", ">a\nACGT>b\n", ">a\nAC\u2028GTT\n"]
+    with caplog.at_level(logging.WARNING, logger="dnacap.sequences"):
+        for text in fixed + [random_fasta(rng) for _ in range(400)]:
+            parsed = _outcome(caplog, parse_fasta, text)
+            assert parsed == _outcome(caplog, reference_parse_fasta, text)
+            for frame in (0, 1, 2):
+                for n_policy in ("drop_codon", "error"):
+                    new = _outcome(caplog, ingest_fasta, text, frame, n_policy)
+                    ref = _outcome(caplog, reference_ingest_fasta, text, frame, n_policy)
+                    assert new[1:] == ref[1:]
+                    if ref[0] is not None:
+                        assert np.array_equal(new[0].counts, ref[0])
+                    messages.update(message for _, _, message in ref[2])
+                    messages.add(ref[1][1] if ref[1] else "")
+                    for record in parsed[0] or []:
+                        new = _outcome(caplog, frame_codons, record, frame, n_policy)
+                        ref = _outcome(caplog, reference_frame_codons, record.bases,
+                                       frame, n_policy)
+                        assert new == ref
+    assert all(any(o in m for m in messages) for o in OUTCOMES)
+
+
+def test_frame_codons_rejects_non_bases_in_raw_strings():
+    # a raw string is not cleaned: lower case or other letters in a codon
+    # raise here, where they used to pass through to count_codons
+    with pytest.raises(ValueError, match=r"not a base: 'a' at offset 4"):
+        frame_codons("ACGTac")
+    with pytest.raises(ValueError, match=r"not a base: 'X' at offset 2"):
+        frame_codons("TAXTGC", frame=1)
+    with pytest.raises(ValueError, match=r"not a base: 'é' at offset 0"):
+        frame_codons("éCGTTT")
+    # only codons are read: skipped leading and dropped trailing bases are not
+    assert frame_codons("xTATx", frame=1) == ["TAT"]
+
+
+def test_count_codons_rejects_the_first_non_codon():
+    with pytest.raises(ValueError, match="not a codon: 'acg'"):
+        count_codons(["TAT", "acg", "XYZ"])

@@ -68,7 +68,7 @@ def _excess(entry: float, deviation: float) -> float:
         for coefficient in _SERIES:
             poly = poly * d + coefficient
         return poly * d * d
-    if entry == 0.0:
+    if entry <= 0.0:  # rounding can leave a zero entry slightly negative
         return -d
     log = math.log(4.0 * entry) if d < -0.5 else math.log1p(d)
     return 4.0 * entry * log - d

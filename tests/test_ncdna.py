@@ -150,6 +150,8 @@ def decimal_capacity(q, gamma, m):
 
 @pytest.mark.parametrize("q,gamma,m", [
     (1e-2, 1.0, 1), (1e-2, 0.1, 300), (1e-2, 1.0, 1000), (0.3, 1.4, 7), (0.9, 1.5, 3),
+    (1.0, 1.0, 1), (0.1, 1.5, 1), (0.3, 1.5, 1),  # entries that are exactly 0
+    (0.061, 1.5, 1), (0.113, 1.5, 1),  # a zero entry rounded to about -1e-18
     (1e-9, 1.0, 10**9), (1e-9, 0.001, 10**12),
     (1e-9, 0.01, 10**12),  # capacity 1.9e-12, where 2 - H(row) is 6e-5 off
 ])

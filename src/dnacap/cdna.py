@@ -27,6 +27,14 @@ pmf, as a sum of non-negative terms ``W(z|u) * phi(p(z)/W(z|u) - 1)`` with
 precision: the probabilities where the entry is small (shallow cascades)
 and the deviations from 1/64 elsewhere (deep cascades, whose rates fall
 far below machine epsilon).  Rates keep full relative accuracy at any depth.
+
+The kernel's tables for all 64 rows are built once per parameter set,
+cached and read-only.  Each evaluation or optimizer run selects the rows
+of the inputs its host can emit, and uses the tables as they are when it
+can emit every input.
+Sums over synonym sets, such as the check that every block of a
+conditional sums to one, are one ``np.bincount`` over the codon-to-amino
+map.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .genetic_code import (
     AMINO_OF_CODON,
     MULTIPLICITIES,
     SYNONYM_INDICES,
+    synonym_sums,
 )
 from .mutation_channel import (
     ChannelParams,
@@ -58,8 +67,6 @@ _MONOTONE_SLACK = 1e-12
 # relative; above it t - log1p(t) loses at most 4.4e-11 (log1p rounds by up
 # to 2.2e-16*|t|, against t**2/2), so the cut-off follows from the bounds.
 _SERIES_BELOW = 1e-5
-# one group per codon: the partition under which a rate needs only the input pmf
-_CODON_GROUPS = tuple(np.array([u]) for u in range(64))
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -114,7 +121,7 @@ def point_mass_host(amino: str) -> np.ndarray:
 
 def uniform_conditional() -> np.ndarray:
     """Conditional assigning 1/|synonyms(x')| within every synonym set."""
-    return 1.0 / MULTIPLICITIES[AMINO_OF_CODON].astype(float)
+    return _SYNONYM_SETS.start.copy()
 
 
 def _amino_index(amino: str) -> int:
@@ -142,63 +149,115 @@ def _check_conditional(cond, host) -> np.ndarray:
         raise ValueError(f"conditional must have shape (64,), got {cond.shape}")
     if cond.min() < -1e-12:
         raise ValueError("conditional has negative entries")
-    for ai, idx in enumerate(SYNONYM_INDICES):
-        if host[ai] > 0.0 and abs(cond[idx].sum() - 1.0) > 1e-9:
-            raise ValueError(
-                f"conditional for {AMINO_ACIDS[ai]} sums to {cond[idx].sum()}, "
-                f"expected 1 (host mass {host[ai]})"
-            )
+    sums = synonym_sums(cond)
+    ai = _first_unnormalized(sums, host)
+    if ai is not None:
+        raise ValueError(
+            f"conditional for {AMINO_ACIDS[ai]} sums to {sums[ai]}, "
+            f"expected 1 (host mass {host[ai]})"
+        )
     return np.clip(cond, 0.0, None)
+
+
+def _first_unnormalized(sums, host):
+    """The first amino the host emits whose block sum is more than 1e-9 off 1, or None."""
+    bad = np.flatnonzero((host > 0.0) & (np.abs(sums - 1.0) > 1e-9))
+    return int(bad[0]) if bad.size else None
 
 
 # ---------------------------------------------------------------------------
 # core engine, generic in the channel and in the synonym partition
 
 
+class _Kernel(NamedTuple):
+    """The divergence kernel's constants for a channel, one row per input.
+
+    ``rows`` holds the probabilities W.  p - W is exact to rounding in the
+    probability form where W is small and in the deviation form (W - 1/n
+    for n outputs) elsewhere; the absolute errors (about eps*W and
+    eps*|W - 1/n|) cross at W = 1/(2n), which sets ``small``.
+    """
+
+    rows: np.ndarray
+    small: np.ndarray
+    entry: np.ndarray  # W where small, else W - 1/n
+    stacked: np.ndarray  # [W, W - 1/n] side by side: p_in @ stacked = [p, p - 1/n]
+    inv: np.ndarray  # 1/W, zero below 1e-150
+    series_below: np.ndarray  # the series cut-off on t**2, zero below 1e-150
+
+    def take(self, inputs) -> "_Kernel":
+        return _Kernel(*(table[inputs] for table in self))
+
+
+def _kernel(matrix, deviations) -> _Kernel:
+    """Kernel tables of a channel given as W and as w, with W = (1 + w)/n."""
+    n_outputs = matrix.shape[1]
+    offsets = deviations / n_outputs  # W - 1/n
+    small = matrix < 0.5 / n_outputs
+    # entries below 1e-150 count as zero: with t up to 1/W the series
+    # (about W*t**3) could overflow.  Their term is the limit p(z), to
+    # within W*log(1/W) < 1e-147, and the direct form gives it at t = 0
+    zero = matrix < 1e-150
+    return _Kernel(
+        rows=matrix,
+        small=small,
+        entry=np.where(small, matrix, offsets),
+        stacked=np.hstack([matrix, offsets]),
+        inv=np.divide(1.0, matrix, out=np.zeros_like(matrix), where=~zero),
+        series_below=np.where(zero, 0.0, _SERIES_BELOW**2),
+    )
+
+
 @functools.lru_cache(maxsize=1)
-def _kimura_channel(params: ChannelParams):
+def _kimura_channel(params: ChannelParams) -> _Kernel:
     # a capacity search and a sweep point's rates all run at one parameter
-    # set; the cached arrays are shared, so they are read-only
-    matrix = codon_matrix(base_matrix_power(params))
-    deviations = codon_matrix_deviations(params)
-    matrix.flags.writeable = deviations.flags.writeable = False
-    return matrix, deviations
+    # set; the cached tables are shared, so they are read-only
+    return _read_only(_kernel(codon_matrix(base_matrix_power(params)),
+                              codon_matrix_deviations(params)))
+
+
+def _read_only(tables):
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+class _Partition(NamedTuple):
+    """A partition of the channel inputs into groups (synonym sets)."""
+
+    group_of: np.ndarray  # the group of every input
+    start: np.ndarray  # the uniform conditional, 1/|group| on every input
+
+
+def _partition(groups, n_inputs: int) -> _Partition:
+    sizes = np.array([len(idx) for idx in groups])
+    group_of = np.zeros(n_inputs, dtype=np.intp)
+    group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), sizes)
+    return _Partition(group_of, 1.0 / sizes[group_of])
+
+
+_SYNONYM_SETS = _read_only(_partition(SYNONYM_INDICES, 64))
+# one group per codon: the partition under which a rate needs only the input pmf
+_SINGLE_CODONS = _read_only(_Partition(np.arange(64), np.ones(64)))
 
 
 class _Problem:
     """A channel restricted to the inputs the host can emit.
 
-    ``deviations`` is the channel as w, with entries ``(1 + w)/n`` for n
-    outputs.  All the kernel needs from channel and support is set up here.
+    Only selects rows: when the host covers every input, the channel's
+    kernel tables are used as they are.
     """
 
-    def __init__(self, matrix, deviations, groups, host_mass):
-        n_inputs, n_outputs = matrix.shape
-        sizes = np.array([len(idx) for idx in groups])
-        group_of = np.zeros(n_inputs, dtype=np.intp)
-        group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), sizes)
-        self.start = 1.0 / sizes[group_of]  # the uniform conditional
-        mass_of = host_mass[group_of]
+    def __init__(self, kernel: _Kernel, partition: _Partition, host_mass):
+        self.start = partition.start
+        mass_of = host_mass[partition.group_of]
         self.support = np.flatnonzero(mass_of > 0.0)
-        self.mass = mass_of[self.support]
-        self.group = group_of[self.support]
-        self.n = n_outputs
-
-        rows = matrix[self.support]
-        offsets = deviations[self.support] / n_outputs  # W - 1/n
-        # p - W is exact to rounding in the probability form where W is
-        # small and in the deviation form elsewhere; the absolute errors
-        # (about eps*W and eps*|W - 1/n|) cross at W = 1/(2n)
-        self.small = rows < 0.5 / n_outputs
-        self.entry = np.where(self.small, rows, offsets)
-        self.stacked = np.hstack([rows, offsets])
-        # entries below 1e-150 count as zero: with t up to 1/W the series
-        # (about W*t**3) could overflow.  Their term is the limit p(z), to
-        # within W*log(1/W) < 1e-147, and the direct form gives it at t = 0
-        zero = rows < 1e-150
-        self.inv = np.divide(1.0, rows, out=np.zeros_like(rows), where=~zero)
-        self.series_below = np.where(zero, 0.0, _SERIES_BELOW**2)
-        self.rows = rows
+        if self.support.size == mass_of.size:
+            self.mass, self.group, self.kernel = mass_of, partition.group_of, kernel
+        else:
+            self.mass = mass_of[self.support]
+            self.group = partition.group_of[self.support]
+            self.kernel = kernel.take(self.support)
 
     def information(self, cond):
         """I(Z;U) in bits, and D_u in nats for every supported input.
@@ -206,12 +265,14 @@ class _Problem:
         D_u sums ``W*phi(t) = (p - W) - W*log1p(t)`` over the outputs z, or
         ``(p - W)*t*(1/2 - t/3)`` from the series, with t = (p - W)/W.
         """
+        k = self.kernel
         p_in = self.mass * cond
-        out = p_in @ self.stacked  # p(z), then p(z) - 1/n
-        num = np.where(self.small, out[:self.n], out[self.n:]) - self.entry
-        t = num * self.inv
-        terms = np.where(t * t < self.series_below, num * t * (0.5 - t / 3.0),
-                         num - self.rows * np.log1p(t))
+        out = p_in @ k.stacked  # p(z), then p(z) - 1/n
+        n = k.rows.shape[1]
+        num = np.where(k.small, out[:n], out[n:]) - k.entry
+        t = num * k.inv
+        terms = np.where(t * t < k.series_below, num * t * (0.5 - t / 3.0),
+                         num - k.rows * np.log1p(t))
         div = terms.sum(axis=1)
         return float(p_in @ div) / _LN2, div
 
@@ -228,12 +289,12 @@ def _rate_result(info, cond, iterations, converged, host_mass) -> RateResult:
     )
 
 
-def _blahut_arimoto(matrix, deviations, groups, host_mass, tol, max_iter) -> RateResult:
+def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    problem = _Problem(matrix, deviations, groups, host_mass)
+    problem = _Problem(kernel, partition, host_mass)
     cond = problem.start[problem.support]
     info_old = -np.inf
     converged = False
@@ -243,9 +304,9 @@ def _blahut_arimoto(matrix, deviations, groups, host_mass, tol, max_iter) -> Rat
             raise AssertionError(
                 f"Blahut-Arimoto objective decreased: {info_old} -> {info}"
             )
-        if abs(info - info_old) < tol:
-            converged = True
-            break
+        converged = abs(info - info_old) < tol
+        if converged or iterations == max_iter:
+            break  # cond is the conditional whose information is info
         info_old = info
         scaled = cond * np.exp(div - div.max())
         cond = scaled / np.bincount(problem.group, scaled)[problem.group]
@@ -266,8 +327,9 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
     """
     channel = np.asarray(channel, dtype=float)
     host_mass = np.asarray(host_mass, dtype=float)
-    deviations = channel.shape[1] * channel - 1.0
-    return _blahut_arimoto(channel, deviations, groups, host_mass, tol, max_iter)
+    kernel = _kernel(channel, channel.shape[1] * channel - 1.0)
+    return _blahut_arimoto(kernel, _partition(groups, channel.shape[0]), host_mass,
+                           tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +346,7 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
     # I(Z;U) depends on the input pmf alone.  With one group per codon the
     # support leaves out the inputs of zero mass, whose divergence may be
     # infinite (an output no supported input reaches), so they weigh zero
-    problem = _Problem(*_kimura_channel(params), _CODON_GROUPS, host[AMINO_OF_CODON] * cond)
+    problem = _Problem(_kimura_channel(params), _SINGLE_CODONS, host[AMINO_OF_CODON] * cond)
     info, _ = problem.information(np.ones(len(problem.support)))
     return _rate_result(info, cond, 0, True, host)
 
@@ -306,7 +368,7 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     Aminos the host never emits keep their uniform conditional.
     """
     host = _check_host(host)
-    return _blahut_arimoto(*_kimura_channel(params), SYNONYM_INDICES, host, tol, max_iter)
+    return _blahut_arimoto(_kimura_channel(params), _SYNONYM_SETS, host, tol, max_iter)
 
 
 def rate_q0(host) -> float:
@@ -350,16 +412,15 @@ def steganographic_rate(host_codon_usage, host, params: ChannelParams) -> RateRe
     usage = np.asarray(host_codon_usage, dtype=float)
     if usage.shape != (64,):
         raise ValueError(f"codon usage must have shape (64,), got {usage.shape}")
-    usage = usage.copy()
-    for ai, idx in enumerate(SYNONYM_INDICES):
-        block = usage[idx].sum()
-        if host[ai] > 0.0 and abs(block - 1.0) > 1e-9:
-            raise ValueError(
-                f"host emits {AMINO_ACIDS[ai]} but its codon usage is undefined "
-                f"(block sum {block}); pmf and usage must come from one sequence"
-            )
-        if block <= 0.0:  # unreachable block, keep it a valid pmf
-            usage[idx] = 1.0 / len(idx)
+    blocks = synonym_sums(usage)
+    ai = _first_unnormalized(blocks, host)
+    if ai is not None:
+        raise ValueError(
+            f"host emits {AMINO_ACIDS[ai]} but its codon usage is undefined "
+            f"(block sum {blocks[ai]}); pmf and usage must come from one sequence"
+        )
+    # unreachable blocks are filled uniformly, to keep them valid pmfs
+    usage = np.where(blocks[AMINO_OF_CODON] <= 0.0, _SYNONYM_SETS.start, usage)
     return evaluate_rate(host, usage, params)
 
 

@@ -73,6 +73,16 @@ for _amino, _indices in zip(AMINO_ACIDS, SYNONYM_INDICES):
     AMINO_OF_CODON[_indices] = AMINO_INDEX[_amino]
 
 
+def synonym_sums(values) -> np.ndarray:
+    """Sums of a length-64 codon vector over each synonym set, amino order.
+
+    One ``np.bincount``; each set is summed in codon order, as
+    ``values[SYNONYM_INDICES[a]].sum()`` would sum it, so the results
+    agree bit for bit.
+    """
+    return np.bincount(AMINO_OF_CODON, values, minlength=len(AMINO_ACIDS))
+
+
 def codon_index(codon: str) -> int:
     """Canonical integer index of a codon string."""
     try:

@@ -13,7 +13,8 @@ base is rescanned character by character, to name the line and column of
 the first offending character.  All records of a file are framed in one
 uint8 array, codons as rows of three base indices, and counted with one
 ``np.bincount``; the per-record warnings come from ``np.add.reduceat``
-over the record offsets.
+over the record offsets.  The amino pmf and the codon usage sum the
+synonym sets of the 64 counts with one more ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ import numpy as np
 
 from .genetic_code import (
     AMINO_ACIDS,
+    AMINO_OF_CODON,
     BASE_INDEX,
     CODON_INDEX,
     CODONS,
+    MULTIPLICITIES,
     STOP_CODONS,
-    SYNONYM_INDICES,
     codon_index,
+    synonym_sums,
 )
 
 logger = logging.getLogger(__name__)
@@ -228,8 +231,7 @@ def amino_pmf(counts: CodonCounts) -> np.ndarray:
     """Empirical amino-acid pmf: synonym-set count mass over the total."""
     if counts.total < 1:
         raise ValueError("cannot build a pmf from empty codon counts")
-    mass = np.array([counts.counts[idx].sum() for idx in SYNONYM_INDICES], dtype=float)
-    return mass / counts.total
+    return synonym_sums(counts.counts) / counts.total
 
 
 def codon_usage(counts: CodonCounts, zero_policy: str = "uniform_fill") -> np.ndarray:
@@ -244,17 +246,12 @@ def codon_usage(counts: CodonCounts, zero_policy: str = "uniform_fill") -> np.nd
         raise ValueError(f"unknown zero_policy {zero_policy!r}")
     if counts.total < 1:
         raise ValueError("cannot build codon usage from empty codon counts")
-    usage = np.zeros(64)
-    for ai, idx in enumerate(SYNONYM_INDICES):
-        block = counts.counts[idx].astype(float)
-        total = block.sum()
-        if total > 0:
-            usage[idx] = block / total
-        elif zero_policy == "uniform_fill":
-            usage[idx] = 1.0 / len(idx)
-        else:
-            raise ValueError(f"no codons observed for {AMINO_ACIDS[ai]}")
-    return usage
+    totals = synonym_sums(counts.counts)
+    empty = totals <= 0
+    if zero_policy == "error" and empty.any():
+        raise ValueError(f"no codons observed for {AMINO_ACIDS[int(np.argmax(empty))]}")
+    return np.divide(counts.counts, totals[AMINO_OF_CODON],
+                     out=1.0 / MULTIPLICITIES[AMINO_OF_CODON], where=~empty[AMINO_OF_CODON])
 
 
 def amino_pmf_to_csv(pmf: np.ndarray) -> str:

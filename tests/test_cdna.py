@@ -1,10 +1,12 @@
 import math
+import re
 from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dnacap import cdna
 from dnacap.cdna import (
     SingularSystemError,
     ba_optimize,
@@ -117,6 +119,43 @@ def test_evaluate_rate_input_validation(gene_a):
     evaluate_rate(host_no_ser, broken, params)
 
 
+def test_block_checks_name_the_first_failing_amino(gene_a):
+    params = ChannelParams(0.01, 1.0, 1)
+    broken = uniform_conditional()
+    broken[SYNONYM_INDICES[AMINO_INDEX["Ser"]]] = 0.25  # sums to 1.5
+    broken[SYNONYM_INDICES[AMINO_INDEX["Arg"]]] = 0.0
+    message = "conditional for Arg sums to 0.0, expected 1 (host mass 0.09375)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_rate(uniform_codon_host(), broken, params)
+    message = "conditional for Ser sums to 1.5, expected 1 (host mass 1.0)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_rate(point_mass_host("Ser"), broken, params)
+
+    host, usage = gene_a
+    undefined = usage.copy()
+    for amino in ("Ser", "Leu", "Met"):  # Leu comes first in amino order
+        assert host[AMINO_INDEX[amino]] > 0.0
+        undefined[SYNONYM_INDICES[AMINO_INDEX[amino]]] = 0.0
+    message = ("host emits Leu but its codon usage is undefined (block sum 0.0); "
+               "pmf and usage must come from one sequence")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        steganographic_rate(undefined, host, params)
+
+
+def test_blocks_the_host_never_emits_stay_unchecked_and_empty_usage_fills_uniformly():
+    params = ChannelParams(0.01, 1.0, 1)
+    host = point_mass_host("Ala")
+    usage = uniform_conditional()
+    usage[SYNONYM_INDICES[AMINO_INDEX["Arg"]]] = 0.5  # sums to 3, unchecked
+    ser = SYNONYM_INDICES[AMINO_INDEX["Ser"]]
+    usage[ser] = 0.0
+    evaluate_rate(host, usage, params)
+    result = steganographic_rate(usage, host, params)
+    assert np.all(result.conditional[ser] == 1.0 / 6.0)
+    assert np.all(result.conditional[SYNONYM_INDICES[AMINO_INDEX["Arg"]]] == 0.5)
+    assert result.rate == uniform_conditional_rate(host, params).rate
+
+
 def decimal_ser_information(q, gamma, m):
     """I(Z;U) in bits for the Ser host under the uniform conditional.
 
@@ -203,6 +242,18 @@ def test_ba_reports_non_convergence_without_raising(gene_a):
     result = ba_optimize(host, ChannelParams(0.05, 0.3, 3), max_iter=1)
     assert not result.converged
     assert result.iterations == 1
+
+
+def test_ba_at_max_iter_returns_the_iterate_it_reports():
+    host = point_mass_host("Ser")
+    params = ChannelParams(1e-2, 1.0, 316)
+    result = ba_optimize(host, params, max_iter=50)
+    assert not result.converged and result.iterations == 50
+    info = evaluate_rate(host, result.conditional, params).mutual_information
+    assert info == pytest.approx(result.mutual_information, rel=1e-12)
+    # one iteration evaluates the uniform start and updates nothing
+    first = ba_optimize(host, params, max_iter=1)
+    assert np.array_equal(first.conditional, uniform_conditional())
 
 
 def test_ba_rejects_bad_controls(gene_a):
@@ -474,3 +525,40 @@ def test_ba_partitioned_zero_mass_group_keeps_uniform_conditional():
     result = ba_partitioned(channel, groups, np.array([1.0, 0.0]), tol=1e-14)
     assert np.allclose(result.conditional[groups[1]], 0.5, atol=1e-15)
     assert result.host_entropy == 0.0
+
+
+# --- cached channel tables -----------------------------------------------------
+
+def fingerprint(result):
+    floats = np.array([result.rate, result.mutual_information, result.host_entropy])
+    return (floats.tobytes(), result.iterations, result.converged,
+            result.conditional.tobytes())
+
+
+def test_cached_channel_tables_are_read_only():
+    tables = cdna._kimura_channel(ChannelParams(1e-2, 0.5, 7))
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[1]
+
+
+def test_interleaved_calls_over_two_channels_repeat_bitwise(gene_a):
+    gene, usage = gene_a
+    full_gene = 0.5 * gene + 0.5 * uniform_codon_host()
+    hosts = {"gene": full_gene, "uniform": uniform_codon_host(),  # every input
+             "Ser": point_mass_host("Ser"), "sparse gene": gene}   # some inputs
+    calls = {
+        "ba": lambda host, params: ba_optimize(host, params),
+        "evaluate": lambda host, params: evaluate_rate(host, usage, params),
+        "steganographic": lambda host, params: steganographic_rate(usage, host, params),
+    }
+    grid = [(call, host, params)
+            for call in calls for host in hosts
+            for params in (ChannelParams(1e-2, 0.3, 20), ChannelParams(1e-3, 1.2, 5))]
+    first = {key: calls[key[0]](hosts[key[1]], key[2]) for key in grid}
+    expected = {key: fingerprint(result) for key, result in first.items()}
+    for result in first.values():
+        result.conditional[:] = -1.0  # callers own what they get back
+    # consecutive calls alternate the parameters, so each rebuilds the channel
+    for key in reversed(grid):
+        assert fingerprint(calls[key[0]](hosts[key[1]], key[2])) == expected[key], key

@@ -75,3 +75,12 @@ def test_invalid_inputs():
         gc.synonym_set("Foo")
     with pytest.raises(ValueError):
         gc.codon_from_index(64)
+
+
+def test_synonym_sums_match_the_per_set_loop_bitwise():
+    rng = np.random.default_rng(3)
+    for values in (rng.random(64), rng.integers(0, 1000, 64), 1e-300 * rng.random(64)):
+        loop = np.array([float(values[idx].sum()) for idx in gc.SYNONYM_INDICES])
+        assert gc.synonym_sums(values).tobytes() == loop.tobytes()
+    with pytest.raises(ValueError):
+        gc.synonym_sums(np.ones(63))

@@ -157,6 +157,9 @@ def test_codon_usage_zero_policies():
     assert np.allclose(usage[ser], 1.0 / 6, atol=1e-15)
     with pytest.raises(ValueError, match="no codons observed"):
         codon_usage(counts, zero_policy="error")
+    # the message names the first empty synonym set, in amino order
+    with pytest.raises(ValueError, match=r"^no codons observed for Asn$"):
+        codon_usage(count_codons(["GCA", "AGA", "TAT"]), zero_policy="error")
     with pytest.raises(ValueError):
         codon_usage(counts, zero_policy="nonsense")
 

@@ -14,7 +14,6 @@ from .cdna import (
     ba_partitioned,
     capacity_c,
     deterministic_rate,
-    entropy_bits,
     evaluate_rate,
     linearized_conditional,
     point_mass_host,
@@ -43,6 +42,7 @@ from .ncdna import (
     capacity_nc,
     capacity_nc_gamma0,
     cutoff_estimate,
+    entropy_bits,
     row_entropy,
 )
 from .sequences import (

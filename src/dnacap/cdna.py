@@ -60,6 +60,7 @@ from .mutation_channel import (
     codon_matrix,
     codon_matrix_deviations,
 )
+from .ncdna import capacity_nc, entropy_bits
 
 _LN2 = math.log(2.0)
 _MONOTONE_SLACK = 1e-12
@@ -100,13 +101,6 @@ class CodingCapacity(NamedTuple):
     converged: bool  # every optimizer run converged
 
 
-def entropy_bits(pmf: np.ndarray) -> float:
-    """Shannon entropy in bits with 0*log(0) = 0."""
-    p = np.asarray(pmf, dtype=float)
-    mask = p > 0.0
-    return float(-(p[mask] * np.log2(p[mask])).sum())
-
-
 def uniform_codon_host() -> np.ndarray:
     """Amino pmf induced by uniform codons: p(x') = |synonyms(x')| / 64."""
     return MULTIPLICITIES / 64.0
@@ -131,15 +125,23 @@ def _amino_index(amino: str) -> int:
         raise ValueError(f"unknown amino acid: {amino!r}") from None
 
 
+def _nonnegative(values, name: str) -> np.ndarray:
+    """``values`` clipped at zero; a non-finite entry or one below -1e-12 raises."""
+    if not np.isfinite(values).all():  # NaN would pass every range check
+        raise ValueError(f"{name} has non-finite entries")
+    if values.min() < -1e-12:
+        raise ValueError(f"{name} has negative entries")
+    return np.clip(values, 0.0, None)
+
+
 def _check_host(host) -> np.ndarray:
     host = np.asarray(host, dtype=float)
     if host.shape != (21,):
         raise ValueError(f"host pmf must have shape (21,), got {host.shape}")
-    if host.min() < -1e-12:
-        raise ValueError("host pmf has negative entries")
+    clipped = _nonnegative(host, "host pmf")
     if abs(host.sum() - 1.0) > 1e-9:
         raise ValueError(f"host pmf sums to {host.sum()}, expected 1")
-    return np.clip(host, 0.0, None)
+    return clipped
 
 
 def _check_conditional(cond, host) -> np.ndarray:
@@ -147,8 +149,7 @@ def _check_conditional(cond, host) -> np.ndarray:
     cond = np.asarray(cond, dtype=float)
     if cond.shape != (64,):
         raise ValueError(f"conditional must have shape (64,), got {cond.shape}")
-    if cond.min() < -1e-12:
-        raise ValueError("conditional has negative entries")
+    clipped = _nonnegative(cond, "conditional")
     sums = synonym_sums(cond)
     ai = _first_unnormalized(sums, host)
     if ai is not None:
@@ -156,7 +157,7 @@ def _check_conditional(cond, host) -> np.ndarray:
             f"conditional for {AMINO_ACIDS[ai]} sums to {sums[ai]}, "
             f"expected 1 (host mass {host[ai]})"
         )
-    return np.clip(cond, 0.0, None)
+    return clipped
 
 
 def _first_unnormalized(sums, host):
@@ -237,27 +238,23 @@ def _partition(groups, n_inputs: int) -> _Partition:
 
 
 _SYNONYM_SETS = _read_only(_partition(SYNONYM_INDICES, 64))
-# one group per codon: the partition under which a rate needs only the input pmf
-_SINGLE_CODONS = _read_only(_Partition(np.arange(64), np.ones(64)))
 
 
 class _Problem:
-    """A channel restricted to the inputs the host can emit.
+    """A channel restricted to the inputs of positive mass.
 
-    Only selects rows: when the host covers every input, the channel's
-    kernel tables are used as they are.
+    ``mass`` holds one mass per channel input.  Inputs of zero mass, whose
+    divergence may be infinite (an output no supported input reaches),
+    leave the support; when every input has mass, the channel's kernel
+    tables are used as they are.
     """
 
-    def __init__(self, kernel: _Kernel, partition: _Partition, host_mass):
-        self.start = partition.start
-        mass_of = host_mass[partition.group_of]
-        self.support = np.flatnonzero(mass_of > 0.0)
-        if self.support.size == mass_of.size:
-            self.mass, self.group, self.kernel = mass_of, partition.group_of, kernel
+    def __init__(self, kernel: _Kernel, mass):
+        self.support = np.flatnonzero(mass > 0.0)
+        if self.support.size == mass.size:
+            self.mass, self.kernel = mass, kernel
         else:
-            self.mass = mass_of[self.support]
-            self.group = partition.group_of[self.support]
-            self.kernel = kernel.take(self.support)
+            self.mass, self.kernel = mass[self.support], kernel.take(self.support)
 
     def information(self, cond):
         """I(Z;U) in bits, and D_u in nats for every supported input.
@@ -294,8 +291,9 @@ def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    problem = _Problem(kernel, partition, host_mass)
-    cond = problem.start[problem.support]
+    problem = _Problem(kernel, host_mass[partition.group_of])
+    group = partition.group_of[problem.support]
+    cond = partition.start[problem.support]
     info_old = -np.inf
     converged = False
     for iterations in range(1, max_iter + 1):
@@ -309,8 +307,8 @@ def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
             break  # cond is the conditional whose information is info
         info_old = info
         scaled = cond * np.exp(div - div.max())
-        cond = scaled / np.bincount(problem.group, scaled)[problem.group]
-    full = problem.start.copy()  # uniform where the host has no mass
+        cond = scaled / np.bincount(group, scaled)[group]
+    full = partition.start.copy()  # uniform where the host has no mass
     full[problem.support] = cond
     return _rate_result(info, full, iterations, converged, host_mass)
 
@@ -336,19 +334,22 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
 # achievable rates for the standard genetic code
 
 
+def _evaluate(host, cond, params: ChannelParams) -> RateResult:
+    # I(Z;U) depends on the input pmf alone: each input weighs its mass
+    problem = _Problem(_kimura_channel(params), host[AMINO_OF_CODON] * cond)
+    info, _ = problem.information(np.ones(len(problem.support)))
+    return _rate_result(info, cond, 0, True, host)
+
+
 def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
     """Rate I(Z;U) - H(X') for a given host pmf and codon conditional.
 
     No optimization is performed; the conditional is used as supplied.
+    A non-finite or negative entry in either raises, as does a block that
+    does not sum to one for an amino the host emits.
     """
     host = _check_host(host)
-    cond = _check_conditional(cond, host)
-    # I(Z;U) depends on the input pmf alone.  With one group per codon the
-    # support leaves out the inputs of zero mass, whose divergence may be
-    # infinite (an output no supported input reaches), so they weigh zero
-    problem = _Problem(_kimura_channel(params), _SINGLE_CODONS, host[AMINO_OF_CODON] * cond)
-    info, _ = problem.information(np.ones(len(problem.support)))
-    return _rate_result(info, cond, 0, True, host)
+    return _evaluate(host, _check_conditional(cond, host), params)
 
 
 def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
@@ -385,8 +386,6 @@ def rate_uniform_host(params: ChannelParams) -> float:
     unconstrained codon-channel capacity, three times the per-base
     capacity: R = 3*C - H(X'), clamped at zero.
     """
-    from .ncdna import capacity_nc
-
     host_entropy = entropy_bits(uniform_codon_host())
     return max(0.0, 3.0 * capacity_nc(params).value - host_entropy)
 
@@ -406,7 +405,8 @@ def steganographic_rate(host_codon_usage, host, params: ChannelParams) -> RateRe
     The conditional is pegged to the empirical usage, so no maximization
     happens and the result is at most the optimized rate.  An amino the
     host emits but whose usage block is empty signals that the pmf and
-    the usage came from different sequences, and raises.
+    the usage came from different sequences, and raises, as does a
+    non-finite or negative entry.  Each input is checked once.
     """
     host = _check_host(host)
     usage = np.asarray(host_codon_usage, dtype=float)
@@ -421,7 +421,7 @@ def steganographic_rate(host_codon_usage, host, params: ChannelParams) -> RateRe
         )
     # unreachable blocks are filled uniformly, to keep them valid pmfs
     usage = np.where(blocks[AMINO_OF_CODON] <= 0.0, _SYNONYM_SETS.start, usage)
-    return evaluate_rate(host, usage, params)
+    return _evaluate(host, _nonnegative(usage, "conditional"), params)
 
 
 def linearized_conditional(amino: str, params: ChannelParams) -> np.ndarray:
@@ -435,7 +435,7 @@ def linearized_conditional(amino: str, params: ChannelParams) -> np.ndarray:
     q < 1/2 is always safe for the exact system.
     """
     idx = SYNONYM_INDICES[_amino_index(amino)]
-    rows = codon_matrix(base_matrix_power(params))[idx]
+    rows = _kimura_channel(params).rows[idx]
     gram = rows @ rows.T
     if np.linalg.cond(gram) > 1e12:
         raise SingularSystemError(

@@ -9,6 +9,8 @@ produce byte-identical output.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -79,6 +81,13 @@ def log_m_grid(start: int, stop: int, points: int) -> list[int]:
     return sorted({int(round(g)) for g in grid})
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise sequences.FastaError(f"cannot read {path}: {exc}") from exc
+
+
 def _resolve_host(spec: SweepSpec):
     """Return (host_pmf, usage_or_None, label) for the spec's host source."""
     source = spec.host_source
@@ -95,11 +104,7 @@ def _resolve_host(spec: SweepSpec):
             raise UsageError(f"unknown amino acid {name!r}")
         resolved = (cdna.point_mass_host(name), None, source)
     elif source.startswith("fasta:"):
-        path = Path(source.split(":", 1)[1])
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise sequences.FastaError(f"cannot read {path}: {exc}") from exc
+        text = _read_text(Path(source.split(":", 1)[1]))
         counts = sequences.ingest_fasta(text, frame=spec.frame)
         resolved = (
             sequences.amino_pmf(counts),
@@ -175,13 +180,16 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['m']},{_fmt(r['q'])},{_fmt(r['gamma'])},{r['quantity']},"
-            f"{r['method']},{r['host']},{_fmt(r['value_bits'])}"
-        )
-    return "\n".join(lines) + "\n"
+    # fields are quoted only where they hold a comma, quote or line end
+    # (a host label can); every other row reads as if joined with commas
+    out = io.StringIO()
+    out.write(CSV_HEADER + "\n")
+    csv.writer(out, lineterminator="\n").writerows(
+        (r["m"], _fmt(r["q"]), _fmt(r["gamma"]), r["quantity"], r["method"], r["host"],
+         _fmt(r["value_bits"]))
+        for r in rows
+    )
+    return out.getvalue()
 
 
 def run_point(spec: SweepSpec) -> dict:
@@ -193,11 +201,7 @@ def run_point(spec: SweepSpec) -> dict:
 
 def run_ingest(path: Path, frame: int, fmt: str, out: Path | None) -> str:
     """Ingest a FASTA file; returns the stdout payload, writing files if asked."""
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise sequences.FastaError(f"cannot read {path}: {exc}") from exc
-    counts = sequences.ingest_fasta(text, frame=frame)
+    counts = sequences.ingest_fasta(_read_text(path), frame=frame)
     pmf = sequences.amino_pmf(counts)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -223,43 +227,39 @@ def _figure_specs(genes: dict[str, Path]) -> dict[str, list[SweepSpec]]:
     coding_hosts = ["uniform", "amino:Ser"] + gene_hosts
     multi = [a for a in AMINO_ACIDS if MULTIPLICITY[a] >= 2]
     bundle: dict[str, list[SweepSpec]] = {}
-
-    def add(name, specs):
-        bundle[name] = specs
-
     for q, top in ((1e-2, 10**7), (1e-9, 10**12)):
-        add(f"ncdna_q{q:g}.csv", [
+        bundle[f"ncdna_q{q:g}.csv"] = [
             SweepSpec("ncdna", q, g, log_m_grid(1, top, 37))
             for g in (1.0, 0.1, 0.01, 0.001, 0.0)
-        ])
+        ]
     for gamma in (1.0, 0.1):
         for q, top in ((1e-2, 10**5), (1e-9, 10**12)):
-            add(f"cdna_hosts_g{gamma:g}_q{q:g}.csv", [
+            bundle[f"cdna_hosts_g{gamma:g}_q{q:g}.csv"] = [
                 SweepSpec("cdna_rate", q, gamma, log_m_grid(1, top, 25),
                           host_source=h, method=meth)
                 for h in coding_hosts
                 for meth in ("ba", "uniform")
-            ])
-    add("steg_g0.1_q1e-05.csv", [
+            ]
+    bundle["steg_g0.1_q1e-05.csv"] = [
         SweepSpec(quant, 1e-5, 0.1, log_m_grid(1, 10**8, 25), host_source=h)
         for h in (["uniform"] + gene_hosts)
         for quant in ("steg_rate", "cdna_rate")
-    ])
+    ]
     for gamma in (1.0, 0.1):
         for q, top in ((1e-2, 10**5), (1e-9, 10**12)):
-            add(f"det_aminos_g{gamma:g}_q{q:g}.csv", [
+            bundle[f"det_aminos_g{gamma:g}_q{q:g}.csv"] = [
                 SweepSpec("cdna_rate", q, gamma, log_m_grid(1, top, 25),
                           host_source=f"amino:{a}")
                 for a in multi
-            ])
+            ]
     # the linearized system is only well conditioned while within-category
     # mixing survives (mu^m away from 0), so compare methods on that range
-    add("det_methods_g0.1_q1e-02.csv", [
+    bundle["det_methods_g0.1_q1e-02.csv"] = [
         SweepSpec("cdna_rate", 1e-2, 0.1, log_m_grid(1, 300, 20),
                   host_source=f"amino:{a}", method=meth)
         for a in ("Ser", "Leu")
         for meth in ("ba", "linearized", "uniform")
-    ])
+    ]
     # one host cache for the whole bundle: each gene file is read, ingested
     # and warned about once
     host_cache = {}

@@ -147,12 +147,6 @@ def _kron(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return op(x[:, None, :, None], y[None, :, None, :]).reshape(shape)
 
 
-def base_matrix_deviations(params: ChannelParams) -> np.ndarray:
-    """4x4 matrix d with m-stage transition probabilities (1 + d)/4."""
-    _, deviations = _stage_entries(params)
-    return _symmetric(*deviations)
-
-
 def codon_matrix_deviations(params: ChannelParams) -> np.ndarray:
     """64x64 matrix w with m-stage codon transition probabilities (1 + w)/64.
 
@@ -161,7 +155,8 @@ def codon_matrix_deviations(params: ChannelParams) -> np.ndarray:
     machine epsilon relative to 1/64 survive.  The rate computations in
     :mod:`dnacap.cdna` rely on this once ``lam**m`` underflows toward zero.
     """
-    dev = base_matrix_deviations(params)
+    _, deviations = _stage_entries(params)
+    dev = _symmetric(*deviations)  # the 4x4 d of base entries (1 + d)/4
 
     def combine(x, y):
         # (1+x)(1+y) - 1, kept in deviation form

@@ -4,6 +4,8 @@ A noncoding host can be overwritten at will, so the embedding channel is
 just the quaternary symmetric substitution channel and capacity is
 ``2 - H(row)`` bits/base, with H(row) the entropy of any row of the
 m-stage transition matrix.  All logarithms are base 2.
+:func:`entropy_bits` is the package's one entropy formula; the rate
+functions of :mod:`dnacap.cdna` import it from here.
 
 The capacity is computed as the row's divergence from the uniform pmf,
 a sum of non-negative terms in the deviations d of the entries
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mutation_channel import ChannelParams, _stage_entries
+from .mutation_channel import ChannelParams, _stage_entries, base_matrix_power
 
 _ZERO_DUST = 1e-15
 # Below this |d| the series of (1 + d)*ln(1 + d) - d through d**8 is
@@ -35,25 +37,23 @@ class CapacityResult:
     params: ChannelParams
 
 
+def entropy_bits(pmf: np.ndarray) -> float:
+    """Shannon entropy in bits with 0*log(0) = 0."""
+    p = np.asarray(pmf, dtype=float)
+    mask = p > 0.0
+    return float(-(p[mask] * np.log2(p[mask])).sum())
+
+
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) variable in bits, with 0*log(0) = 0."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
-    total = 0.0
-    for x in (p, 1.0 - p):
-        if x > 0.0:
-            total -= x * np.log2(x)
-    return float(total)
+    return entropy_bits([p, 1.0 - p])
 
 
 def row_entropy(params: ChannelParams) -> float:
     """Entropy in bits of any row of the m-stage base transition matrix."""
-    entries, _ = _stage_entries(params)
-    total = 0.0
-    for p, weight in zip(entries, (1.0, 1.0, 2.0)):
-        if p > 0.0:
-            total -= weight * p * np.log2(p)
-    return float(total)
+    return entropy_bits(base_matrix_power(params)[0])
 
 
 def _excess(entry: float, deviation: float) -> float:

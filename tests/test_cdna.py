@@ -156,6 +156,51 @@ def test_blocks_the_host_never_emits_stay_unchecked_and_empty_usage_fills_unifor
     assert result.rate == uniform_conditional_rate(host, params).rate
 
 
+def _with_nan(values, index):
+    values = np.array(values, dtype=float)
+    values[index] = np.nan
+    return values
+
+
+_SER = SYNONYM_INDICES[AMINO_INDEX["Ser"]]
+_PARAMS = ChannelParams(1e-2, 0.1, 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evaluate_rate(point_mass_host("Ser"), _with_nan(uniform_conditional(), _SER[0]),
+                          _PARAMS),
+    lambda: evaluate_rate(_with_nan(point_mass_host("Ser"), AMINO_INDEX["Ala"]),
+                          uniform_conditional(), _PARAMS),
+    lambda: ba_optimize(_with_nan(uniform_codon_host(), AMINO_INDEX["Ala"]), _PARAMS),
+    lambda: rate_q0(_with_nan(point_mass_host("Ser"), AMINO_INDEX["Ala"])),
+    lambda: steganographic_rate(_with_nan(uniform_conditional(), _SER[0]),
+                                point_mass_host("Ser"), _PARAMS),
+], ids=["evaluate_rate-conditional", "evaluate_rate-host", "ba_optimize", "rate_q0",
+        "steganographic_rate-usage"])
+def test_non_finite_entries_raise(call):
+    # NaN fails the negativity and normalization comparisons alike
+    with pytest.raises(ValueError, match="non-finite entries"):
+        call()
+
+
+def test_linearized_rate_builds_the_channel_once(monkeypatch):
+    builds = []
+    build = cdna.codon_matrix
+    monkeypatch.setattr(cdna, "codon_matrix", lambda base: builds.append(1) or build(base))
+    cdna._kimura_channel.cache_clear()
+    deterministic_rate("Ser", ChannelParams(1e-2, 0.1, 30), "linearized")
+    assert len(builds) == 1
+
+
+def test_steganographic_rate_checks_the_host_once(gene_a, monkeypatch):
+    host, usage = gene_a
+    checks = []
+    check = cdna._check_host
+    monkeypatch.setattr(cdna, "_check_host", lambda pmf: checks.append(1) or check(pmf))
+    steganographic_rate(usage, host, ChannelParams(1e-3, 0.1, 10))
+    assert len(checks) == 1
+
+
 def decimal_ser_information(q, gamma, m):
     """I(Z;U) in bits for the Ser host under the uniform conditional.
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -104,6 +106,28 @@ def test_sweep_m_range_collapses_duplicates(capsys):
     assert ms[0] == 1 and ms[-1] == 10
 
 
+def test_sweep_quotes_a_host_label_holding_a_comma(capsys, tmp_path):
+    gene = tmp_path / "d,x" / "g.fa"
+    gene.parent.mkdir()
+    gene.write_bytes(Path(GENE_A).read_bytes())
+    code, out, _ = run(capsys, "sweep", "--quantity", "cdna_rate", "--method", "uniform",
+                       "--q", "1e-2", "--gamma", "0.5", "--m", "1", "10",
+                       "--host", f"fasta:{gene}")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [7, 7, 7]
+    assert rows[1][5] == rows[2][5] == f"fasta:{gene}"
+
+
+def test_sweep_rows_without_a_comma_are_plain_comma_joins(capsys):
+    code, out, _ = run(capsys, "sweep", "--quantity", "cdna_rate", "--q", "1e-2",
+                       "--gamma", "0.5", "--m", "1", "10", "--host", f"fasta:{GENE_A}")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 3
+    assert out == "".join(",".join(row) + "\n" for row in rows)
+
+
 def test_log_m_grid():
     assert log_m_grid(1, 1000, 4) == [1, 10, 100, 1000]
     assert log_m_grid(5, 5, 1) == [5]
@@ -145,6 +169,18 @@ def test_data_error_empty_fasta(capsys, tmp_path):
     code, _, err = run(capsys, "ingest", str(empty))
     assert code == 2
     assert "no sequences" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "point", "ingest"])
+def test_data_error_undecodable_fasta(capsys, tmp_path, command):
+    path = tmp_path / "binary.fa"
+    path.write_bytes(b"\xff\xfe")
+    argv = ["ingest", str(path)] if command == "ingest" else [
+        command, "--quantity", "cdna_rate", "--q", "1e-3", "--gamma", "0.1", "--m", "1",
+        "--host", f"fasta:{path}"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "data error" in err
 
 
 def test_data_error_out_of_range_parameter(capsys):

@@ -7,7 +7,8 @@ only swap synonymous codons: a coding-with-side-information problem.
 This script ingests a small gene, derives its amino-acid pmf and codon
 usage, and compares three per-codon rates as mutations accumulate:
 
-* the optimized rate (partition-constrained Blahut-Arimoto),
+* the optimized rate (certified by its duality gap: Blahut-Arimoto, then
+  Newton steps),
 * the uniform-conditional approximation,
 * the steganographic rate, which pegs codon usage to the host's own.
 """

@@ -8,11 +8,19 @@ code.  For a host amino pmf p(x') the achievable rate is
     R = max_{p(u|x')} I(Z; U) - H(X')   bits/codon,
 
 clamped at zero.  This module evaluates that functional for a given
-conditional, maximizes it with a partition-constrained Blahut-Arimoto
-iteration, and provides the closed forms and approximations available in
-special cases (no mutations; hosts induced by uniform codons; point-mass
-hosts, including their linearized conditional solver and the capacity
-search over all point masses).
+conditional, maximizes it over the per-amino conditionals, and provides
+the closed forms and approximations available in special cases (no
+mutations; hosts induced by uniform codons; point-mass hosts, including
+their linearized conditional solver and the capacity search over all
+point masses).
+
+One optimizer serves every maximization.  It stops on the duality gap
+``sum_x' p(x') max_{u in x'} D_u - I``, an upper bound on the distance to
+the optimum (Blahut 1972), once the gap is at most ``tol`` times I plus
+1e-15 bits; ``converged`` means certified.  From the uniform start it
+takes Blahut-Arimoto steps while each halves the gap, then Newton steps on
+the face of inputs of positive conditional, which reach optima on the
+boundary of the simplex that Blahut-Arimoto only crawls towards.
 
 Conventions
 -----------
@@ -64,12 +72,20 @@ from .ncdna import capacity_nc, entropy_bits
 
 _LN2 = math.log(2.0)
 _MONOTONE_SLACK = 1e-12
+# bits: the floor of the stop rule, below which a rate prints as zero
+_GAP_FLOOR = 1e-15
+# step halvings along one Newton direction before a BA step is tried
+_BACKTRACKS = 20
+# a rise in I larger than this share of I (about 500 ulps) is read off two
+# values of I.  Their rounding is a few ulps; the kernel's terms err by up to
+# 5e-11 relative, but smoothly, and at the series cut-off a term is 5e-11*W
+_DECISIVE = 1e-13
 # Below this |t| the series t**2/2 - t**3/3 of phi(t) is accurate to 5e-11
 # relative; above it t - log1p(t) loses at most 4.4e-11 (log1p rounds by up
 # to 2.2e-16*|t|, against t**2/2), so the cut-off follows from the bounds.
 _SERIES_BELOW = 1e-5
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10_000
 
 
@@ -83,7 +99,13 @@ class RateResult:
 
     ``rate`` is ``max(0, mutual_information - host_entropy)`` in
     bits/codon; ``mutual_information`` is left unclamped.  ``conditional``
-    is the per-amino codon conditional actually used (length 64).
+    is the per-amino codon conditional actually used (length 64).  For an
+    optimizer run ``gap_bits`` is the duality gap at that conditional, an
+    upper bound on the distance of ``mutual_information`` to the optimum,
+    and ``converged`` means certified: the gap is at most ``tol`` times
+    the information plus 1e-15 bits.  At a certified optimum the gap can
+    read a few ulps of I below zero, from rounding.  An evaluation has no
+    gap (None).
     """
 
     rate: float
@@ -92,13 +114,16 @@ class RateResult:
     converged: bool
     mutual_information: float
     host_entropy: float
+    gap_bits: float | None = None
 
 
 class CodingCapacity(NamedTuple):
     best_amino: str
     rate: float
     per_amino: np.ndarray
-    converged: bool  # every optimizer run converged
+    converged: bool  # every optimizer run is certified
+    iterations: int  # over all optimizer runs
+    gap_bits: float  # the largest duality gap of a run
 
 
 def uniform_codon_host() -> np.ndarray:
@@ -195,18 +220,30 @@ def _kernel(matrix, deviations) -> _Kernel:
     n_outputs = matrix.shape[1]
     offsets = deviations / n_outputs  # W - 1/n
     small = matrix < 0.5 / n_outputs
-    # entries below 1e-150 count as zero: with t up to 1/W the series
-    # (about W*t**3) could overflow.  Their term is the limit p(z), to
-    # within W*log(1/W) < 1e-147, and the direct form gives it at t = 0
-    zero = matrix < 1e-150
-    return _Kernel(
-        rows=matrix,
-        small=small,
-        entry=np.where(small, matrix, offsets),
-        stacked=np.hstack([matrix, offsets]),
-        inv=np.divide(1.0, matrix, out=np.zeros_like(matrix), where=~zero),
-        series_below=np.where(zero, 0.0, _SERIES_BELOW**2),
-    )
+    return _Kernel(matrix, small, np.where(small, matrix, offsets),
+                   np.hstack([matrix, offsets]), *_reciprocal(matrix))
+
+
+def _reciprocal(w):
+    """1/W and the series cut-off on t**2, both zero where W < 1e-150.
+
+    Entries below 1e-150 count as zero: with t up to 1/W the series (about
+    W*t**3) could overflow.  Their term is the limit p(z), to within
+    W*log(1/W) < 1e-147, and the direct form gives it at t = 0.
+    """
+    zero = w < 1e-150
+    return (np.divide(1.0, w, out=np.zeros_like(w), where=~zero),
+            np.where(zero, 0.0, _SERIES_BELOW**2))
+
+
+def _terms(w, num, inv, series_below):
+    """The kernel's non-negative terms W*phi(t), with num = p - W and t = num/W.
+
+    ``W*phi(t) = (p - W) - W*log1p(t)``, or ``(p - W)*t*(1/2 - t/3)`` from
+    the series; summed over z they are the divergence of W from p.
+    """
+    t = num * inv
+    return np.where(t * t < series_below, num * t * (0.5 - t / 3.0), num - w * np.log1p(t))
 
 
 @functools.lru_cache(maxsize=1)
@@ -228,13 +265,18 @@ class _Partition(NamedTuple):
 
     group_of: np.ndarray  # the group of every input
     start: np.ndarray  # the uniform conditional, 1/|group| on every input
+    # one row per group: its inputs, padded by repeating the last, so that
+    # a maximum over each group is one max along the rows
+    members: np.ndarray
 
 
 def _partition(groups, n_inputs: int) -> _Partition:
     sizes = np.array([len(idx) for idx in groups])
     group_of = np.zeros(n_inputs, dtype=np.intp)
     group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), sizes)
-    return _Partition(group_of, 1.0 / sizes[group_of])
+    members = np.array([np.pad(idx, (0, sizes.max() - len(idx)), mode="edge")
+                        for idx in groups], dtype=np.intp)
+    return _Partition(group_of, 1.0 / sizes[group_of], members)
 
 
 _SYNONYM_SETS = _read_only(_partition(SYNONYM_INDICES, 64))
@@ -256,25 +298,43 @@ class _Problem:
         else:
             self.mass, self.kernel = mass[self.support], kernel.take(self.support)
 
-    def information(self, cond):
-        """I(Z;U) in bits, and D_u in nats for every supported input.
-
-        D_u sums ``W*phi(t) = (p - W) - W*log1p(t)`` over the outputs z, or
-        ``(p - W)*t*(1/2 - t/3)`` from the series, with t = (p - W)/W.
-        """
+    def information(self, cond) -> "_Point":
+        """I(Z;U) in bits, D_u in nats for every supported input, p - W and p."""
         k = self.kernel
         p_in = self.mass * cond
         out = p_in @ k.stacked  # p(z), then p(z) - 1/n
         n = k.rows.shape[1]
         num = np.where(k.small, out[:n], out[n:]) - k.entry
-        t = num * k.inv
-        terms = np.where(t * t < k.series_below, num * t * (0.5 - t / 3.0),
-                         num - k.rows * np.log1p(t))
-        div = terms.sum(axis=1)
-        return float(p_in @ div) / _LN2, div
+        div = _terms(k.rows, num, k.inv, k.series_below).sum(axis=1)
+        return _Point(cond, float(p_in @ div) / _LN2, div, num, out[:n])
+
+    def gain(self, point: "_Point", top, trial) -> float:
+        """I(trial) - I(point) in bits, without the cancellation of a difference.
+
+        With dp the change of the input pmf and p' the new output pmf,
+        ``I(p + dp) - I(p) = sum_u dp_u*D_u - KL(p' || p)`` exactly.  D_u
+        enters less ``top``, its group's largest value (dp sums to zero
+        over each group), and p' - p comes from the offsets W - 1/n.
+        """
+        delta = self.mass * (trial - point.cond)
+        n = point.out.size
+        shift = delta @ self.kernel.stacked[:, n:]
+        new_out = point.out + shift
+        kl = _terms(new_out, -shift, *_reciprocal(new_out)).sum()
+        return float(delta @ (point.div - top) - kl) / _LN2
 
 
-def _rate_result(info, cond, iterations, converged, host_mass) -> RateResult:
+class _Point(NamedTuple):
+    """One evaluation: the conditional on the support and what it yields."""
+
+    cond: np.ndarray
+    info: float  # I(Z;U) in bits
+    div: np.ndarray  # D_u in nats
+    num: np.ndarray  # p(z) - W(z|u), exact to rounding
+    out: np.ndarray  # p(z)
+
+
+def _rate_result(info, cond, iterations, converged, host_mass, gap_bits=None) -> RateResult:
     host_entropy = entropy_bits(host_mass)
     return RateResult(
         rate=max(0.0, info - host_entropy),
@@ -283,34 +343,237 @@ def _rate_result(info, cond, iterations, converged, host_mass) -> RateResult:
         converged=converged,
         mutual_information=info,
         host_entropy=host_entropy,
+        gap_bits=gap_bits,
     )
 
 
+class _Ascent:
+    """The optimizer's state: the accepted point, its I and gap, the budget.
+
+    Every trial point costs one iteration, and I never falls.  A Newton
+    trial is accepted only when it raises I; near the optimum I moves less
+    than its own rounding, so there the trial is judged by its exact gain
+    (:meth:`_Problem.gain`), and I is the last value read plus the gains
+    accepted since.  The inputs of positive conditional are free; one at
+    zero stays there until :meth:`newton` releases it.
+    """
+
+    def __init__(self, problem: _Problem, partition: _Partition, host_mass, tol, max_iter):
+        self.problem, self.partition = problem, partition
+        self.tol, self.max_iter = tol, max_iter
+        self.emitted = np.flatnonzero(host_mass)  # the host mass is >= 0
+        self.group_mass = host_mass[self.emitted]
+        # a point-mass host (every capacity run) has one group: plain sums and
+        # maxima, and none of the group tables below is built
+        self.single = self.emitted.size == 1
+        self.iterations = 1
+        self.point = problem.information(partition.start[problem.support])
+        self.info = self.point.info
+        self.top, self.gap = self._bound(self.point, self.info)
+
+    @functools.cached_property
+    def group(self):
+        """The group of every supported input."""
+        return self.partition.group_of[self.problem.support]
+
+    @functools.cached_property
+    def members(self):
+        """The members of each emitted group, as positions in the support."""
+        members, support = self.partition.members[self.emitted], self.problem.support
+        full = support.size == self.partition.group_of.size
+        return members if full else np.searchsorted(support, members)
+
+    @functools.cached_property
+    def dense(self):
+        """The group of every supported input, numbered 0..k-1."""
+        dense = np.empty(self.problem.support.size, dtype=np.intp)
+        dense[self.members] = np.arange(self.emitted.size)[:, None]
+        return dense
+
+    def _bound(self, point, info):
+        """Each group's largest D (nats), and the duality gap (bits) of ``point`` at ``info``."""
+        div = point.div
+        if self.single:
+            top = div.max(keepdims=True)
+            return top, float(top[0]) * self.group_mass[0] / _LN2 - info
+        top = div[self.members].max(axis=1)
+        return top, float(self.group_mass @ top) / _LN2 - info
+
+    def certified(self) -> bool:
+        return self._within(self.gap, self.info)
+
+    def _within(self, gap, info) -> bool:
+        """Whether ``gap`` is at most tol*I + 1e-15 bits."""
+        return gap <= self.tol * info + _GAP_FLOOR
+
+    def _normalized(self, cond):
+        """``cond`` scaled to sum to one over every group."""
+        return cond / (cond.sum() if self.single else np.bincount(self.group, cond)[self.group])
+
+    def group_max(self, div, free):
+        """max_{u in g, free} D_u for every group g, in nats."""
+        return np.where(free, div, -np.inf)[self.members].max(axis=1)
+
+    def budget(self) -> bool:
+        return self.iterations < self.max_iter
+
+    def _advance(self, cond, trusted=False) -> bool:
+        """Move to ``cond`` if that raises I; one iteration either way.
+
+        A rise of more than ``_DECISIVE*I`` is read off the two values of
+        I; a smaller one, or a fall, comes from the exact gain, which keeps
+        its accuracy where I moves less than its own rounding.  A
+        ``trusted`` move (a Blahut-Arimoto update, which never lowers I) is
+        taken whatever the values show within their rounding, and I is then
+        kept from falling by one.
+        """
+        self.iterations += 1
+        trial = self.problem.information(cond)
+        if not math.isfinite(trial.info):  # an output no free input reaches
+            return False
+        rise = trial.info - self.info
+        if trusted:
+            # a fall beyond rounding is a wrong divergence
+            if rise < -min(_MONOTONE_SLACK, _MONOTONE_SLACK * abs(self.info) + _GAP_FLOOR):
+                raise AssertionError(
+                    f"Blahut-Arimoto objective decreased: {self.info} -> {trial.info}"
+                )
+            info = max(self.info, trial.info)
+        elif rise > _DECISIVE * abs(self.info):
+            info = trial.info
+        elif rise >= -_DECISIVE * abs(self.info) and self._within(
+                self._bound(trial, trial.info)[1], trial.info):
+            info = max(self.info, trial.info)  # certified, and no fall the values can show
+        else:
+            rise = self.problem.gain(self.point, self.top[self.dense], cond)
+            if rise <= 0.0:
+                return False
+            info = self.info + rise
+        self.point, self.info = trial, info
+        self.top, self.gap = self._bound(trial, info)
+        return True
+
+    def ba_step(self, trusted=False) -> bool:
+        """One Blahut-Arimoto update; False when it does not raise I.
+
+        ``trusted`` takes it as it is (a run of BA steps judged by the
+        gap); otherwise it must show a rise, like a Newton trial.
+        """
+        point = self.point
+        scaled = point.cond * np.exp(point.div - self.top.max())
+        return self._advance(self._normalized(scaled), trusted)
+
+    def newton(self) -> bool:
+        """One Newton step on the face of free inputs, backtracked on I.
+
+        False when it is no ascent direction or no trial along it raises I.
+        """
+        cond, div = self.point.cond, self.point.div
+        face = slice(None)  # every input is free
+        free = cond > 0.0
+        if free.all():
+            step = self._newton_direction(face)
+        else:
+            # an input at zero is released only once the face is nearly
+            # optimal: the face's own gap is at most half the total
+            face_max = self.group_max(div, free)
+            if float(self.group_mass @ face_max) / _LN2 - self.info <= 0.5 * self.gap:
+                free |= div > face_max[self.dense]
+            while True:
+                face = np.flatnonzero(free)
+                step = self._newton_direction(face)
+                if step is None:
+                    break
+                blocked = (cond[face] == 0.0) & (step < 0.0)
+                if not blocked.any():
+                    break
+                free[face[blocked]] = False  # released, but the step would push it below zero
+        if step is None:
+            return False
+        at = cond[face]
+        # ratio test: the largest step, up to 1, that keeps every input >= 0
+        shrink = np.flatnonzero(step < 0.0)
+        ratios = at[shrink] / -step[shrink]
+        limit = ratios.min() if ratios.size else np.inf
+        alpha, to_bound = min(1.0, limit), limit <= 1.0
+        for _ in range(_BACKTRACKS):
+            if not self.budget():
+                return False
+            moved = np.maximum(at + alpha * step, 0.0)
+            if to_bound:  # the blocking inputs leave the face exactly
+                moved[shrink[ratios == limit]] = 0.0
+            trial = cond.copy()
+            trial[face] = moved
+            if self._advance(self._normalized(trial)):
+                return True
+            alpha *= 0.5
+            to_bound = False
+        return False
+
+    def _newton_direction(self, face):
+        """The KKT step on the inputs ``face``, or None when it is no ascent direction.
+
+        The gradient of I (nats) in the conditional is h*D_u, the tangent
+        Hessian -h_u*h_v*sum_z (p - W_u)(p - W_v)/p, with one sum constraint
+        per group.  The system is scaled by max|H|: unscaled, its entries
+        fall with I and the solve loses all accuracy near I = 1e-9.
+        """
+        point, mass = self.point, self.problem.mass[face]
+        rows = point.num[face] * mass[:, None]
+        weighted = np.divide(rows, point.out, out=np.zeros_like(rows), where=point.out > 0.0)
+        curvature = weighted @ rows.T  # -H, positive semidefinite: its largest entry is max|H|
+        scale = curvature.max()
+        if not scale > 0.0:
+            return None
+        groups = self.dense[face]
+        # less each group's largest D: a constant per group drops out on the
+        # face, and what is left keeps the digits in which the D_u differ
+        grad = mass * (point.div[face] - self.top[groups])
+        n, k = mass.size, self.group_mass.size
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = curvature / scale
+        # one row per group: every group keeps a free input, its conditional sums to one
+        kkt[n:, :n] = groups == np.arange(k)[:, None]
+        kkt[:n, n:] = kkt[n:, :n].T
+        rhs = np.zeros(n + k)
+        rhs[:n] = grad / scale
+        try:
+            step = np.linalg.solve(kkt, rhs)[:n]
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
+        # a non-finite step fails the test too
+        return step if grad @ step > 0.0 else None
+
+
 def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
+    """Maximize I over the per-group conditionals until the duality gap certifies it.
+
+    The gap sum_g h(g)*max_{u in g} D_u - I bounds the distance to the
+    optimum (Blahut 1972); the run is certified, and stops, once it is at
+    most ``tol*I`` plus the 1e-15-bit floor.  From the uniform start it
+    takes Blahut-Arimoto steps while each at least halves the gap, then
+    Newton steps on the face of free inputs (a BA step where the Newton
+    step is no ascent direction).  It ends uncertified at ``max_iter``
+    evaluations, or when neither kind of step raises I.
+    """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    problem = _Problem(kernel, host_mass[partition.group_of])
-    group = partition.group_of[problem.support]
-    cond = partition.start[problem.support]
-    info_old = -np.inf
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        info, div = problem.information(cond)
-        if info < info_old - _MONOTONE_SLACK:
-            raise AssertionError(
-                f"Blahut-Arimoto objective decreased: {info_old} -> {info}"
-            )
-        converged = abs(info - info_old) < tol
-        if converged or iterations == max_iter:
-            break  # cond is the conditional whose information is info
-        info_old = info
-        scaled = cond * np.exp(div - div.max())
-        cond = scaled / np.bincount(group, scaled)[group]
+    run = _Ascent(_Problem(kernel, host_mass[partition.group_of]), partition, host_mass,
+                  tol, max_iter)
+    blahut = True  # BA steps while they at least halve the gap
+    while not run.certified() and run.budget():
+        if blahut:
+            gap = run.gap
+            blahut = run.ba_step(trusted=True) and run.gap <= 0.5 * gap
+            continue
+        if not run.newton() and not (run.budget() and run.ba_step()):
+            break
     full = partition.start.copy()  # uniform where the host has no mass
-    full[problem.support] = cond
-    return _rate_result(info, full, iterations, converged, host_mass)
+    full[run.problem.support] = run.point.cond
+    return _rate_result(run.info, full, run.iterations, run.certified(), host_mass,
+                        gap_bits=run.gap)
 
 
 def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
@@ -321,12 +584,32 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
     a list of index arrays partitioning the inputs into synonym sets, and
     ``host_mass`` the pmf over groups.  It runs the engine of
     :func:`ba_optimize` on any channel, so reduced synthetic codes can be
-    optimized in tests and experiments.
+    optimized in tests and experiments.  Its inputs are checked like
+    those of :func:`ba_optimize`: a non-finite or negative channel entry or
+    mass, a row or a mass that does not sum to one, or groups that do not
+    partition the inputs raise ``ValueError``.
     """
     channel = np.asarray(channel, dtype=float)
+    if channel.ndim != 2 or channel.size == 0:
+        raise ValueError(f"channel must be a non-empty matrix, got shape {channel.shape}")
+    channel = _nonnegative(channel, "channel")
+    row_sums = channel.sum(axis=1)
+    if np.abs(row_sums - 1.0).max() > 1e-9:
+        raise ValueError(f"channel rows sum to {row_sums}, expected 1")
+    members = [np.ravel(group) for group in groups]
+    if (not members or min(map(len, members)) == 0 or not np.array_equal(
+            np.sort(np.concatenate(members)), np.arange(channel.shape[0]))):
+        raise ValueError(
+            f"groups must be non-empty and hold every input of 0..{channel.shape[0] - 1} once"
+        )
     host_mass = np.asarray(host_mass, dtype=float)
+    if host_mass.shape != (len(members),):
+        raise ValueError(f"host mass must have shape ({len(members)},), got {host_mass.shape}")
+    mass = _nonnegative(host_mass, "host mass")
+    if abs(host_mass.sum() - 1.0) > 1e-9:
+        raise ValueError(f"host mass sums to {host_mass.sum()}, expected 1")
     kernel = _kernel(channel, channel.shape[1] * channel - 1.0)
-    return _blahut_arimoto(kernel, _partition(groups, channel.shape[0]), host_mass,
+    return _blahut_arimoto(kernel, _partition(members, channel.shape[0]), mass,
                            tol, max_iter)
 
 
@@ -337,7 +620,7 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
 def _evaluate(host, cond, params: ChannelParams) -> RateResult:
     # I(Z;U) depends on the input pmf alone: each input weighs its mass
     problem = _Problem(_kimura_channel(params), host[AMINO_OF_CODON] * cond)
-    info, _ = problem.information(np.ones(len(problem.support)))
+    info = problem.information(np.ones(len(problem.support))).info
     return _rate_result(info, cond, 0, True, host)
 
 
@@ -354,19 +637,28 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
 
 def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
                 max_iter=DEFAULT_MAX_ITER) -> RateResult:
-    """Maximize I(Z;U) over the per-amino conditionals by Blahut-Arimoto.
+    """Maximize I(Z;U) over the per-amino conditionals, with a certified gap.
 
-    The update is the standard one with per-synonym-set renormalization,
+    With D_u the divergence of channel row u from the current output pmf,
+    the duality gap ``sum_x' p(x') max_{u in x'} D_u - I`` bounds how far I
+    lies below the optimum.  The run starts from the uniform conditional
+    (deterministic, and already certified for most hosts) and stops once
+    the gap is at most ``tol*I + 1e-15`` bits.  Until then it takes
+    Blahut-Arimoto updates with per-synonym-set renormalization,
 
         p(u|x')  <-  p(u|x') * exp(D_u) / sum_v p(v|x') * exp(D_v),
 
-    with D_u the divergence of channel row u from the current output pmf;
-    the constraint that U stays supported on the host's synonym set is
-    preserved by construction.  Starts from the uniform conditional (a
-    deterministic and already near-optimal initialization), stops when
-    the objective moves less than ``tol`` bits, and reports failure to
-    reach that point through ``converged`` rather than an exception.
-    Aminos the host never emits keep their uniform conditional.
+    while each at least halves the gap, then Newton steps on the face of
+    codons of positive conditional: the KKT system of the gradient
+    p(x')*D_u, the Hessian -p(x'_u)p(x'_v) sum_z (p_z - W_uz)(p_z - W_vz)/p_z
+    and one sum constraint per synonym set, a ratio test at the boundary,
+    and backtracking that accepts only steps that raise I.  A codon at
+    zero is released once the face is nearly optimal, and a BA step
+    stands in for a Newton step that is no ascent direction.  The run
+    reports failure to certify (``max_iter`` iterations, one per point
+    tried, or no step that raises I) through ``converged`` and
+    ``gap_bits`` rather than an exception.  Aminos the host never emits
+    keep their uniform conditional.
     """
     host = _check_host(host)
     return _blahut_arimoto(_kimura_channel(params), _SYNONYM_SETS, host, tol, max_iter)
@@ -451,7 +743,7 @@ def linearized_conditional(amino: str, params: ChannelParams) -> np.ndarray:
 
 
 def deterministic_rate(amino: str, params: ChannelParams, method: str = "ba",
-                       tol=1e-12, max_iter=DEFAULT_MAX_ITER) -> RateResult:
+                       tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> RateResult:
     """Rate for a host that always emits one amino acid (H(X') = 0).
 
     ``method`` selects the conditional: ``"ba"`` optimizes, ``"uniform"``
@@ -461,8 +753,8 @@ def deterministic_rate(amino: str, params: ChannelParams, method: str = "ba",
     """
     ai = _amino_index(amino)
     host = point_mass_host(amino)
-    if MULTIPLICITIES[ai] == 1:
-        return _rate_result(0.0, uniform_conditional(), 0, True, host)
+    if MULTIPLICITIES[ai] == 1:  # exact: a single input carries nothing
+        return _rate_result(0.0, uniform_conditional(), 0, True, host, gap_bits=0.0)
     if method == "ba":
         return ba_optimize(host, params, tol=tol, max_iter=max_iter)
     if method == "uniform":
@@ -475,7 +767,7 @@ def deterministic_rate(amino: str, params: ChannelParams, method: str = "ba",
 
 
 def capacity_c(params: ChannelParams, include_stp: bool = True,
-               tol=1e-12, max_iter=DEFAULT_MAX_ITER) -> CodingCapacity:
+               tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> CodingCapacity:
     """Capacity of coding-host embedding: best point-mass host and its rate.
 
     The capacity-achieving host pmf is deterministic, so the search
@@ -484,6 +776,7 @@ def capacity_c(params: ChannelParams, include_stp: bool = True,
     returns the argmax with the full per-amino rate table.  With
     ``include_stp=False`` the stop symbol, which a real gene can use only
     once, is excluded from the argmax but still reported in the table.
+    ``iterations`` totals the runs, and ``gap_bits`` is their largest gap.
     """
     results = [deterministic_rate(amino, params, "ba", tol, max_iter) for amino in AMINO_ACIDS]
     rates = np.array([result.rate for result in results])
@@ -494,4 +787,6 @@ def capacity_c(params: ChannelParams, include_stp: bool = True,
     return CodingCapacity(
         best_amino=AMINO_ACIDS[best], rate=float(rates[best]), per_amino=rates,
         converged=all(result.converged for result in results),
+        iterations=sum(result.iterations for result in results),
+        gap_bits=max(result.gap_bits for result in results),
     )

@@ -119,8 +119,8 @@ def _resolve_host(spec: SweepSpec):
     return resolved
 
 
-def _point_value(spec: SweepSpec, m: int) -> dict:
-    """Evaluate one grid point; returns the output row as a dict."""
+def _point_value(spec: SweepSpec, m: int):
+    """Evaluate one grid point; returns the output row as a dict and the result."""
     params = ChannelParams(q=spec.q, gamma=spec.gamma, m=m)
     row = {
         "m": m,
@@ -133,7 +133,7 @@ def _point_value(spec: SweepSpec, m: int) -> dict:
     }
     if spec.quantity == "ncdna":
         row["value_bits"] = ncdna.capacity_nc(params).value
-        return row
+        return row, None
     if spec.quantity == "capacity":
         result = cdna.capacity_c(params, include_stp=spec.include_stp,
                                  tol=spec.tol, max_iter=spec.max_iter)
@@ -160,10 +160,11 @@ def _point_value(spec: SweepSpec, m: int) -> dict:
             row["method"] = "linearized"
     if spec.strict and not result.converged:
         raise NumericalError(
-            f"optimizer did not converge at m={m} within {spec.max_iter} iterations"
+            f"optimizer did not converge at m={m} within {spec.max_iter} iterations: "
+            f"duality gap {result.gap_bits:.3g} bits, above tol {spec.tol:g} relative"
         )
     row["value_bits"] = result.rate
-    return row
+    return row, result
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -171,7 +172,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     rows = []
     for m in spec.m_grid:
         try:
-            rows.append(_point_value(spec, m))
+            rows.append(_point_value(spec, m)[0])
         except (UsageError, NumericalError):
             raise
         except Exception as exc:
@@ -193,9 +194,18 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def run_point(spec: SweepSpec) -> dict:
-    """Evaluate the (single-m) spec and return the JSON-ready dict."""
-    row = _point_value(spec, spec.m_grid[0])
+    """Evaluate the (single-m) spec and return the JSON-ready dict.
+
+    Besides the row it reports how the value was computed: the optimizer
+    iterations, whether the result is certified and its duality gap
+    (``null`` where no optimizer ran; a capacity reports its worst run).
+    """
+    row, result = _point_value(spec, spec.m_grid[0])
     row["value_bits"] = float(f"{row['value_bits']:.12g}")
+    gap = None if result is None else result.gap_bits
+    row.update(iterations=0 if result is None else result.iterations,
+               converged=True if result is None else bool(result.converged),
+               gap_bits=None if gap is None else float(f"{gap:.12g}"))
     return row
 
 
@@ -300,7 +310,9 @@ def _add_common(p):
     p.add_argument("--host", default="uniform",
                    help="'uniform', 'amino:NAME' or 'fasta:PATH' (default uniform)")
     p.add_argument("--frame", type=int, default=0, choices=(0, 1, 2))
-    p.add_argument("--tol", type=float, default=cdna.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=cdna.DEFAULT_TOL,
+                   help="relative duality-gap bound that certifies an optimizer run: "
+                        "stop once gap <= tol*I + 1e-15 bits (default %(default)g)")
     p.add_argument("--max-iter", type=int, default=cdna.DEFAULT_MAX_ITER)
     p.add_argument("--exclude-stp", action="store_true",
                    help="leave the stop symbol out of the capacity search")

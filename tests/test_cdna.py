@@ -24,8 +24,14 @@ from dnacap.cdna import (
     uniform_conditional,
     uniform_conditional_rate,
 )
-from dnacap.genetic_code import AMINO_ACIDS, AMINO_INDEX, MULTIPLICITIES, SYNONYM_INDICES
-from dnacap.mutation_channel import ChannelParams
+from dnacap.genetic_code import (
+    AMINO_ACIDS,
+    AMINO_INDEX,
+    AMINO_OF_CODON,
+    MULTIPLICITIES,
+    SYNONYM_INDICES,
+)
+from dnacap.mutation_channel import ChannelParams, base_matrix_power, codon_matrix
 from dnacap.ncdna import capacity_nc
 from dnacap.sequences import amino_pmf, codon_usage, ingest_fasta
 
@@ -292,8 +298,8 @@ def test_ba_reports_non_convergence_without_raising(gene_a):
 def test_ba_at_max_iter_returns_the_iterate_it_reports():
     host = point_mass_host("Ser")
     params = ChannelParams(1e-2, 1.0, 316)
-    result = ba_optimize(host, params, max_iter=50)
-    assert not result.converged and result.iterations == 50
+    result = ba_optimize(host, params, max_iter=2)
+    assert not result.converged and result.iterations == 2
     info = evaluate_rate(host, result.conditional, params).mutual_information
     assert info == pytest.approx(result.mutual_information, rel=1e-12)
     # one iteration evaluates the uniform start and updates nothing
@@ -307,6 +313,72 @@ def test_ba_rejects_bad_controls(gene_a):
         ba_optimize(host, ChannelParams(0.01, 1.0, 1), tol=0.0)
     with pytest.raises(ValueError):
         ba_optimize(host, ChannelParams(0.01, 1.0, 1), max_iter=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda **controls: deterministic_rate("Ser", ChannelParams(0.01, 1.0, 1), **controls),
+    lambda **controls: capacity_c(ChannelParams(0.01, 1.0, 1), **controls),
+    lambda **controls: ba_partitioned(*synthetic_code(), **controls),
+], ids=["deterministic_rate", "capacity_c", "ba_partitioned"])
+def test_every_optimizer_entry_rejects_bad_controls(call):
+    with pytest.raises(ValueError, match="tol"):
+        call(tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        call(max_iter=0)
+
+
+def plain_information_and_bound(host, cond, params):
+    """(I, sum_x' p(x') max_{u in x'} D_u) in bits, from the textbook formula.
+
+    Written apart from the package's divergence kernel; accurate enough to
+    check a certificate at 1e-6 relative for rates down to about 1e-7.
+    """
+    w = codon_matrix(base_matrix_power(params))
+    p_in = host[AMINO_OF_CODON] * cond
+    div = (w * np.log(w / (p_in @ w))).sum(axis=1)
+    bound = sum(host[a] * div[idx].max() for a, idx in enumerate(SYNONYM_INDICES) if host[a] > 0)
+    return p_in @ div / math.log(2.0), bound / math.log(2.0)
+
+
+# Rows at q=1e-2 where the |dI| < 1e-10 rule of plain Blahut-Arimoto stopped
+# far short (the first two, after 2 iterations) or stalled: (amino, gamma,
+# m, the value that rule returned)
+STALLED_ROWS = [
+    ("Ser", 0.1, 5000, 3.0878509397011833e-06),
+    ("Leu", 0.1, 5623, 1.9522966985233e-07),
+    ("Leu", 1.0, 196, 0.017708380171565757),
+    ("Ser", 0.1, 2154, 0.006883886716026137),
+    ("Arg", 0.1, 5623, 3.9045931328562895e-07),
+]
+
+
+@pytest.mark.parametrize("amino, gamma, m, plain_ba", STALLED_ROWS)
+def test_ba_certifies_rows_plain_blahut_arimoto_left_short(amino, gamma, m, plain_ba):
+    host, params = point_mass_host(amino), ChannelParams(1e-2, gamma, m)
+    result = ba_optimize(host, params)
+    info = result.mutual_information
+    assert result.converged and result.iterations <= 10
+    assert result.gap_bits <= cdna.DEFAULT_TOL * info + 1e-15
+    assert info > plain_ba
+    # the certificate holds against the textbook divergences
+    plain_info, bound = plain_information_and_bound(host, result.conditional, params)
+    assert info == pytest.approx(plain_info, rel=1e-6)
+    assert bound - info <= 1e-6 * bound
+
+
+def test_ba_leucine_deep_row_reaches_the_certified_optimum():
+    # plain BA printed 1.952e-7 here, 11% below the optimum
+    result = ba_optimize(point_mass_host("Leu"), ChannelParams(1e-2, 0.1, 5623))
+    assert result.mutual_information == pytest.approx(2.196e-7, rel=1e-3)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0])
+def test_ba_never_ends_below_its_uniform_start(gene_a, gamma):
+    params = ChannelParams(1e-2, gamma, 10_000)
+    hosts = [point_mass_host(a) for a in AMINO_ACIDS] + [uniform_codon_host(), gene_a[0]]
+    for host in hosts:
+        start = uniform_conditional_rate(host, params).mutual_information
+        assert ba_optimize(host, params).mutual_information >= start
 
 
 def test_ba_dominates_fixed_conditionals(gene_a, gene_b_host):
@@ -563,6 +635,29 @@ def test_ba_matches_grid_search_on_synthetic_code():
     assert abs(result.mutual_information - oracle) < 1e-3
     # the asymmetric channel pulls the optimum away from uniform
     assert np.abs(result.conditional - 0.5).max() > 0.01
+
+
+@pytest.mark.parametrize("mass, message", [
+    ([-0.5, 1.5], "negative"),
+    ([0.5, 0.6], "sums to"),
+    ([float("nan"), 1.0], "non-finite"),
+])
+def test_ba_partitioned_rejects_a_host_mass_that_is_no_pmf(mass, message):
+    channel = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
+    groups = [np.array([0, 1]), np.array([2])]
+    with pytest.raises(ValueError, match=message):
+        ba_partitioned(channel, groups, np.array(mass))
+
+
+def test_ba_partitioned_rejects_bad_channels_and_groups():
+    channel, groups, host = synthetic_code()
+    for bad in (channel * 1.1, -channel, np.where(channel > 0.5, np.nan, channel),
+                channel[0]):
+        with pytest.raises(ValueError, match="channel"):
+            ba_partitioned(bad, groups, host)
+    for bad in ([groups[0]], [groups[0], groups[0]], [np.arange(4), np.array([], int)]):
+        with pytest.raises(ValueError, match="groups"):
+            ba_partitioned(channel, bad, np.full(len(bad), 1.0 / len(bad)))
 
 
 def test_ba_partitioned_zero_mass_group_keeps_uniform_conditional():

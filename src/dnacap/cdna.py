@@ -201,18 +201,27 @@ class _Kernel(NamedTuple):
     ``rows`` holds the probabilities W.  p - W is exact to rounding in the
     probability form where W is small and in the deviation form (W - 1/n
     for n outputs) elsewhere; the absolute errors (about eps*W and
-    eps*|W - 1/n|) cross at W = 1/(2n), which sets ``small``.
+    eps*|W - 1/n|) cross at W = 1/(2n), which sets ``small``.  The float
+    tables are the layers of ``packed``, so that selecting the rows of some
+    inputs (:meth:`take`) copies two arrays, not six, and every table
+    stays contiguous.
     """
 
     rows: np.ndarray
     small: np.ndarray
     entry: np.ndarray  # W where small, else W - 1/n
-    stacked: np.ndarray  # [W, W - 1/n] side by side: p_in @ stacked = [p, p - 1/n]
+    stacked: np.ndarray  # [W, W - 1/n] as two layers: p_in @ stacked = [p, p - 1/n]
     inv: np.ndarray  # 1/W, zero below 1e-150
     series_below: np.ndarray  # the series cut-off on t**2, zero below 1e-150
+    packed: np.ndarray  # the layers W, W - 1/n, entry, inv, series_below
 
     def take(self, inputs) -> "_Kernel":
-        return _Kernel(*(table[inputs] for table in self))
+        # np.take keeps every layer contiguous; indexing packed[:, inputs] would not
+        return _unpack(np.take(self.packed, inputs, axis=1), self.small[inputs])
+
+
+def _unpack(packed, small) -> _Kernel:
+    return _Kernel(packed[0], small, packed[2], packed[:2], packed[3], packed[4], packed)
 
 
 def _kernel(matrix, deviations) -> _Kernel:
@@ -220,8 +229,8 @@ def _kernel(matrix, deviations) -> _Kernel:
     n_outputs = matrix.shape[1]
     offsets = deviations / n_outputs  # W - 1/n
     small = matrix < 0.5 / n_outputs
-    return _Kernel(matrix, small, np.where(small, matrix, offsets),
-                   np.hstack([matrix, offsets]), *_reciprocal(matrix))
+    return _unpack(np.stack([matrix, offsets, np.where(small, matrix, offsets),
+                             *_reciprocal(matrix)]), small)
 
 
 def _reciprocal(w):
@@ -303,10 +312,9 @@ class _Problem:
         k = self.kernel
         p_in = self.mass * cond
         out = p_in @ k.stacked  # p(z), then p(z) - 1/n
-        n = k.rows.shape[1]
-        num = np.where(k.small, out[:n], out[n:]) - k.entry
+        num = np.where(k.small, out[0], out[1]) - k.entry
         div = _terms(k.rows, num, k.inv, k.series_below).sum(axis=1)
-        return _Point(cond, float(p_in @ div) / _LN2, div, num, out[:n])
+        return _Point(cond, float(p_in @ div) / _LN2, div, num, out[0])
 
     def gain(self, point: "_Point", top, trial) -> float:
         """I(trial) - I(point) in bits, without the cancellation of a difference.
@@ -317,8 +325,7 @@ class _Problem:
         over each group), and p' - p comes from the offsets W - 1/n.
         """
         delta = self.mass * (trial - point.cond)
-        n = point.out.size
-        shift = delta @ self.kernel.stacked[:, n:]
+        shift = delta @ self.kernel.stacked[1]
         new_out = point.out + shift
         kl = _terms(new_out, -shift, *_reciprocal(new_out)).sum()
         return float(delta @ (point.div - top) - kl) / _LN2

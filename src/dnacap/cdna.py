@@ -283,8 +283,8 @@ def _partition(groups, n_inputs: int) -> _Partition:
     sizes = np.array([len(idx) for idx in groups])
     group_of = np.zeros(n_inputs, dtype=np.intp)
     group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), sizes)
-    members = np.array([np.pad(idx, (0, sizes.max() - len(idx)), mode="edge")
-                        for idx in groups], dtype=np.intp)
+    members = np.array([list(idx) + [idx[-1]] * (sizes.max() - len(idx)) for idx in groups],
+                       dtype=np.intp)
     return _Partition(group_of, 1.0 / sizes[group_of], members)
 
 
@@ -467,7 +467,8 @@ class _Ascent:
         gap); otherwise it must show a rise, like a Newton trial.
         """
         point = self.point
-        scaled = point.cond * np.exp(point.div - self.top.max())
+        largest = self.top[0] if self.single else self.top.max()
+        scaled = point.cond * np.exp(point.div - largest)
         return self._advance(self._normalized(scaled), trusted)
 
     def newton(self) -> bool:

@@ -428,11 +428,12 @@ class _Ascent:
         """Move to ``cond`` if that raises I; one iteration either way.
 
         A rise of more than ``_DECISIVE*I`` is read off the two values of
-        I; a smaller one, or a fall, comes from the exact gain, which keeps
-        its accuracy where I moves less than its own rounding.  A
-        ``trusted`` move (a Blahut-Arimoto update, which never lowers I) is
-        taken whatever the values show within their rounding, and I is then
-        kept from falling by one.
+        I.  Within that band of rounding a trial whose own gap certifies it
+        is taken; otherwise the exact gain decides, which keeps its accuracy
+        where I moves less than its own rounding.  A ``trusted`` move (a
+        Blahut-Arimoto update, which never lowers I) is taken whatever the
+        values show within their rounding.  A move taken within rounding
+        keeps I from falling.
         """
         self.iterations += 1
         trial = self.problem.information(cond)

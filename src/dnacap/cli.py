@@ -161,7 +161,7 @@ def _point_value(spec: SweepSpec, m: int):
     if spec.strict and not result.converged:
         raise NumericalError(
             f"optimizer did not converge at m={m} within {spec.max_iter} iterations: "
-            f"duality gap {result.gap_bits:.3g} bits, above tol {spec.tol:g} relative"
+            f"duality gap {result.gap_bits:.3g} bits exceeds tol*I + 1e-15 with tol={spec.tol:g}"
         )
     row["value_bits"] = result.rate
     return row, result
@@ -202,10 +202,12 @@ def run_point(spec: SweepSpec) -> dict:
     """
     row, result = _point_value(spec, spec.m_grid[0])
     row["value_bits"] = float(f"{row['value_bits']:.12g}")
-    gap = None if result is None else result.gap_bits
-    row.update(iterations=0 if result is None else result.iterations,
-               converged=True if result is None else bool(result.converged),
-               gap_bits=None if gap is None else float(f"{gap:.12g}"))
+    if result is None:  # a noncoding capacity, in closed form
+        row.update(iterations=0, converged=True, gap_bits=None)
+    else:
+        gap = result.gap_bits
+        row.update(iterations=result.iterations, converged=bool(result.converged),
+                   gap_bits=None if gap is None else float(f"{gap:.12g}"))
     return row
 
 

@@ -36,8 +36,10 @@ precision: the probabilities where the entry is small (shallow cascades)
 and the deviations from 1/64 elsewhere (deep cascades, whose rates fall
 far below machine epsilon).  Rates keep full relative accuracy at any depth.
 
-The kernel's tables for all 64 rows are built once per parameter set,
-cached and read-only.  Each evaluation or optimizer run selects the rows
+The kernel's tables for all 64 rows are built once per parameter set and
+read-only; those of the last 32 parameter sets are kept (about 5 MiB), so
+sweeps that revisit an m-grid once per host and method build each
+parameter set once.  Each evaluation or optimizer run selects the rows
 of the inputs its host can emit, and uses the tables as they are when it
 can emit every input.
 Sums over synonym sets, such as the check that every block of a
@@ -255,10 +257,17 @@ def _terms(w, num, inv, series_below):
     return np.where(t * t < series_below, num * t * (0.5 - t / 3.0), num - w * np.log1p(t))
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=32)
 def _kimura_channel(params: ChannelParams) -> _Kernel:
-    # a capacity search and a sweep point's rates all run at one parameter
-    # set; the cached tables are shared, so they are read-only
+    """The kernel tables of the codon channel at ``params``, shared and read-only.
+
+    The tables of the last 32 parameter sets are kept: one entry is five
+    64x64 float layers and the ``small`` mask, 164 KiB, so about 5 MiB in
+    all.  Sweeps revisit one m-grid per host and method, and 32 covers the
+    largest grid of the figures bundle (25 m), so each of its parameter
+    sets is built once.  A least-recently-used cache hits nothing on a cycle
+    longer than ``maxsize``: a sweep over more than 32 m rebuilds every point.
+    """
     return _read_only(_kernel(codon_matrix(base_matrix_power(params)),
                               codon_matrix_deviations(params)))
 
@@ -761,6 +770,8 @@ def deterministic_rate(amino: str, params: ChannelParams, method: str = "ba",
     immediately.
     """
     ai = _amino_index(amino)
+    if method not in ("ba", "uniform", "linearized"):
+        raise ValueError(f"unknown method {method!r}; expected ba, uniform or linearized")
     host = point_mass_host(amino)
     if MULTIPLICITIES[ai] == 1:  # exact: a single input carries nothing
         return _rate_result(0.0, uniform_conditional(), 0, True, host, gap_bits=0.0)
@@ -768,11 +779,9 @@ def deterministic_rate(amino: str, params: ChannelParams, method: str = "ba",
         return ba_optimize(host, params, tol=tol, max_iter=max_iter)
     if method == "uniform":
         return uniform_conditional_rate(host, params)
-    if method == "linearized":
-        cond = uniform_conditional()
-        cond[SYNONYM_INDICES[ai]] = linearized_conditional(amino, params)
-        return evaluate_rate(host, cond, params)
-    raise ValueError(f"unknown method {method!r}; expected ba, uniform or linearized")
+    cond = uniform_conditional()
+    cond[SYNONYM_INDICES[ai]] = linearized_conditional(amino, params)
+    return evaluate_rate(host, cond, params)
 
 
 def capacity_c(params: ChannelParams, include_stp: bool = True,

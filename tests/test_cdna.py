@@ -516,6 +516,13 @@ def test_deterministic_rejects_unknown_method():
         deterministic_rate("Ser", ChannelParams(0.01, 1.0, 1), method="magic")
 
 
+@pytest.mark.parametrize("amino", ["Met", "Trp"])
+def test_single_codon_aminos_reject_unknown_method(amino):
+    # the rate-zero shortcut for one-codon aminos comes after the method check
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        deterministic_rate(amino, ChannelParams(1e-2, 1.0, 1), "bogus")
+
+
 def test_rate_droop_for_stop_and_leucine():
     params = ChannelParams(1e-2, 0.1, 100)
     rate = {a: deterministic_rate(a, params).rate
@@ -699,6 +706,17 @@ def test_interleaved_calls_over_two_channels_repeat_bitwise(gene_a):
     expected = {key: fingerprint(result) for key, result in first.items()}
     for result in first.values():
         result.conditional[:] = -1.0  # callers own what they get back
-    # consecutive calls alternate the parameters, so each rebuilds the channel
-    for key in reversed(grid):
-        assert fingerprint(calls[key[0]](hosts[key[1]], key[2])) == expected[key], key
+    # repeat from the kept tables, then from tables rebuilt for every call
+    for rebuild in (False, True):
+        for key in reversed(grid):
+            if rebuild:
+                cdna._kimura_channel.cache_clear()
+            assert fingerprint(calls[key[0]](hosts[key[1]], key[2])) == expected[key], key
+
+
+def test_channel_cache_stays_bounded_over_a_long_sweep():
+    host = point_mass_host("Ser")
+    for m in range(1, 101):
+        uniform_conditional_rate(host, ChannelParams(1e-2, 0.5, m))
+    info = cdna._kimura_channel.cache_info()
+    assert info.currsize <= info.maxsize

@@ -335,6 +335,31 @@ def test_figures_certifies_every_optimizer_run(tmp_path, monkeypatch):
                for _, r in runs if r.converged)
 
 
+def test_figures_builds_each_parameter_set_once_per_file(tmp_path, monkeypatch):
+    from dnacap import cdna, cli
+
+    builds = []
+    build = cdna.codon_matrix
+    monkeypatch.setattr(cdna, "codon_matrix", lambda base: builds.append(1) or build(base))
+    per_file = []  # (builds made for the file, its distinct coding (q, gamma, m))
+    to_csv = cli.rows_to_csv
+
+    def recording_to_csv(rows):
+        coding = {(r["q"], r["gamma"], r["m"]) for r in rows if r["quantity"] != "ncdna"}
+        per_file.append((len(builds) - sum(made for made, _ in per_file), len(coding)))
+        return to_csv(rows)
+
+    monkeypatch.setattr(cli, "rows_to_csv", recording_to_csv)
+    cdna._kimura_channel.cache_clear()
+    written = cli.run_figures(tmp_path, {"toyA": DATA / "toy_gene_a.fasta"})
+    counts = dict(zip(written, per_file))
+    assert all(made == distinct for made, distinct in counts.values()), counts
+    expected = {name: 0 if name.startswith("ncdna") else 18 if name.startswith("det_methods")
+                else 25 for name in written}
+    assert {name: made for name, (made, _) in counts.items()} == expected
+    assert len(builds) == 243
+
+
 def test_figures_bad_fasta_argument(capsys, tmp_path):
     code, _, err = run(capsys, "figures", "--out", str(tmp_path / "x"),
                        "--fasta", "justaname")

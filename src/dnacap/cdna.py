@@ -18,9 +18,15 @@ One optimizer serves every maximization.  It stops on the duality gap
 ``sum_x' p(x') max_{u in x'} D_u - I``, an upper bound on the distance to
 the optimum (Blahut 1972), once the gap is at most ``tol`` times I plus
 1e-15 bits; ``converged`` means certified.  From the uniform start it
-takes Blahut-Arimoto steps while each halves the gap, then Newton steps on
-the face of inputs of positive conditional, which reach optima on the
-boundary of the simplex that Blahut-Arimoto only crawls towards.
+takes Blahut-Arimoto steps while each halves the gap, then projected Newton
+steps on the face of inputs of positive conditional, which reach optima on
+the boundary of the simplex that Blahut-Arimoto only crawls towards.  A
+Newton step drops every input it would push below zero at once: it pins
+them at zero and is solved again for the others, and falls back to the
+step up to the first blocking input (a ratio test) only when that point
+does not raise I.  Synonyms whose channel rows agree to rounding leave
+the Newton system singular; it is solved for one input of each such
+class, and the members share the move equally.
 
 Conventions
 -----------
@@ -371,7 +377,8 @@ class _Ascent:
     than its own rounding, so there the trial is judged by its exact gain
     (:meth:`_Problem.gain`), and I is the last value read plus the gains
     accepted since.  The inputs of positive conditional are free; one at
-    zero stays there until :meth:`newton` releases it.
+    zero stays there until :meth:`newton` releases it or
+    :meth:`toward_best` moves mass to it.
     """
 
     def __init__(self, problem: _Problem, partition: _Partition, host_mass, tol, max_iter):
@@ -481,34 +488,79 @@ class _Ascent:
         scaled = point.cond * np.exp(point.div - largest)
         return self._advance(self._normalized(scaled), trusted)
 
-    def newton(self) -> bool:
-        """One Newton step on the face of free inputs, backtracked on I.
+    def toward_best(self) -> bool:
+        """A step towards each group's input of largest D, backtracked on I.
 
-        False when it is no ascent direction or no trial along it raises I.
+        Along this direction (Frank and Wolfe 1956) I rises at the rate of
+        the gap, so a short enough step raises I whenever the run is not
+        certified; unlike a Blahut-Arimoto step it reaches inputs at zero.
+        The step starts at the maximum of I's quadratic model, up to 1.
+        """
+        point, mass = self.point, self.problem.mass
+        best = (np.argmax(point.div, keepdims=True) if self.single else
+                self.members[np.arange(self.emitted.size), point.div[self.members].argmax(axis=1)])
+        direction = -point.cond
+        direction[best] += 1.0
+        slope = float((mass * direction) @ (point.div - self.top[self.dense]))
+        if not slope > 0.0:  # the gap, lost to rounding
+            return False
+        shift = (mass * direction) @ self.problem.kernel.stacked[1]  # the change of p
+        curvature = float(shift**2 @ np.divide(1.0, point.out, out=np.zeros_like(point.out),
+                                               where=point.out > 0.0))
+        alpha = min(1.0, slope / curvature) if curvature > 0.0 else 1.0
+        for _ in range(_BACKTRACKS):
+            if not self.budget():
+                return False
+            if self._advance(self._normalized(point.cond + alpha * direction)):
+                return True
+            alpha *= 0.5
+        return False
+
+    def newton(self) -> bool:
+        """One projected Newton step on the face of free inputs.
+
+        False when it is no ascent direction or no trial point raises I.
+        The face holds the inputs of positive conditional and, once the face
+        is nearly optimal, those at zero whose D_u exceeds their group's
+        value; a released input the step would push below zero stays at
+        zero.  When the full step pushes inputs below zero, all of them are
+        pinned at zero at once and the step is solved again for the others,
+        with the pinned moves held fixed, until it is feasible (Bertsekas
+        1982); those rounds are solves only, and the point costs one
+        evaluation.  When it does not raise I, the unprojected step is taken
+        as far as the first input it blocks (a ratio test) and backtracked.
         """
         cond, div = self.point.cond, self.point.div
-        face = slice(None)  # every input is free
         free = cond > 0.0
-        if free.all():
-            step = self._newton_direction(face)
-        else:
+        if not free.all():
             # an input at zero is released only once the face is nearly
             # optimal: the face's own gap is at most half the total
             face_max = self.group_max(div, free)
             if float(self.group_mass @ face_max) / _LN2 - self.info <= 0.5 * self.gap:
                 free |= div > face_max[self.dense]
-            while True:
-                face = np.flatnonzero(free)
-                step = self._newton_direction(face)
-                if step is None:
-                    break
-                blocked = (cond[face] == 0.0) & (step < 0.0)
-                if not blocked.any():
-                    break
-                free[face[blocked]] = False  # released, but the step would push it below zero
-        if step is None:
+        face = np.flatnonzero(free)
+        model = self._newton_model(face)
+        if model is None:
             return False
         at = cond[face]
+        pinned = np.zeros(face.size, dtype=bool)
+        step = np.zeros(face.size)
+        while True:
+            step = self._newton_direction(model, pinned, step)
+            if step is None or not model.grad @ step > 0.0:
+                return False
+            blocked = (at == 0.0) & (step < 0.0)
+            if not blocked.any():
+                break
+            pinned |= blocked  # released, but the step would push it below zero
+            step[blocked] = 0.0
+        if (at + step < 0.0).any() and self.budget():
+            move = self._projected(model, at, pinned, step)
+            if move is not None:
+                trial = cond.copy()
+                trial[face] = at + move  # a pinned input is at - at, exactly zero
+                if self._advance(self._normalized(trial)):
+                    return True
         # ratio test: the largest step, up to 1, that keeps every input >= 0
         shrink = np.flatnonzero(step < 0.0)
         ratios = at[shrink] / -step[shrink]
@@ -528,13 +580,29 @@ class _Ascent:
             to_bound = False
         return False
 
-    def _newton_direction(self, face):
-        """The KKT step on the inputs ``face``, or None when it is no ascent direction.
+    def _projected(self, model, at, pinned, step):
+        """``step`` with every input it pushes below zero pinned at zero, or None.
+
+        Each round pins those inputs and solves again for the others; every
+        group keeps a free input, since the moved conditional still sums to
+        one over it.
+        """
+        pinned, move = pinned.copy(), step.copy()
+        while (blocked := at + move < 0.0).any():
+            pinned |= blocked
+            move[blocked] = -at[blocked]
+            move = self._newton_direction(model, pinned, move)
+            if move is None:
+                return None
+        return move
+
+    def _newton_model(self, face):
+        """The quadratic model of I on the inputs ``face``, or None when it is flat.
 
         The gradient of I (nats) in the conditional is h*D_u, the tangent
-        Hessian -h_u*h_v*sum_z (p - W_u)(p - W_v)/p, with one sum constraint
-        per group.  The system is scaled by max|H|: unscaled, its entries
-        fall with I and the solve loses all accuracy near I = 1e-9.
+        Hessian -h_u*h_v*sum_z (p - W_u)(p - W_v)/p.  Both are scaled by
+        max|H|: unscaled, the system's entries fall with I and the solve
+        loses all accuracy near I = 1e-9.
         """
         point, mass = self.point, self.problem.mass[face]
         rows = point.num[face] * mass[:, None]
@@ -547,20 +615,86 @@ class _Ascent:
         # less each group's largest D: a constant per group drops out on the
         # face, and what is left keeps the digits in which the D_u differ
         grad = mass * (point.div[face] - self.top[groups])
-        n, k = mass.size, self.group_mass.size
+        return _Model(grad / scale, curvature / scale, groups)
+
+    def _newton_direction(self, model, pinned, move):
+        """The KKT step of ``model`` with the moves of the ``pinned`` inputs held fixed.
+
+        ``move`` holds those moves; the step holds them and the moves of the
+        other inputs, or is None when they are not finite.  One sum
+        constraint per group: its free inputs take up what its pinned ones
+        give.  Synonyms whose channel rows agree to rounding make the system
+        exactly singular; :func:`_solve_with_copies` solves it.
+        """
+        step = np.where(pinned, move, 0.0)
+        free = np.flatnonzero(~pinned)
+        n, k = free.size, self.group_mass.size
         kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = curvature / scale
+        kkt[:n, :n] = model.curvature[np.ix_(free, free)]
         # one row per group: every group keeps a free input, its conditional sums to one
-        kkt[n:, :n] = groups == np.arange(k)[:, None]
+        kkt[n:, :n] = model.groups[free] == np.arange(k)[:, None]
         kkt[:n, n:] = kkt[n:, :n].T
-        rhs = np.zeros(n + k)
-        rhs[:n] = grad / scale
+        rhs = np.empty(n + k)
+        rhs[:n] = model.grad[free] - model.curvature[free] @ step
+        rhs[n:] = -np.bincount(model.groups, step, minlength=k)
         try:
-            step = np.linalg.solve(kkt, rhs)[:n]
+            step[free] = np.linalg.solve(kkt, rhs)[:n]
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
-        # a non-finite step fails the test too
-        return step if grad @ step > 0.0 else None
+            step[free] = _solve_with_copies(kkt, rhs, *model.copies(free))
+        return step if np.isfinite(step).all() else None
+
+
+class _Model(NamedTuple):
+    """The Newton model of I on a face, scaled by max|H|."""
+
+    grad: np.ndarray  # h*D_u less the group's largest D
+    curvature: np.ndarray  # -H
+    groups: np.ndarray  # the group of every input, numbered 0..k-1
+
+    def copies(self, inputs):
+        """The classes of copies among ``inputs``: each class's first member, each input's class.
+
+        Two inputs of one group are copies when the curvature along a move
+        of mass between them, -(H_uu + H_vv - 2*H_uv), rounds to zero or
+        below: the model cannot tell them apart.  Synonyms whose channel
+        rows agree to rounding (once mu^m falls below the rounding of
+        lambda^m) are copies, even where the matrix product rounds their
+        rows of H differently.  Copies of copies join one class.
+        """
+        curvature = self.curvature[np.ix_(inputs, inputs)]
+        diagonal, groups = curvature.diagonal(), self.groups[inputs]
+        same = ((diagonal[:, None] + diagonal <= curvature + curvature.T)
+                & (groups[:, None] == groups))
+        first = same.argmax(axis=1)  # the first input each is a copy of, itself at least
+        while (first[first] != first).any():
+            first = first[first]
+        return np.unique(first, return_inverse=True)
+
+
+def _solve_with_copies(kkt, rhs, first, copies):
+    """The moves of a singular KKT system whose inputs fall into classes of copies.
+
+    The first ``copies.size`` unknowns are the moves of the inputs,
+    ``copies`` their classes and ``first`` each class's first member.
+    Only the sum of the moves of a class is determined, so the system is
+    solved for one member per class, on the mean of the class's
+    right-hand sides (their D_u agree to rounding), and each member takes
+    an equal share: the least-squares, minimum-norm solution that
+    ``lstsq`` returns, without an SVD.  ``lstsq`` solves a system singular
+    for any other reason.
+    """
+    n, k = copies.size, first.size
+    if k < n:
+        keep = np.concatenate([first, np.arange(n, rhs.size)])
+        size = np.bincount(copies)
+        reduced = rhs[keep]
+        reduced[:k] = np.bincount(copies, rhs[:n]) / size
+        try:
+            total = np.linalg.solve(kkt[np.ix_(keep, keep)], reduced)[:k]
+            return total[copies] / size[copies]
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
 
 
 def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
@@ -570,9 +704,10 @@ def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
     optimum (Blahut 1972); the run is certified, and stops, once it is at
     most ``tol*I`` plus the 1e-15-bit floor.  From the uniform start it
     takes Blahut-Arimoto steps while each at least halves the gap, then
-    Newton steps on the face of free inputs (a BA step where the Newton
-    step is no ascent direction).  It ends uncertified at ``max_iter``
-    evaluations, or when neither kind of step raises I.
+    Newton steps on the face of free inputs; where a Newton step raises no
+    trial, a BA step, and where neither does, a step towards each group's
+    input of largest D.  It ends uncertified at ``max_iter`` evaluations,
+    or when none of the three raises I.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -586,7 +721,8 @@ def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
             gap = run.gap
             blahut = run.ba_step(trusted=True) and run.gap <= 0.5 * gap
             continue
-        if not run.newton() and not (run.budget() and run.ba_step()):
+        if not (run.newton() or (run.budget() and run.ba_step())
+                or (run.budget() and run.toward_best())):
             break
     full = partition.start.copy()  # uniform where the host has no mass
     full[run.problem.support] = run.point.cond
@@ -666,17 +802,27 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
 
         p(u|x')  <-  p(u|x') * exp(D_u) / sum_v p(v|x') * exp(D_v),
 
-    while each at least halves the gap, then Newton steps on the face of
-    codons of positive conditional: the KKT system of the gradient
+    while each at least halves the gap, then projected Newton steps on the
+    face of codons of positive conditional: the KKT system of the gradient
     p(x')*D_u, the Hessian -p(x'_u)p(x'_v) sum_z (p_z - W_uz)(p_z - W_vz)/p_z
-    and one sum constraint per synonym set, a ratio test at the boundary,
-    and backtracking that accepts only steps that raise I.  A codon at
-    zero is released once the face is nearly optimal, and a BA step
-    stands in for a Newton step that is no ascent direction.  The run
-    reports failure to certify (``max_iter`` iterations, one per point
-    tried, or no step that raises I) through ``converged`` and
-    ``gap_bits`` rather than an exception.  Aminos the host never emits
-    keep their uniform conditional.
+    and one sum constraint per synonym set.  Every codon the full step
+    would push below zero is pinned at zero and the system is solved
+    again for the rest, with the pinned mass as the sets' right-hand
+    side, until the step is feasible; that point costs one evaluation.
+    When it does not raise I, the step is cut at the first codon it
+    blocks (a ratio test) and backtracked, accepting only points that
+    raise I.  Synonyms whose channel rows agree to rounding make the
+    system singular; it is solved for one codon per class of them, each
+    member taking an equal share (the minimum-norm solution), and
+    ``lstsq`` remains for systems singular for another reason.  A codon
+    at zero is released once the face is nearly optimal.  Where a Newton
+    step raises no point, a BA step is tried, and where that fails too, a
+    step towards each set's codon of largest D_u (Frank-Wolfe): its slope
+    is the gap, so it raises I whenever the run is not certified, and it
+    reaches codons at zero.  The run reports failure to certify
+    (``max_iter`` iterations, one per point tried, or no step that raises
+    I) through ``converged`` and ``gap_bits`` rather than an exception.
+    Aminos the host never emits keep their uniform conditional.
     """
     host = _check_host(host)
     return _blahut_arimoto(_kimura_channel(params), _SYNONYM_SETS, host, tol, max_iter)

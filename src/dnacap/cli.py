@@ -304,6 +304,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _integer(text: str) -> int:
+    """An integer argument, also in a form like ``1e5``; anything else is a usage error."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value.is_integer():  # also nan and inf
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(value)
+
+
 def _add_common(p):
     p.add_argument("--q", type=float, required=True, help="per-stage substitution probability")
     p.add_argument("--gamma", type=float, required=True, help="transversion shape parameter in [0, 1.5]")
@@ -332,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     group = p_sweep.add_mutually_exclusive_group(required=True)
     group.add_argument("--m", type=int, nargs="+", help="explicit stage counts")
-    group.add_argument("--m-range", nargs=3, metavar=("START", "STOP", "POINTS"),
-                       help="log-spaced integer grid")
+    group.add_argument("--m-range", nargs=3, type=_integer,
+                       metavar=("START", "STOP", "POINTS"),
+                       help="log-spaced integer grid; each value an integer such as 10 or 1e5")
 
     p_point = sub.add_parser("point", help="evaluate a single point, JSON output")
     _add_common(p_point)
@@ -381,8 +397,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             if args.m_range is not None:
-                start, stop, points = (int(float(v)) for v in args.m_range)
-                grid = log_m_grid(start, stop, points)
+                grid = log_m_grid(*args.m_range)
             else:
                 grid = sorted(set(args.m))
             rows = run_sweep(_spec_from_args(args, grid))

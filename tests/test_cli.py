@@ -109,6 +109,26 @@ def test_sweep_m_range_collapses_duplicates(capsys):
     assert ms[0] == 1 and ms[-1] == 10
 
 
+# "a" used to exit 2 as a data error, and "1.9 10 2.7" to run silently as 1 10 2
+@pytest.mark.parametrize("values", [("a", "10", "3"), ("1.9", "10", "2.7")])
+def test_sweep_m_range_rejects_non_integers_as_usage_errors(capsys, values):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--quantity", "ncdna", "--q", "1e-2", "--gamma", "1",
+              "--m-range", *values])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected an integer, got {values[0]!r}" in captured.err
+
+
+def test_sweep_m_range_accepts_integers_in_exponent_form(capsys):
+    common = ("sweep", "--quantity", "ncdna", "--q", "1e-2", "--gamma", "1", "--m-range")
+    _, plain, _ = run(capsys, *common, "10", "1000", "3")
+    code, out, _ = run(capsys, *common, "1e1", "1e3", "3.0")
+    assert code == 0
+    assert out == plain
+
+
 def test_sweep_quotes_a_host_label_holding_a_comma(capsys, tmp_path):
     gene = tmp_path / "d,x" / "g.fa"
     gene.parent.mkdir()

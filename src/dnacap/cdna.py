@@ -47,7 +47,12 @@ read-only; those of the last 32 parameter sets are kept (about 5 MiB), so
 sweeps that revisit an m-grid once per host and method build each
 parameter set once.  Each evaluation or optimizer run selects the rows
 of the inputs its host can emit, and uses the tables as they are when it
-can emit every input.
+can emit every input.  A point-mass host, as in every run of the capacity
+search, needs no selection at its start: the first optimizer run at a
+parameter set adds to its cached tables a start table, I and the duality
+gap at the uniform start of each amino's point mass, bit for bit what a
+run computes there.  A run whose start gap certifies returns at once,
+after one iteration; the others run the optimizer as any host does.
 Sums over synonym sets, such as the check that every block of a
 conditional sums to one, are one ``np.bincount`` over the codon-to-amino
 map.
@@ -263,19 +268,39 @@ def _terms(w, num, inv, series_below):
     return np.where(t * t < series_below, num * t * (0.5 - t / 3.0), num - w * np.log1p(t))
 
 
+def _divergences(k: _Kernel, out):
+    """p - W and every row's divergence D (nats) from the output pmf ``out``.
+
+    ``out`` holds p and p - 1/n as two layers, either one pmf for all rows
+    or, with a row axis, one pmf per row.
+    """
+    num = np.where(k.small, out[0], out[1]) - k.entry
+    return num, _terms(k.rows, num, k.inv, k.series_below).sum(axis=-1)
+
+
+class _CodonChannel(_Kernel):
+    """The kernel tables of the codon channel and, built on first use, its start table."""
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        """I and the duality gap (bits) at the uniform start of each point-mass host."""
+        return _point_mass_starts(self)
+
+
 @functools.lru_cache(maxsize=32)
-def _kimura_channel(params: ChannelParams) -> _Kernel:
+def _kimura_channel(params: ChannelParams) -> _CodonChannel:
     """The kernel tables of the codon channel at ``params``, shared and read-only.
 
     The tables of the last 32 parameter sets are kept: one entry is five
     64x64 float layers and the ``small`` mask, 164 KiB, so about 5 MiB in
-    all.  Sweeps revisit one m-grid per host and method, and 32 covers the
+    all, and the start table of 42 floats once an optimizer run has read it.
+    Sweeps revisit one m-grid per host and method, and 32 covers the
     largest grid of the figures bundle (25 m), so each of its parameter
     sets is built once.  A least-recently-used cache hits nothing on a cycle
     longer than ``maxsize``: a sweep over more than 32 m rebuilds every point.
     """
-    return _read_only(_kernel(codon_matrix(base_matrix_power(params)),
-                              codon_matrix_deviations(params)))
+    return _read_only(_CodonChannel._make(_kernel(codon_matrix(base_matrix_power(params)),
+                                                  codon_matrix_deviations(params))))
 
 
 def _read_only(tables):
@@ -304,6 +329,41 @@ def _partition(groups, n_inputs: int) -> _Partition:
 
 
 _SYNONYM_SETS = _read_only(_partition(SYNONYM_INDICES, 64))
+# the aminos of each synonym-set size and their codons, one row per amino
+# (sizes by sorted(set()): the first call of np.unique imports numpy.ma, 1.6 MiB)
+_BY_SIZE = tuple(
+    (aminos, np.stack([SYNONYM_INDICES[a] for a in aminos]))
+    for aminos in (np.flatnonzero(MULTIPLICITIES == size) for size in sorted(set(MULTIPLICITIES)))
+)
+
+
+def _point_mass_starts(channel: _Kernel) -> np.ndarray:
+    """I and the duality gap, in bits, at the uniform start of every point-mass host.
+
+    Row 0 holds I and row 1 the gap, one column per amino: each entry is
+    bit for bit what an optimizer run on that amino's point mass reads at
+    its start.  Every codon row is taken against its own amino's output
+    pmf.  The products over the codons of one amino are those of
+    :meth:`_Problem.information`, batched over the aminos of each set size:
+    a vector times a (size x 64) matrix, and a vector times a vector,
+    whose sums numpy hands to BLAS one batch at a time, in the order of an
+    unbatched call.  One product of all 64 rows would sum in another order.
+    """
+    out = np.empty((2, len(AMINO_ACIDS), channel.rows.shape[1]))
+    info = np.empty(len(AMINO_ACIDS))
+    for aminos, members in _BY_SIZE:
+        p_in = _SYNONYM_SETS.start[members[0]]
+        out[:, aminos] = p_in @ np.take(channel.stacked, members, axis=1)
+    div = _divergences(channel, out[:, AMINO_OF_CODON])[1]
+    for aminos, members in _BY_SIZE:
+        p_in = _SYNONYM_SETS.start[members[0]]
+        info[aminos] = (p_in @ div[members][..., None])[..., 0]
+    info /= _LN2
+    # a point mass's group weight is 1.0, so its gap is max D / ln 2 - I exactly
+    top = div[_SYNONYM_SETS.members].max(axis=1)
+    starts = np.stack([info, top / _LN2 - info])
+    starts.flags.writeable = False
+    return starts
 
 
 class _Problem:
@@ -324,11 +384,9 @@ class _Problem:
 
     def information(self, cond) -> "_Point":
         """I(Z;U) in bits, D_u in nats for every supported input, p - W and p."""
-        k = self.kernel
         p_in = self.mass * cond
-        out = p_in @ k.stacked  # p(z), then p(z) - 1/n
-        num = np.where(k.small, out[0], out[1]) - k.entry
-        div = _terms(k.rows, num, k.inv, k.series_below).sum(axis=1)
+        out = p_in @ self.kernel.stacked  # p(z), then p(z) - 1/n
+        num, div = _divergences(self.kernel, out)
         return _Point(cond, float(p_in @ div) / _LN2, div, num, out[0])
 
     def gain(self, point: "_Point", top, trial) -> float:
@@ -697,6 +755,13 @@ def _solve_with_copies(kkt, rhs, first, copies):
     return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
 
 
+def _check_stop_rule(tol, max_iter) -> None:
+    if not 0.0 < tol < math.inf:  # NaN fails this too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
     """Maximize I over the per-group conditionals until the duality gap certifies it.
 
@@ -709,10 +774,7 @@ def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
     input of largest D.  It ends uncertified at ``max_iter`` evaluations,
     or when none of the three raises I.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_stop_rule(tol, max_iter)
     run = _Ascent(_Problem(kernel, host_mass[partition.group_of]), partition, host_mass,
                   tol, max_iter)
     blahut = True  # BA steps while they at least halve the gap
@@ -823,9 +885,25 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     (``max_iter`` iterations, one per point tried, or no step that raises
     I) through ``converged`` and ``gap_bits`` rather than an exception.
     Aminos the host never emits keep their uniform conditional.
+
+    A point-mass host (one amino of mass 1.0, as in every run of
+    :func:`capacity_c`) reads I and the gap at its uniform start from a
+    table built once per parameter set and kept with its channel tables;
+    the table holds exactly what the run would compute there.  When that
+    gap certifies, the run returns at once: one iteration, converged, the
+    uniform conditional and that gap.  ``tol`` must be finite and above
+    zero, and ``max_iter`` at least 1; both are checked first.
     """
     host = _check_host(host)
-    return _blahut_arimoto(_kimura_channel(params), _SYNONYM_SETS, host, tol, max_iter)
+    channel = _kimura_channel(params)
+    emitted = np.flatnonzero(host)
+    if emitted.size == 1 and host[emitted[0]] == 1.0:
+        _check_stop_rule(tol, max_iter)
+        info, gap = channel.starts[:, emitted[0]]
+        info = float(info)
+        if gap <= tol * info + _GAP_FLOOR:
+            return _rate_result(info, uniform_conditional(), 1, True, host, gap_bits=gap)
+    return _blahut_arimoto(channel, _SYNONYM_SETS, host, tol, max_iter)
 
 
 def rate_q0(host) -> float:

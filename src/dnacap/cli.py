@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -319,6 +320,25 @@ def _integer(text: str) -> int:
     return int(value)
 
 
+def _iterations(text: str) -> int:
+    """An iteration budget: an integer of at least 1, as :func:`_integer` reads it."""
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A relative gap bound: a finite number above zero; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:  # also nan
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--q", type=float, required=True, help="per-stage substitution probability")
     p.add_argument("--gamma", type=float, required=True, help="transversion shape parameter in [0, 1.5]")
@@ -327,10 +347,12 @@ def _add_common(p):
     p.add_argument("--host", default="uniform",
                    help="'uniform', 'amino:NAME' or 'fasta:PATH' (default uniform)")
     p.add_argument("--frame", type=int, default=0, choices=(0, 1, 2))
-    p.add_argument("--tol", type=float, default=cdna.DEFAULT_TOL,
+    p.add_argument("--tol", type=_tolerance, default=cdna.DEFAULT_TOL,
                    help="relative duality-gap bound that certifies an optimizer run: "
-                        "stop once gap <= tol*I + 1e-15 bits (default %(default)g)")
-    p.add_argument("--max-iter", type=int, default=cdna.DEFAULT_MAX_ITER)
+                        "stop once gap <= tol*I + 1e-15 bits; finite and > 0 "
+                        "(default %(default)g)")
+    p.add_argument("--max-iter", type=_iterations, default=cdna.DEFAULT_MAX_ITER,
+                   help="evaluations per optimizer run, at least 1 (default %(default)d)")
     p.add_argument("--exclude-stp", action="store_true",
                    help="leave the stop symbol out of the capacity search")
     p.add_argument("--strict", action="store_true",

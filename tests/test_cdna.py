@@ -780,3 +780,87 @@ def test_channel_cache_stays_bounded_over_a_long_sweep():
         uniform_conditional_rate(host, ChannelParams(1e-2, 0.5, m))
     info = cdna._kimura_channel.cache_info()
     assert info.currsize <= info.maxsize
+
+
+# --- start table of the point-mass hosts --------------------------------------
+
+def fresh_start(params, amino):
+    """I and the gap an optimizer run on the point mass at ``amino`` reads at its start."""
+    host = point_mass_host(amino)
+    problem = cdna._Problem(cdna._kimura_channel(params), host[cdna._SYNONYM_SETS.group_of])
+    run = cdna._Ascent(problem, cdna._SYNONYM_SETS, host, cdna.DEFAULT_TOL, 1)
+    return run.info, run.gap
+
+
+def test_start_table_equals_a_fresh_start_bit_for_bit():
+    rng = np.random.default_rng(10)
+    grid = [(q, gamma, m) for q in (1e-9, 1e-2) for gamma in (0.1, 1.4)
+            for m in (1, 1000, 10**12)]
+    grid += [(10 ** rng.uniform(-9, -0.5), rng.uniform(0.01, 1.5), int(10 ** rng.uniform(0, 12)))
+             for _ in range(40)]
+    multi = [a for a in AMINO_ACIDS if MULTIPLICITIES[AMINO_INDEX[a]] > 1]
+    for q, gamma, m in grid:
+        params = ChannelParams(q, gamma, m)
+        starts = cdna._kimura_channel(params).starts
+        for amino in multi:
+            info, gap = fresh_start(params, amino)
+            assert starts[0, AMINO_INDEX[amino]] == info, (params, amino)
+            assert starts[1, AMINO_INDEX[amino]] == gap, (params, amino)
+
+
+def test_capacity_reads_certified_starts_from_one_table(monkeypatch):
+    evaluations, tables = [], []
+    information, starts = cdna._Problem.information, cdna._point_mass_starts
+    monkeypatch.setattr(cdna._Problem, "information",
+                        lambda self, cond: evaluations.append(1) or information(self, cond))
+    monkeypatch.setattr(cdna, "_point_mass_starts",
+                        lambda channel: tables.append(1) or starts(channel))
+    cdna._kimura_channel.cache_clear()
+    result = capacity_c(ChannelParams(1e-3, 0.5, 30))
+    # 53 evaluations without the table: one per iteration of each of the 19 runs
+    assert len(evaluations) <= 39
+    assert result.iterations == 53 and result.converged
+    assert len(tables) == 1
+    capacity_c(ChannelParams(1e-3, 0.5, 30))
+    assert len(tables) == 1
+
+
+def test_certified_start_returns_the_uniform_conditional():
+    params = ChannelParams(1e-3, 0.5, 30)
+    result = ba_optimize(point_mass_host("Ala"), params)
+    assert result.iterations == 1 and result.converged
+    info, gap = fresh_start(params, "Ala")
+    assert result.mutual_information == info and result.gap_bits == gap
+    assert np.array_equal(result.conditional, uniform_conditional())
+    result.conditional[:] = -1.0  # callers own what they get back
+    assert np.array_equal(ba_optimize(point_mass_host("Ala"), params).conditional,
+                          uniform_conditional())
+
+
+# Ala's point mass certifies at its start at these parameters, Ser's does not
+@pytest.mark.parametrize("major, minor", [("Ser", "Ala"), ("Ala", "Ser")])
+def test_near_point_mass_host_takes_the_general_path(monkeypatch, major, minor):
+    params = ChannelParams(1e-3, 0.5, 30)
+    runs = []
+    blahut_arimoto = cdna._blahut_arimoto
+    monkeypatch.setattr(cdna, "_blahut_arimoto",
+                        lambda *args: runs.append(1) or blahut_arimoto(*args))
+    ba_optimize(point_mass_host("Ala"), params)
+    assert runs == []  # from the table
+    host = np.zeros(len(AMINO_ACIDS))
+    host[AMINO_INDEX[major]] = 1.0 - 1e-12
+    host[AMINO_INDEX[minor]] = 1e-12
+    result = ba_optimize(host, params)
+    assert runs == [1]
+    assert result.converged and result.host_entropy > 0.0
+
+
+@pytest.mark.parametrize("controls", [{"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf},
+                                      {"tol": -1e-9}, {"max_iter": 0}],
+                         ids=["tol=0", "tol=nan", "tol=inf", "tol<0", "max_iter=0"])
+@pytest.mark.parametrize("host", [point_mass_host("Ala"), point_mass_host("Ser"),
+                                  uniform_codon_host()], ids=["Ala", "Ser", "uniform"])
+def test_ba_validates_its_controls_before_any_start(host, controls):
+    # Ala's start certifies here, so the table alone would return a result
+    with pytest.raises(ValueError, match=next(iter(controls))):
+        ba_optimize(host, ChannelParams(1e-3, 0.5, 30), **controls)

@@ -129,6 +129,37 @@ def test_sweep_m_range_accepts_integers_in_exponent_form(capsys):
     assert out == plain
 
 
+# --tol -1 and --max-iter 0 used to exit 2 as data errors, and --tol nan to
+# run 10000 iterations and exit 0
+@pytest.mark.parametrize("option, value, message", [
+    ("--tol", "-1", "expected a finite number > 0"),
+    ("--tol", "0", "expected a finite number > 0"),
+    ("--tol", "nan", "expected a finite number > 0"),
+    ("--tol", "inf", "expected a finite number > 0"),
+    ("--tol", "x", "expected a finite number > 0"),
+    ("--max-iter", "0", "expected an integer >= 1"),
+    ("--max-iter", "-3", "expected an integer >= 1"),
+    ("--max-iter", "1.5", "expected an integer"),
+])
+@pytest.mark.parametrize("command", ["point", "sweep"])
+def test_bad_optimizer_controls_are_usage_errors(capsys, command, option, value, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--quantity", "cdna_rate", "--host", "amino:Ser", "--q", "1e-2",
+              "--gamma", "0.1", "--m", "30", option, value])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: {message}, got {value!r}" in captured.err
+
+
+def test_optimizer_controls_accept_their_boundary_values(capsys):
+    code, out, _ = run(capsys, "point", "--quantity", "cdna_rate", "--host", "amino:Ser",
+                       "--q", "1e-2", "--gamma", "0.1", "--m", "30",
+                       "--tol", "1e-300", "--max-iter", "1e1")
+    assert code == 0
+    assert json.loads(out)["iterations"] <= 10
+
+
 def test_sweep_quotes_a_host_label_holding_a_comma(capsys, tmp_path):
     gene = tmp_path / "d,x" / "g.fa"
     gene.parent.mkdir()

@@ -47,13 +47,12 @@ read-only; those of the last 32 parameter sets are kept (about 5 MiB), so
 sweeps that revisit an m-grid once per host and method build each
 parameter set once.  Each evaluation or optimizer run selects the rows
 of the inputs its host can emit, and uses the tables as they are when it
-can emit every input.  A point-mass host, as in every run of the capacity
-search, needs no selection at its start: the first optimizer run at a
-parameter set adds to its cached tables a start table, I and the duality
-gap at the uniform start of each amino's point mass, bit for bit what a
-run computes there.  A run whose start gap certifies returns at once,
-after one iteration; the others run the optimizer as any host does.
-Sums over synonym sets, such as the check that every block of a
+can emit every input.  The point masses of 14 aminos need no tables:
+their synonym sets are orbits of the channel's symmetries (the 4-fold
+sets, and the 2-fold transition pairs at the third base), so the uniform
+conditional is optimal and I has a closed form in lam^m and mu^m.  The
+point masses of Ile, Leu, Arg, Ser and Stp run the optimizer as any host
+does.  Sums over synonym sets, such as the check that every block of a
 conditional sums to one, are one ``np.bincount`` over the codon-to-amino
 map.
 """
@@ -77,11 +76,12 @@ from .genetic_code import (
 )
 from .mutation_channel import (
     ChannelParams,
+    _eigenvalue_powers,
     base_matrix_power,
     codon_matrix,
     codon_matrix_deviations,
 )
-from .ncdna import capacity_nc, entropy_bits
+from .ncdna import _divergence_from_uniform, _excess, capacity_nc, entropy_bits
 
 _LN2 = math.log(2.0)
 _MONOTONE_SLACK = 1e-12
@@ -268,39 +268,19 @@ def _terms(w, num, inv, series_below):
     return np.where(t * t < series_below, num * t * (0.5 - t / 3.0), num - w * np.log1p(t))
 
 
-def _divergences(k: _Kernel, out):
-    """p - W and every row's divergence D (nats) from the output pmf ``out``.
-
-    ``out`` holds p and p - 1/n as two layers, either one pmf for all rows
-    or, with a row axis, one pmf per row.
-    """
-    num = np.where(k.small, out[0], out[1]) - k.entry
-    return num, _terms(k.rows, num, k.inv, k.series_below).sum(axis=-1)
-
-
-class _CodonChannel(_Kernel):
-    """The kernel tables of the codon channel and, built on first use, its start table."""
-
-    @functools.cached_property
-    def starts(self) -> np.ndarray:
-        """I and the duality gap (bits) at the uniform start of each point-mass host."""
-        return _point_mass_starts(self)
-
-
 @functools.lru_cache(maxsize=32)
-def _kimura_channel(params: ChannelParams) -> _CodonChannel:
+def _kimura_channel(params: ChannelParams) -> _Kernel:
     """The kernel tables of the codon channel at ``params``, shared and read-only.
 
     The tables of the last 32 parameter sets are kept: one entry is five
     64x64 float layers and the ``small`` mask, 164 KiB, so about 5 MiB in
-    all, and the start table of 42 floats once an optimizer run has read it.
-    Sweeps revisit one m-grid per host and method, and 32 covers the
+    all.  Sweeps revisit one m-grid per host and method, and 32 covers the
     largest grid of the figures bundle (25 m), so each of its parameter
     sets is built once.  A least-recently-used cache hits nothing on a cycle
     longer than ``maxsize``: a sweep over more than 32 m rebuilds every point.
     """
-    return _read_only(_CodonChannel._make(_kernel(codon_matrix(base_matrix_power(params)),
-                                                  codon_matrix_deviations(params))))
+    return _read_only(_kernel(codon_matrix(base_matrix_power(params)),
+                              codon_matrix_deviations(params)))
 
 
 def _read_only(tables):
@@ -329,41 +309,6 @@ def _partition(groups, n_inputs: int) -> _Partition:
 
 
 _SYNONYM_SETS = _read_only(_partition(SYNONYM_INDICES, 64))
-# the aminos of each synonym-set size and their codons, one row per amino
-# (sizes by sorted(set()): the first call of np.unique imports numpy.ma, 1.6 MiB)
-_BY_SIZE = tuple(
-    (aminos, np.stack([SYNONYM_INDICES[a] for a in aminos]))
-    for aminos in (np.flatnonzero(MULTIPLICITIES == size) for size in sorted(set(MULTIPLICITIES)))
-)
-
-
-def _point_mass_starts(channel: _Kernel) -> np.ndarray:
-    """I and the duality gap, in bits, at the uniform start of every point-mass host.
-
-    Row 0 holds I and row 1 the gap, one column per amino: each entry is
-    bit for bit what an optimizer run on that amino's point mass reads at
-    its start.  Every codon row is taken against its own amino's output
-    pmf.  The products over the codons of one amino are those of
-    :meth:`_Problem.information`, batched over the aminos of each set size:
-    a vector times a (size x 64) matrix, and a vector times a vector,
-    whose sums numpy hands to BLAS one batch at a time, in the order of an
-    unbatched call.  One product of all 64 rows would sum in another order.
-    """
-    out = np.empty((2, len(AMINO_ACIDS), channel.rows.shape[1]))
-    info = np.empty(len(AMINO_ACIDS))
-    for aminos, members in _BY_SIZE:
-        p_in = _SYNONYM_SETS.start[members[0]]
-        out[:, aminos] = p_in @ np.take(channel.stacked, members, axis=1)
-    div = _divergences(channel, out[:, AMINO_OF_CODON])[1]
-    for aminos, members in _BY_SIZE:
-        p_in = _SYNONYM_SETS.start[members[0]]
-        info[aminos] = (p_in @ div[members][..., None])[..., 0]
-    info /= _LN2
-    # a point mass's group weight is 1.0, so its gap is max D / ln 2 - I exactly
-    top = div[_SYNONYM_SETS.members].max(axis=1)
-    starts = np.stack([info, top / _LN2 - info])
-    starts.flags.writeable = False
-    return starts
 
 
 class _Problem:
@@ -384,9 +329,10 @@ class _Problem:
 
     def information(self, cond) -> "_Point":
         """I(Z;U) in bits, D_u in nats for every supported input, p - W and p."""
-        p_in = self.mass * cond
-        out = p_in @ self.kernel.stacked  # p(z), then p(z) - 1/n
-        num, div = _divergences(self.kernel, out)
+        k, p_in = self.kernel, self.mass * cond
+        out = p_in @ k.stacked  # p(z), then p(z) - 1/n
+        num = np.where(k.small, out[0], out[1]) - k.entry
+        div = _terms(k.rows, num, k.inv, k.series_below).sum(axis=-1)
         return _Point(cond, float(p_in @ div) / _LN2, div, num, out[0])
 
     def gain(self, point: "_Point", top, trial) -> float:
@@ -414,8 +360,7 @@ class _Point(NamedTuple):
     out: np.ndarray  # p(z)
 
 
-def _rate_result(info, cond, iterations, converged, host_mass, gap_bits=None) -> RateResult:
-    host_entropy = entropy_bits(host_mass)
+def _rate_result(info, cond, iterations, converged, host_entropy, gap_bits=None) -> RateResult:
     return RateResult(
         rate=max(0.0, info - host_entropy),
         conditional=cond,
@@ -444,8 +389,8 @@ class _Ascent:
         self.tol, self.max_iter = tol, max_iter
         self.emitted = np.flatnonzero(host_mass)  # the host mass is >= 0
         self.group_mass = host_mass[self.emitted]
-        # a point-mass host (every capacity run) has one group: plain sums and
-        # maxima, and none of the group tables below is built
+        # a point-mass host (as in the capacity search) has one group: plain
+        # sums and maxima, and none of the group tables below is built
         self.single = self.emitted.size == 1
         self.iterations = 1
         self.point = problem.information(partition.start[problem.support])
@@ -788,8 +733,8 @@ def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
             break
     full = partition.start.copy()  # uniform where the host has no mass
     full[run.problem.support] = run.point.cond
-    return _rate_result(run.info, full, run.iterations, run.certified(), host_mass,
-                        gap_bits=run.gap)
+    return _rate_result(run.info, full, run.iterations, run.certified(),
+                        entropy_bits(host_mass), gap_bits=run.gap)
 
 
 def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
@@ -837,7 +782,7 @@ def _evaluate(host, cond, params: ChannelParams) -> RateResult:
     # I(Z;U) depends on the input pmf alone: each input weighs its mass
     problem = _Problem(_kimura_channel(params), host[AMINO_OF_CODON] * cond)
     info = problem.information(np.ones(len(problem.support))).info
-    return _rate_result(info, cond, 0, True, host)
+    return _rate_result(info, cond, 0, True, entropy_bits(host))
 
 
 def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
@@ -849,6 +794,37 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
     """
     host = _check_host(host)
     return _evaluate(host, _check_conditional(cond, host), params)
+
+
+def _transition_pair_information(params: ChannelParams) -> float:
+    """I(Z;U) in bits of a 2-fold point mass under the uniform conditional.
+
+    On the pair's two third bases (a transition pair) the output pmf is
+    s = (1 + lam^m)/4, and each row reads s*(1 + t) and s*(1 - t) there,
+    with t = 2*mu^m/(1 + lam^m) taken from mu^m itself, not from a
+    difference of rounded entries; the other two outputs carry nothing.
+    Each row's divergence, and so I, is s*(phi(t) + phi(-t)) nats, with
+    phi(d) = (1 + d)*ln(1 + d) - d the terms of the noncoding capacity
+    and their series below |d| = 1e-2.
+    """
+    (lam_m, _), (mu_m, _) = _eigenvalue_powers(params)
+    s = 0.25 * (1.0 + lam_m)
+    if s == 0.0:  # gamma = 3/2, q = 1 and m odd: no output of the pair is reachable
+        return 0.0
+    t = 2.0 * mu_m / (1.0 + lam_m)
+    # at t = 1 (q = 0 or m = 0) the entry 1 - t is 0, and phi(-1) = 1
+    return s * (_excess(0.25 * (1.0 + t), t) + _excess(0.25 * (1.0 - t), -t)) / _LN2
+
+
+# I(Z;U) in bits of the point mass of an amino whose uniform conditional is
+# optimal, by the size of its synonym set; its codons share their first two
+# bases, so I is that of the third.  The base channel keeps its law under the
+# Klein group of relabellings that keep transitions (Kimura 1980; Evans and
+# Speed 1993), a 4-fold set is one orbit of it and a 2-fold set (a transition
+# pair) one orbit of the transition swap.  I is concave and invariant under
+# these maps, so the uniform conditional is optimal, every D_u equal there
+# and the gap 0 (Gallager 1968, section 4.5).
+_UNIFORM_OPTIMAL = {2: _transition_pair_information, 4: _divergence_from_uniform}
 
 
 def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
@@ -887,23 +863,22 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     Aminos the host never emits keep their uniform conditional.
 
     A point-mass host (one amino of mass 1.0, as in every run of
-    :func:`capacity_c`) reads I and the gap at its uniform start from a
-    table built once per parameter set and kept with its channel tables;
-    the table holds exactly what the run would compute there.  When that
-    gap certifies, the run returns at once: one iteration, converged, the
-    uniform conditional and that gap.  ``tol`` must be finite and above
-    zero, and ``max_iter`` at least 1; both are checked first.
+    :func:`capacity_c`) on a 4-fold or a 2-fold amino builds no channel:
+    its uniform conditional is optimal, and the run returns I in closed
+    form with one iteration, converged, a gap of 0 and the uniform
+    conditional.  ``tol`` must be finite and above zero, and ``max_iter``
+    at least 1; both are checked first.
     """
     host = _check_host(host)
-    channel = _kimura_channel(params)
     emitted = np.flatnonzero(host)
     if emitted.size == 1 and host[emitted[0]] == 1.0:
         _check_stop_rule(tol, max_iter)
-        info, gap = channel.starts[:, emitted[0]]
-        info = float(info)
-        if gap <= tol * info + _GAP_FLOOR:
-            return _rate_result(info, uniform_conditional(), 1, True, host, gap_bits=gap)
-    return _blahut_arimoto(channel, _SYNONYM_SETS, host, tol, max_iter)
+        closed_form = _UNIFORM_OPTIMAL.get(MULTIPLICITIES[emitted[0]])
+        if closed_form is not None:
+            # a point mass has entropy 0, and the uniform conditional's gap is 0
+            return _rate_result(closed_form(params), uniform_conditional(), 1, True, 0.0,
+                                gap_bits=0.0)
+    return _blahut_arimoto(_kimura_channel(params), _SYNONYM_SETS, host, tol, max_iter)
 
 
 def rate_q0(host) -> float:
@@ -998,7 +973,7 @@ def deterministic_rate(amino: str, params: ChannelParams, method: str = "ba",
         raise ValueError(f"unknown method {method!r}; expected ba, uniform or linearized")
     host = point_mass_host(amino)
     if MULTIPLICITIES[ai] == 1:  # exact: a single input carries nothing
-        return _rate_result(0.0, uniform_conditional(), 0, True, host, gap_bits=0.0)
+        return _rate_result(0.0, uniform_conditional(), 0, True, 0.0, gap_bits=0.0)
     if method == "ba":
         return ba_optimize(host, params, tol=tol, max_iter=max_iter)
     if method == "uniform":
@@ -1014,10 +989,11 @@ def capacity_c(params: ChannelParams, include_stp: bool = True,
 
     The capacity-achieving host pmf is deterministic, so the search
     evaluates the optimized rate for each amino acid (the two
-    single-codon ones are zero outright, leaving 19 optimizer runs) and
-    returns the argmax with the full per-amino rate table.  With
-    ``include_stp=False`` the stop symbol, which a real gene can use only
-    once, is excluded from the argmax but still reported in the table.
+    single-codon ones are zero outright and 14 more closed forms, leaving
+    5 optimizer runs) and returns the argmax with the full per-amino rate
+    table.  With ``include_stp=False`` the stop symbol, which a real gene
+    can use only once, is excluded from the argmax but still reported in
+    the table.
     ``iterations`` totals the runs, and ``gap_bits`` is their largest gap.
     """
     results = [deterministic_rate(amino, params, "ba", tol, max_iter) for amino in AMINO_ACIDS]

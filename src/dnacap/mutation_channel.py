@@ -82,6 +82,12 @@ def _power_and_rest(a: float, m: int) -> tuple[float, float]:
     return power, 1.0 - power
 
 
+def _eigenvalue_powers(params: ChannelParams):
+    """``(lam**m, 1 - lam**m)`` and ``(mu**m, 1 - mu**m)`` by :func:`_power_and_rest`."""
+    return (_power_and_rest((4.0 * params.gamma / 3.0) * params.q, params.m),
+            _power_and_rest(2.0 * (1.0 - params.gamma / 3.0) * params.q, params.m))
+
+
 def _stage_entries(params: ChannelParams):
     """Diagonal, within-category and other entries of the m-stage base matrix.
 
@@ -90,8 +96,7 @@ def _stage_entries(params: ChannelParams):
     when they are small (shallow cascades), the deviations when they are
     close to 1/4 (deep cascades).
     """
-    lam_m, lam_rest = _power_and_rest((4.0 * params.gamma / 3.0) * params.q, params.m)
-    mu_m, mu_rest = _power_and_rest(2.0 * (1.0 - params.gamma / 3.0) * params.q, params.m)
+    (lam_m, lam_rest), (mu_m, mu_rest) = _eigenvalue_powers(params)
     deviations = (2.0 * mu_m + lam_m, lam_m - 2.0 * mu_m, -lam_m)
     entries = (0.25 * (1.0 + deviations[0]), 0.25 * (2.0 * mu_rest - lam_rest),
                0.25 * lam_rest)

@@ -74,17 +74,26 @@ def _excess(entry: float, deviation: float) -> float:
     return 4.0 * entry * log - d
 
 
-def capacity_nc(params: ChannelParams) -> CapacityResult:
-    """Capacity in bits/base of embedding in a freely writable host.
+def _divergence_from_uniform(params: ChannelParams) -> float:
+    """Divergence in bits of a row of the m-stage base matrix from uniform.
 
-    Equals ``2 - row_entropy(params)``, computed as the row's divergence
-    from uniform, ``sum_z ((1 + d_z)*ln(1 + d_z) - d_z) / (4*ln 2)``: the
-    deviations d_z of a row sum to zero, and every term is non-negative.
+    ``sum_z ((1 + d_z)*ln(1 + d_z) - d_z) / (4*ln 2)``: the deviations d_z
+    of a row sum to zero, and every term is non-negative.  Not clamped, so
+    it keeps its relative accuracy however small it is.
     """
     entries, deviations = _stage_entries(params)
     total = sum(weight * _excess(entry, d)
                 for weight, entry, d in zip((1.0, 1.0, 2.0), entries, deviations))
-    value = total / (4.0 * math.log(2.0))
+    return total / (4.0 * math.log(2.0))
+
+
+def capacity_nc(params: ChannelParams) -> CapacityResult:
+    """Capacity in bits/base of embedding in a freely writable host.
+
+    Equals ``2 - row_entropy(params)``, computed as
+    :func:`_divergence_from_uniform`.
+    """
+    value = _divergence_from_uniform(params)
     if value < _ZERO_DUST:  # capacities below 1e-15 bits/base are reported as 0
         value = 0.0
     return CapacityResult(value=value, params=params)

@@ -28,8 +28,10 @@ from dnacap.genetic_code import (
     AMINO_ACIDS,
     AMINO_INDEX,
     AMINO_OF_CODON,
+    BASE_INDEX,
     MULTIPLICITIES,
     SYNONYM_INDICES,
+    SYNONYMS,
 )
 from dnacap.mutation_channel import ChannelParams, base_matrix_power, codon_matrix
 from dnacap.ncdna import capacity_nc
@@ -782,7 +784,10 @@ def test_channel_cache_stays_bounded_over_a_long_sweep():
     assert info.currsize <= info.maxsize
 
 
-# --- start table of the point-mass hosts --------------------------------------
+# --- closed forms of the point masses whose uniform conditional is optimal -----
+
+UNIFORM_OPTIMAL = [a for a in AMINO_ACIDS if MULTIPLICITIES[AMINO_INDEX[a]] in (2, 4)]
+
 
 def fresh_start(params, amino):
     """I and the gap an optimizer run on the point mass at ``amino`` reads at its start."""
@@ -792,37 +797,96 @@ def fresh_start(params, amino):
     return run.info, run.gap
 
 
-def test_start_table_equals_a_fresh_start_bit_for_bit():
+def decimal_point_mass_information(amino, q, gamma, m):
+    """I(Z;U) in bits of the point mass at ``amino`` under the uniform conditional.
+
+    Reference in decimal arithmetic from the channel's own eigenvalues:
+    the m-stage entries of the third base, the one base where the synonyms
+    differ, and the divergences of the synonyms' rows from their mean.
+    The rows differ from their mean by about x relative: 2*mu^m/(1 + lam^m)
+    on a transition pair, the larger of lam^m and 2*mu^m on all four bases.
+    I is about x**2, so the sum cancels all but that many digits and is
+    taken with 2*|log10 x| + 50 of them: with 80 digits it reads -7.2e-81
+    at q=0.01164, gamma=0.1034, m=7183, where x is 2.4e-71 and I 2.1e-142.
+    Below x = 1e-170, I is below 2*x**2 and rounds to 0.0.
+    """
+    q, gamma = Decimal(q), Decimal(gamma)
+    thirds = [BASE_INDEX[codon[2]] for codon in SYNONYMS[amino]]
+
+    def powers():
+        return (1 - 4 * gamma * q / 3) ** m, (1 - 2 * q + 2 * gamma * q / 3) ** m
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam, mu = powers()
+        if len(thirds) == 2:
+            spread = abs(2 * mu / (1 + lam)) if 1 + lam else Decimal(0)
+        else:
+            spread = max(abs(lam), 2 * abs(mu))
+        if spread < Decimal("1e-170"):
+            return 0.0
+        ctx.prec = 50 + 2 * max(0, -spread.adjusted())
+        lam, mu = powers()
+        diag, within, other = (1 + 2 * mu + lam) / 4, (1 - 2 * mu + lam) / 4, (1 - lam) / 4
+        rows = [[diag if u == z else within if u + z == 3 else other for z in range(4)]
+                for u in thirds]
+        p_out = [sum(column) / len(rows) for column in zip(*rows)]
+        info = sum(w * (w / p).ln() for row in rows for w, p in zip(row, p_out) if w > 0)
+        return float(info / len(rows) / Decimal(2).ln())
+
+
+@pytest.mark.parametrize("q,gamma,m", [
+    # small gamma and deep cascades, where the 64-row forms lose the 2-fold rows
+    (1e-9, 0.001, 10**12), (1e-9, 0.01, 10**12), (1e-9, 0.1, 10**12), (1e-9, 0.1, 3162277660),
+    (1e-6, 0.05, 10**7), (1e-2, 0.1, 1334), (1e-2, 0.1, 825), (0.01164, 0.1034, 7183),
+    # either side of the series cut-off |t| = 1e-2 (2-fold) and |lam^m| = 1e-2 (4-fold)
+    (1e-2, 0.1, 243), (1e-2, 0.1, 244), (1e-2, 0.1, 3451), (1e-2, 0.1, 3452),
+    # t = 1 (q = 0 or m = 0); lam^m = -1 (odd m) and +1; lam = mu = 0
+    (0.0, 0.5, 10), (0.3, 0.2, 0), (1.0, 1.5, 3), (1.0, 1.5, 4), (0.75, 1.0, 5),
+    # q > 1/2: negative eigenvalues, and mu = -1 at gamma = 0
+    (0.9, 0.2, 3), (0.9, 0.2, 4), (0.6, 1.5, 7), (0.7, 1.2, 2), (1.0, 0.0, 5),
+    # shallow cascades
+    (1e-3, 0.5, 1), (0.3, 1.4, 7),
+])
+def test_closed_forms_match_decimal_reference(q, gamma, m):
+    params = ChannelParams(q, gamma, m)
+    for amino in UNIFORM_OPTIMAL:
+        result = ba_optimize(point_mass_host(amino), params)
+        assert result.mutual_information == pytest.approx(
+            decimal_point_mass_information(amino, q, gamma, m), rel=1e-12, abs=0.0), amino
+
+
+def test_closed_forms_agree_with_a_fresh_optimizer_run():
     rng = np.random.default_rng(10)
     grid = [(q, gamma, m) for q in (1e-9, 1e-2) for gamma in (0.1, 1.4)
             for m in (1, 1000, 10**12)]
     grid += [(10 ** rng.uniform(-9, -0.5), rng.uniform(0.01, 1.5), int(10 ** rng.uniform(0, 12)))
              for _ in range(40)]
-    multi = [a for a in AMINO_ACIDS if MULTIPLICITIES[AMINO_INDEX[a]] > 1]
     for q, gamma, m in grid:
         params = ChannelParams(q, gamma, m)
-        starts = cdna._kimura_channel(params).starts
-        for amino in multi:
-            info, gap = fresh_start(params, amino)
-            assert starts[0, AMINO_INDEX[amino]] == info, (params, amino)
-            assert starts[1, AMINO_INDEX[amino]] == gap, (params, amino)
+        for amino in UNIFORM_OPTIMAL:
+            host = point_mass_host(amino)
+            run = cdna._blahut_arimoto(cdna._kimura_channel(params), cdna._SYNONYM_SETS, host,
+                                       cdna.DEFAULT_TOL, cdna.DEFAULT_MAX_ITER)
+            info = ba_optimize(host, params).mutual_information
+            assert run.converged, (params, amino)
+            assert abs(info - run.mutual_information) <= 1e-9 * info + 1e-15, (params, amino)
 
 
-def test_capacity_reads_certified_starts_from_one_table(monkeypatch):
-    evaluations, tables = [], []
-    information, starts = cdna._Problem.information, cdna._point_mass_starts
-    monkeypatch.setattr(cdna._Problem, "information",
-                        lambda self, cond: evaluations.append(1) or information(self, cond))
-    monkeypatch.setattr(cdna, "_point_mass_starts",
-                        lambda channel: tables.append(1) or starts(channel))
-    cdna._kimura_channel.cache_clear()
+def test_capacity_runs_the_optimizer_for_five_aminos_only(monkeypatch):
+    runs, builds = [], []
+    blahut_arimoto, build = cdna._blahut_arimoto, cdna.codon_matrix
+    monkeypatch.setattr(cdna, "_blahut_arimoto",
+                        lambda *args: runs.append(1) or blahut_arimoto(*args))
+    monkeypatch.setattr(cdna, "codon_matrix", lambda base: builds.append(1) or build(base))
     result = capacity_c(ChannelParams(1e-3, 0.5, 30))
-    # 53 evaluations without the table: one per iteration of each of the 19 runs
-    assert len(evaluations) <= 39
+    # one iteration for each of the 14 closed forms, 39 for Ile, Leu, Arg, Ser and Stp
     assert result.iterations == 53 and result.converged
-    assert len(tables) == 1
-    capacity_c(ChannelParams(1e-3, 0.5, 30))
-    assert len(tables) == 1
+    assert len(runs) == 5
+    cdna._kimura_channel.cache_clear()
+    builds.clear()
+    ba_optimize(point_mass_host("Ala"), ChannelParams(1e-3, 0.5, 30))
+    assert builds == []
 
 
 def test_certified_start_returns_the_uniform_conditional():

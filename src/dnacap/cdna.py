@@ -176,6 +176,10 @@ def _check_host(host) -> np.ndarray:
     host = np.asarray(host, dtype=float)
     if host.shape != (21,):
         raise ValueError(f"host pmf must have shape (21,), got {host.shape}")
+    # a valid pmf, as every host the package builds, needs no clip: NaN
+    # fails min >= 0 and an infinite entry one of the two tests
+    if host.min() >= 0.0 and abs(host.sum() - 1.0) <= 1e-9:
+        return host
     clipped = _nonnegative(host, "host pmf")
     if abs(host.sum() - 1.0) > 1e-9:
         raise ValueError(f"host pmf sums to {host.sum()}, expected 1")

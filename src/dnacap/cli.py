@@ -4,6 +4,12 @@ Everything prints CSV (schema ``m,q,gamma,quantity,method,host,value_bits``)
 or JSON with floats at 12 significant digits, so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 usage error,
 2 data error, 3 numerical failure.
+
+Every output file is written as a new file: an existing regular file at
+the destination is removed and created again, not truncated in place, so
+a hard link to the old file keeps the old contents.  Any other
+destination (a symlink, a device such as ``/dev/null``, a FIFO) is
+written through.  A destination that cannot be written is a data error.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,6 +95,34 @@ def _read_text(path: Path) -> str:
         return path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise sequences.FastaError(f"cannot read {path}: {exc}") from exc
+
+
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_new(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, replacing an existing regular file with a new one.
+
+    The old file is unlinked before the new one is created.  On ext4
+    mounted with ``discard``, rewriting the figure bundle by truncating
+    each file in place (or by renaming a temporary file over it) stalled
+    in ``open`` for longer than the bundle takes to compute; unlinking
+    first does not stall.  Only a regular file is unlinked: a symlink, a
+    device or a FIFO (``--out /dev/null``) is written through.
+    """
+    try:
+        try:
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+        except FileNotFoundError:
+            pass
+        path.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _resolve_host(spec: SweepSpec):
@@ -217,10 +253,10 @@ def run_ingest(path: Path, frame: int, fmt: str, out: Path | None) -> str:
     counts = sequences.ingest_fasta(_read_text(path), frame=frame)
     pmf = sequences.amino_pmf(counts)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "codon_counts.csv").write_text(counts.to_csv())
-        (out / "codon_counts.json").write_text(counts.to_json() + "\n")
-        (out / "amino_pmf.csv").write_text(sequences.amino_pmf_to_csv(pmf))
+        _make_dir(out)
+        _write_new(out / "codon_counts.csv", counts.to_csv())
+        _write_new(out / "codon_counts.json", counts.to_json() + "\n")
+        _write_new(out / "amino_pmf.csv", sequences.amino_pmf_to_csv(pmf))
         return f"wrote codon_counts.csv, codon_counts.json, amino_pmf.csv to {out}\n"
     if fmt == "csv":
         return counts.to_csv() + "\n" + sequences.amino_pmf_to_csv(pmf)
@@ -283,13 +319,13 @@ def _figure_specs(genes: dict[str, Path]) -> dict[str, list[SweepSpec]]:
 
 
 def run_figures(out_dir: Path, genes: dict[str, Path]) -> list[str]:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     written = []
     for name, specs in _figure_specs(genes).items():
         rows = []
         for spec in specs:
             rows.extend(run_sweep(spec))
-        (out_dir / name).write_text(rows_to_csv(rows))
+        _write_new(out_dir / name, rows_to_csv(rows))
         written.append(name)
     return written
 
@@ -411,7 +447,7 @@ def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        _write_new(out, text)
 
 
 def main(argv=None) -> int:

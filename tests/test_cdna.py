@@ -191,6 +191,35 @@ def test_non_finite_entries_raise(call):
         call()
 
 
+def _host_with(entries):
+    host = point_mass_host("Ser")
+    for amino, value in entries.items():
+        host[AMINO_INDEX[amino]] = value
+    return host
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"Ala": math.inf}, "non-finite entries"),
+    ({"Ala": -math.inf}, "non-finite entries"),
+    ({"Ala": math.inf, "Gly": -math.inf}, "non-finite entries"),
+    ({"Ala": -1e-11}, "negative entries"),
+    ({"Ala": 1e-8}, "sums to"),
+])
+def test_host_check_rejects_what_is_no_pmf(entries, message):
+    with pytest.raises(ValueError, match=message):
+        cdna._check_host(_host_with(entries))
+
+
+def test_host_check_clips_rounding_below_zero_only():
+    valid = uniform_codon_host()
+    assert np.array_equal(cdna._check_host(valid), valid)
+    # an entry down to -1e-12 is rounding: it reads as zero
+    checked = cdna._check_host(_host_with({"Ala": -1e-13}))
+    assert checked[AMINO_INDEX["Ala"]] == 0.0
+    assert np.array_equal(checked, point_mass_host("Ser"))
+    assert np.array_equal(cdna._check_host(list(valid)), valid)
+
+
 def test_linearized_rate_builds_the_channel_once(monkeypatch):
     builds = []
     build = cdna.codon_matrix

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -440,3 +442,68 @@ def test_figures_ingest_each_gene_once(tmp_path, monkeypatch):
     genes = {"a": DATA / "toy_gene_a.fasta", "b": DATA / "toy_gene_b.fasta"}
     cli.run_figures(tmp_path, genes)
     assert sorted(ingested) == sorted(path.read_text() for path in genes.values())
+
+
+# --- output files -----------------------------------------------------------------
+
+NCDNA_SWEEP = ["sweep", "--quantity", "ncdna", "--q", "1e-2", "--gamma", "1"]
+
+
+def test_figures_rerun_matches_a_fresh_run(capsys, tmp_path):
+    argv = ["--fasta", f"toyA={GENE_A}"]
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    listings = [run(capsys, "figures", "--out", str(out_dir), *argv)
+                for out_dir in (again, again, fresh)]
+    assert [code for code, _, _ in listings] == [0, 0, 0]
+    assert listings[0][1] == listings[1][1]
+    assert listings[2][1] == listings[1][1].replace(str(again), str(fresh))
+    names = sorted(p.name for p in again.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(Path(line).name for line in listings[0][1].splitlines())
+    assert all((again / n).read_bytes() == (fresh / n).read_bytes() for n in names)
+
+
+def test_rewritten_output_is_a_new_file(capsys, tmp_path):
+    out, link = tmp_path / "rates.csv", tmp_path / "old.csv"
+    assert main(NCDNA_SWEEP + ["--m", "1", "--out", str(out)]) == 0
+    old = out.read_bytes()
+    os.link(out, link)
+    assert main(NCDNA_SWEEP + ["--m", "2", "--out", str(out)]) == 0
+    # a truncate in place would show the new rows through the link as well
+    assert link.read_bytes() == old
+    assert out.read_bytes() != old
+    assert out.read_text().splitlines()[1].startswith("2,")
+    assert os.stat(link).st_nlink == 1
+
+
+def test_symlinked_output_is_written_through(capsys, tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("stale\n")
+    link.symlink_to(target)
+    assert main(NCDNA_SWEEP + ["--m", "5", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text().startswith("m,q,gamma,quantity,method,host,value_bits\n5,")
+
+
+@pytest.mark.skipif(os.name != "posix" or not os.path.exists("/dev/null"),
+                    reason="needs a POSIX /dev/null")
+def test_output_to_dev_null_keeps_the_device(capsys):
+    assert main(NCDNA_SWEEP + ["--m", "5", "--out", "/dev/null"]) == 0
+    assert stat.S_ISCHR(os.lstat("/dev/null").st_mode)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (NCDNA_SWEEP + ["--m", "5"], "x.csv"),
+    (["point", "--quantity", "ncdna", "--q", "1e-2", "--gamma", "1", "--m", "5"], "x.json"),
+    (["ingest", GENE_A], "ingested"),
+    (["figures"], "figs"),
+])
+def test_unwritable_output_is_a_data_error(capsys, tmp_path, argv, out):
+    # a path under a regular file cannot be created, whatever the permissions
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, stdout, err = run(capsys, *argv, "--out", str(blocker / out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"dnacap: data error: cannot write {blocker / out}: ")
+    assert "Traceback" not in err

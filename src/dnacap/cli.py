@@ -91,8 +91,10 @@ def log_m_grid(start: int, stop: int, points: int) -> list[int]:
 
 
 def _read_text(path: Path) -> str:
+    # utf-8-sig drops a byte-order mark, which would otherwise read as data
+    # before the first header
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise sequences.FastaError(f"cannot read {path}: {exc}") from exc
 

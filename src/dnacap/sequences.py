@@ -6,15 +6,22 @@ is deliberately strict: sequences may only contain A/C/G/T (plus U, read
 as T, and N as an explicit unknown), anything else is an error with a
 line/column position.
 
-The work per base is done by whole-string and array operations.  A
-record's lines are joined, stripped of whitespace and cleaned (uppercase,
-U to T) by one ``str.translate``; only a record that holds anything but a
-base is rescanned character by character, to name the line and column of
-the first offending character.  All records of a file are framed in one
-uint8 array, codons as rows of three base indices, and counted with one
-``np.bincount``; the per-record warnings come from ``np.add.reduceat``
-over the record offsets.  The amino pmf and the codon usage sum the
-synonym sets of the 64 counts with one more ``np.bincount``.
+The work per base is done by whole-string and array operations, in one
+of two front ends that share one counting routine.  Canonical text (ASCII,
+with a '>' at the start of each header line and nowhere else) is encoded
+to bytes once and split at each '>'; one ``bytes.translate`` per record
+body deletes the whitespace and maps every base straight to its code.
+Any other text, and any text that would raise or log an error, is read
+by :func:`parse_fasta`: a record's lines are joined, stripped of
+whitespace and cleaned (uppercase, U to T) by one ``str.translate``; only
+a record that holds anything but a base is rescanned character by
+character, to name the line and column of the first offending character.
+All records of a file are framed in one uint8 array, codons as rows of
+three base codes, and counted with one ``np.bincount``; the N codons and
+stop codons are found once and counted per record, and only the records
+with something to report are visited to log it.  The amino pmf and the
+codon usage sum the synonym sets of the 64 counts with one more
+``np.bincount``.
 """
 
 from __future__ import annotations
@@ -23,14 +30,15 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .genetic_code import (
     AMINO_ACIDS,
     AMINO_OF_CODON,
+    BASES,
     BASE_INDEX,
-    CODON_INDEX,
     CODONS,
     MULTIPLICITIES,
     STOP_CODONS,
@@ -47,13 +55,22 @@ _CLEAN = str.maketrans("acgtnuU", "ACGTNTT")
 _DROP_BASES = str.maketrans("", "", "ACGTN")
 
 # byte -> base index in codon order (A, C, T, G = 0..3), N -> 4, anything
-# else -> 255; a codon holds an N exactly when its three codes OR above 3
+# else -> 255: _BASE_CODE reads cleaned sequences, _FASTA_CODE raw FASTA
+# bytes (either case, U read as T) once _ASCII_SPACE, the ASCII characters
+# that str.split() drops, is deleted
 _UNKNOWN = 4
 _BASE_CODE = bytes({**BASE_INDEX, "N": _UNKNOWN}.get(chr(b), 255) for b in range(256))
-# indexed by 16*i1 + 4*i2 + i3 with codes up to 4, so N codons index it too
-_IS_STOP = np.zeros(85, dtype=bool)
-_IS_STOP[[CODON_INDEX[c] for c in STOP_CODONS]] = True
-_CODON_STRINGS = np.array(CODONS)
+_FASTA_CODE = bytes({**BASE_INDEX, "U": BASE_INDEX["T"], "N": _UNKNOWN}.get(chr(b).upper(), 255)
+                    for b in range(256))
+_ASCII_SPACE = bytes(b for b in range(128) if chr(b).isspace())
+# the codons over the codes 0..4, indexed by 25*i1 + 5*i2 + i3 so that every
+# codon holding an N has an index of its own
+_CODONS5 = [b1 + b2 + b3 for b1 in BASES + "N" for b2 in BASES + "N" for b3 in BASES + "N"]
+_CODON_STRINGS = np.array(_CODONS5)
+_BASE5_OF_CODON = np.array([_CODONS5.index(c) for c in CODONS])
+_HAS_N = np.array(["N" in c for c in _CODONS5])
+# the codons a record's warnings count: N codons and stop codons
+_IS_EVENT = _HAS_N | np.isin(_CODON_STRINGS, STOP_CODONS)
 
 
 class FastaError(ValueError):
@@ -130,66 +147,110 @@ def _illegal_character(lines: list[str], first: int, end: int) -> FastaError:
                 )
 
 
-def _frame(seqs: list[str], frame: int, n_policy: str, headers=None) -> np.ndarray:
-    """Frame the sequences in one array; the indices of the kept codons.
+def _canonical_records(text: str, frame: int, n_policy: str):
+    """The headers and base codes of canonical FASTA text, or None.
 
-    The core of :func:`frame_codons` and :func:`ingest_fasta`.  Returns
-    the canonical index (uint8) of every codon kept, sequence after
-    sequence.  Logs, per sequence and in order, the trailing bases and the
-    N codons dropped and, given the headers, the stop codons before the
-    final kept codon.  The first sequence with fewer than three usable
-    bases, or with an N codon under ``n_policy="error"``, raises after the
-    warnings of the sequences before it.
+    The fast front end of :func:`ingest_fasta`.  Canonical text is ASCII
+    and has a '>' at its start and at the start of every header line, and
+    nowhere else.  Each record body goes through one ``bytes.translate``,
+    which deletes the ASCII whitespace ``str.split`` drops and maps every
+    base to its code and any other byte to 255.  Text that this cannot
+    prove to count cleanly is declined, before anything is logged, and
+    :func:`parse_fasta` reads it: a header line holding another line
+    break, a body holding anything but bases and whitespace, a record with
+    fewer than three usable bases, any N under ``n_policy="error"``, or a
+    frame other than 0, 1 or 2.
     """
+    if not (text.isascii() and text.startswith(">")) or frame not in (0, 1, 2):
+        return None
+    records = text.encode("ascii").split(b">")[1:]
+    # a '>' starts a line when the record before it ends with '\n'
+    if not all(map(bytes.endswith, records[:-1], repeat(b"\n"))):
+        return None
+    lines = [record.partition(b"\n") for record in records]
+    codes = [body.translate(_FASTA_CODE, _ASCII_SPACE) for _, _, body in lines]
+    joined = b"".join(codes)
+    if b"\xff" in joined or min(map(len, codes)) < frame + 3 or (
+            n_policy == "error" and b"\x04" in joined):
+        return None
+    # str.splitlines() finds one line per header unless one holds another break
+    heads = (b"\n".join([head for head, _, _ in lines]) + b"\n").decode("ascii").splitlines()
+    if len(heads) != len(records):
+        return None
+    return [head.strip() for head in heads], codes
+
+
+def _encode(bases: str) -> bytes:
+    """The base codes of a cleaned sequence; 255 for any other character."""
+    return bases.encode("ascii", "replace").translate(_BASE_CODE)
+
+
+def _check_controls(frame: int, n_policy: str) -> None:
     if frame not in (0, 1, 2):
         raise ValueError(f"frame must be 0, 1 or 2, got {frame}")
     if n_policy not in ("drop_codon", "error"):
         raise ValueError(f"unknown n_policy {n_policy!r}")
-    usable = [max(len(s) - frame, 0) for s in seqs]
-    short = next((r for r, n in enumerate(usable) if n < 3), len(seqs))
-    n_codons = np.array(usable[:short], dtype=np.intp) // 3
-    joined = "".join([s[frame:frame + 3 * n] for s, n in zip(seqs, n_codons.tolist())])
-    codes = np.frombuffer(joined.encode("ascii", "replace").translate(_BASE_CODE), dtype=np.uint8)
-    ends = np.cumsum(n_codons)
-    starts = ends - n_codons
-    if (codes > _UNKNOWN).any():
-        at = int(np.argmax(codes > _UNKNOWN))
-        r = int(np.searchsorted(ends, at // 3, side="right"))
-        raise ValueError(
-            f"not a base: {joined[at]!r} at offset {frame + at - 3 * starts[r]}"
-        )
-    first, second, third = codes.reshape(-1, 3).T
-    index = 16 * first + 4 * second + third
-    unknown = (first | second | third) > 3
-    kept = index[~unknown]
-    dropped = np.add.reduceat(unknown, starts)
-    stops = np.add.reduceat(np.take(_IS_STOP, index) & ~unknown, starts)
-    # the final kept codon of a sequence does not count as an early stop
-    n_kept = n_codons - dropped
-    has_kept = n_kept > 0
-    final_stop = np.zeros(short, dtype=bool)
-    final_stop[has_kept] = _IS_STOP[kept[np.cumsum(n_kept)[has_kept] - 1]]
-    early = stops - final_stop
 
-    for r, (n, n_dropped, n_early) in enumerate(zip(usable, dropped.tolist(), early.tolist())):
-        if n % 3:
-            logger.warning("dropping %d trailing base(s) beyond the last codon", n % 3)
-        if n_dropped:
+
+def _frame_codes(records: list[bytes], frame: int, n_policy: str, headers=None) -> np.ndarray:
+    """Frame the records' base codes in one array; the index of every codon framed.
+
+    The core of :func:`frame_codons` and :func:`ingest_fasta`, whichever
+    front end made the codes: one byte per base, A/C/T/G as 0-3 and N as
+    4.  Returns ``25*i1 + 5*i2 + i3`` (uint8) for the codes of every codon
+    framed, record after record, N codons included (``_HAS_N`` marks them).
+    Logs, per record and in order, the trailing bases and the N codons
+    dropped and, given the headers, the stop codons before the final kept
+    codon.  The first record with fewer than three usable bases, or with
+    an N codon under ``n_policy="error"``, raises after the warnings of
+    the records before it.
+    """
+    _check_controls(frame, n_policy)
+    usable = np.fromiter(map(len, records), dtype=np.intp, count=len(records)) - frame
+    too_short = usable < 3
+    short = int(np.argmax(too_short)) if too_short.any() else len(records)
+    n_codons = usable[:short] // 3
+    trailing = usable[:short] % 3
+    framed = records[:short]
+    if frame or trailing.any():
+        framed = [c[frame:frame + 3 * n] for c, n in zip(framed, n_codons.tolist())]
+    first, second, third = np.frombuffer(b"".join(framed), dtype=np.uint8).reshape(-1, 3).T
+    index = 25 * first + 5 * second + third
+    # N codons and stop codons are few: find them, then count them per record
+    at = np.flatnonzero(_IS_EVENT.take(index))
+    unknown = _HAS_N[index[at]]
+    ends = np.cumsum(n_codons)
+    record = np.searchsorted(ends, at, side="right")
+    n_at = at[unknown]
+    dropped = np.bincount(record[unknown], minlength=short)
+    early = np.zeros(short, dtype=np.intp)
+    if headers is not None:
+        stop_at, stop_record = at[~unknown], record[~unknown]
+        # a stop is its record's final kept codon when only N codons follow it
+        n_after = (np.searchsorted(n_at, ends[stop_record])
+                   - np.searchsorted(n_at, stop_at, side="right"))
+        early = np.bincount(stop_record[ends[stop_record] - 1 - stop_at > n_after],
+                            minlength=short)
+
+    for r in np.flatnonzero(trailing | dropped | early).tolist():
+        if trailing[r]:
+            logger.warning("dropping %d trailing base(s) beyond the last codon", int(trailing[r]))
+        if dropped[r]:
             if n_policy == "error":
-                at = frame + 3 * int(np.argmax(unknown[starts[r]:ends[r]]))
-                raise ValueError(
-                    f"codon with unknown base at offset {at}: {seqs[r][at:at + 3]}"
-                )
-            logger.warning("dropped %d codon(s) containing N", n_dropped)
-        if n_early and headers is not None:
+                start = int(ends[r] - n_codons[r])
+                first_n = int(n_at[np.searchsorted(n_at, start)])
+                raise ValueError(f"codon with unknown base at offset "
+                                 f"{frame + 3 * (first_n - start)}: {_CODONS5[index[first_n]]}")
+            logger.warning("dropped %d codon(s) containing N", int(dropped[r]))
+        if early[r]:
             logger.warning(
-                "record %r: %d stop codon(s) before the final codon", headers[r], n_early
+                "record %r: %d stop codon(s) before the final codon", headers[r], int(early[r])
             )
-    if short < len(seqs):
+    if short < len(records):
         raise ValueError(
-            f"fewer than 3 usable bases after frame {frame} ({usable[short]} left)"
+            f"fewer than 3 usable bases after frame {frame} ({max(usable[short], 0)} left)"
         )
-    return kept
+    return index
 
 
 def frame_codons(seq, frame: int = 0, n_policy: str = "drop_codon") -> list[str]:
@@ -202,7 +263,14 @@ def frame_codons(seq, frame: int = 0, n_policy: str = "drop_codon") -> list[str]
     codon holding anything but A/C/G/T/N (a raw string is not cleaned).
     """
     bases = seq.bases if isinstance(seq, RawSequence) else str(seq)
-    return _CODON_STRINGS[_frame([bases], frame, n_policy)].tolist()
+    _check_controls(frame, n_policy)
+    codes = _encode(bases)
+    # only codons are read: skipped leading and dropped trailing bases are not
+    at = codes.find(b"\xff", frame, frame + max(len(codes) - frame, 0) // 3 * 3)
+    if at >= 0:
+        raise ValueError(f"not a base: {bases[at]!r} at offset {at}")
+    index = _frame_codes([codes], frame, n_policy)
+    return _CODON_STRINGS[index[~_HAS_N[index]]].tolist()
 
 
 def count_codons(codons) -> CodonCounts:
@@ -219,12 +287,19 @@ def ingest_fasta(text: str, frame: int = 0, n_policy: str = "drop_codon") -> Cod
     Counting is additive, so the result does not depend on record order.
     Stop codons anywhere before a record's final codon are counted like
     any other codon but logged, since a real gene ends at its single stop.
+    Canonical text goes straight from bytes to base codes; the rest,
+    including every text that raises, goes through :func:`parse_fasta`.
+    The counts, the log records and the errors are the same either way.
     """
-    records = parse_fasta(text)
-    if not records:
-        raise FastaError("no sequences found")
-    kept = _frame([r.bases for r in records], frame, n_policy, [r.header for r in records])
-    return CodonCounts(np.bincount(kept, minlength=64))
+    read = _canonical_records(text, frame, n_policy)
+    if read is None:
+        records = parse_fasta(text)
+        if not records:
+            raise FastaError("no sequences found")
+        read = [r.header for r in records], [_encode(r.bases) for r in records]
+    headers, codes = read
+    index = _frame_codes(codes, frame, n_policy, headers)
+    return CodonCounts(np.bincount(index, minlength=len(_CODONS5))[_BASE5_OF_CODON])
 
 
 def amino_pmf(counts: CodonCounts) -> np.ndarray:

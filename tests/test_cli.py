@@ -239,6 +239,19 @@ def test_data_error_undecodable_fasta(capsys, tmp_path, command):
     assert "data error" in err
 
 
+def test_fasta_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    bom = tmp_path / "bom.fa"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(GENE_A).read_bytes())
+    outputs = []
+    for path in (GENE_A, str(bom)):
+        ingested = run(capsys, "ingest", path)
+        swept = run(capsys, "sweep", "--quantity", "steg_rate", "--q", "1e-3",
+                    "--gamma", "0.1", "--m", "10", "--host", f"fasta:{path}")
+        assert ingested[0] == swept[0] == 0
+        outputs.append((ingested[1], swept[1].replace(path, "PATH")))
+    assert outputs[0] == outputs[1]
+
+
 def test_data_error_out_of_range_parameter(capsys):
     code, _, err = run(capsys, "point", "--quantity", "ncdna",
                        "--q", "1.5", "--gamma", "1", "--m", "1")

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dnacap import sequences
 from dnacap.genetic_code import AMINO_INDEX, CODONS, MULTIPLICITIES, SYNONYM_INDICES
 from dnacap.sequences import (
     CodonCounts,
@@ -375,6 +376,30 @@ def _random_record_lines(rng, name):
     return lines
 
 
+def benchmark_like_fasta(rng):
+    """Records of 300-600 codons wrapped at 50-120, shaped like the benchmark's gene sets."""
+    lines = []
+    for r in range(rng.randint(2, 5)):
+        codons = [rng.choice(CODONS) for _ in range(rng.randint(300, 600))]
+        for _ in range(rng.choice((0, 1, 2))):
+            at = rng.randrange(len(codons))
+            codons[at] = codons[at][:1] + "N" + codons[at][2:]
+        seq = "".join(codons) + "ACGT"[rng.randrange(4)] * rng.choice((0, 0, 0, 1, 2))
+        if rng.random() < 0.2:
+            seq = seq.replace("T", "U")
+        if rng.random() < 0.3:
+            seq = seq.lower()
+        elif rng.random() < 0.2:
+            cut = rng.randrange(len(seq))
+            seq = seq[:cut] + seq[cut:].lower()
+        width = rng.choice((50, 60, 61, 70, 75, 80, 100, 120))
+        lines.append(f">gene_{r} seeded gene {r}")
+        lines += [seq[i:i + width] for i in range(0, len(seq), width)]
+        if rng.random() < 0.2:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
 def random_fasta(rng):
     lines = []
     if rng.random() < 0.05:
@@ -396,6 +421,16 @@ def test_ingestion_matches_per_character_reference(caplog):
     # stops before a final N codon, records of N codons only, a header in
     # the middle of a line and a line separator inside a record
     fixed = [">a\nTAAGCATAANNN\n>b\nNNNANN\n>c\nTGAT\n", ">a\nACGT>b\n", ">a\nAC\u2028GTT\n"]
+    # a header or data after each other line separator, in a body and in a
+    # header line; indented headers; a '>' inside or ending a header line; a
+    # body of blank lines; CRLF; no final newline; a header that str.strip()
+    # empties but bytes.strip() does not
+    for sep in "\r\x0b\x0c\x1c\x85\u2029":
+        fixed += [f">a\nACGTTT{sep}>b\nGGCAAT\n", f">a{sep}>b\nACGTTT\n", f">a{sep}ACG\nTTT\n"]
+    fixed += [">a\nACGTTT\n \t>h\nGGCAAT\n", " \t>h\nACGTTT\n", ">a>b\nACGTTT\n", ">a\nACGTTT\n>",
+              ">a\n\n \n\t\n>b\nACGTTT\n", ">a\r\nTAAGCA\r\nTAANNNG\r\n\r\n>b\r\nACGTTT\r\n",
+              ">a\nACGTTT\n>b\nGGCAAT", ">\x1f\nACGTTT\n"]
+    fixed += [benchmark_like_fasta(rng) for _ in range(10)]
     with caplog.at_level(logging.WARNING, logger="dnacap.sequences"):
         for text in fixed + [random_fasta(rng) for _ in range(400)]:
             parsed = _outcome(caplog, parse_fasta, text)
@@ -415,6 +450,30 @@ def test_ingestion_matches_per_character_reference(caplog):
                                        frame, n_policy)
                         assert new == ref
     assert all(any(o in m for m in messages) for o in OUTCOMES)
+
+
+def test_canonical_text_skips_the_general_parser(monkeypatch, caplog):
+    texts = [(DATA / name).read_text() for name in ("toy_gene_a.fasta", "toy_gene_b.fasta")]
+
+    def general_parser(text):
+        raise AssertionError("canonical text reached parse_fasta")
+
+    monkeypatch.setattr(sequences, "parse_fasta", general_parser)
+    for text, expected in zip(texts, (TOY_A_COUNTS, TOY_B_COUNTS)):
+        counts = ingest_fasta(text)
+        assert {CODONS[i]: int(n) for i, n in enumerate(counts.counts) if n} == expected
+    # a CR-only copy is not canonical: the general parser reads it
+    seen = []
+    monkeypatch.setattr(sequences, "parse_fasta",
+                        lambda text: seen.append(text) or parse_fasta(text))
+    with caplog.at_level(logging.WARNING, logger="dnacap.sequences"):
+        for text in texts:
+            cr_only = text.replace("\n", "\r")
+            new = _outcome(caplog, ingest_fasta, cr_only)
+            ref = _outcome(caplog, reference_ingest_fasta, cr_only)
+            assert new[1:] == ref[1:]
+            assert np.array_equal(new[0].counts, ref[0])
+    assert seen == [text.replace("\n", "\r") for text in texts]
 
 
 def test_frame_codons_rejects_non_bases_in_raw_strings():

@@ -24,9 +24,10 @@ the boundary of the simplex that Blahut-Arimoto only crawls towards.  A
 Newton step drops every input it would push below zero at once: it pins
 them at zero and is solved again for the others, and falls back to the
 step up to the first blocking input (a ratio test) only when that point
-does not raise I.  Synonyms whose channel rows agree to rounding leave
-the Newton system singular; it is solved for one input of each such
-class, and the members share the move equally.
+does not raise I.  A Newton system that LU reports singular (synonyms
+whose channel rows agree to rounding leave it so) gets one minimum-norm
+step, from an SVD of the factor of -H on the moves that keep each group's
+sum, so such synonyms share their move equally.
 
 Conventions
 -----------
@@ -622,16 +623,17 @@ class _Ascent:
         # less each group's largest D: a constant per group drops out on the
         # face, and what is left keeps the digits in which the D_u differ
         grad = mass * (point.div[face] - self.top[groups])
-        return _Model(grad / scale, curvature / scale, groups)
+        return _Model(grad / scale, curvature / scale, groups, rows, point.out, scale)
 
     def _newton_direction(self, model, pinned, move):
         """The KKT step of ``model`` with the moves of the ``pinned`` inputs held fixed.
 
         ``move`` holds those moves; the step holds them and the moves of the
-        other inputs, or is None when they are not finite.  One sum
-        constraint per group: its free inputs take up what its pinned ones
-        give.  Synonyms whose channel rows agree to rounding make the system
-        exactly singular; :func:`_solve_with_copies` solves it.
+        other inputs, or is None when they are not finite or a group has no
+        free input.  One sum constraint per group: its free inputs take up
+        what its pinned ones give.  A system that LU reports singular
+        (synonyms whose channel rows agree to rounding make it so) gets the
+        minimum-norm step of :func:`_minimum_norm_step` instead.
         """
         step = np.where(pinned, move, 0.0)
         free = np.flatnonzero(~pinned)
@@ -647,61 +649,54 @@ class _Ascent:
         try:
             step[free] = np.linalg.solve(kkt, rhs)[:n]
         except np.linalg.LinAlgError:
-            step[free] = _solve_with_copies(kkt, rhs, *model.copies(free))
-        return step if np.isfinite(step).all() else None
+            step = _minimum_norm_step(model, free, step, rhs[n:])
+        return step if step is not None and np.isfinite(step).all() else None
 
 
 class _Model(NamedTuple):
     """The Newton model of I on a face, scaled by max|H|."""
 
     grad: np.ndarray  # h*D_u less the group's largest D
-    curvature: np.ndarray  # -H
+    curvature: np.ndarray  # -H = F @ F.T
     groups: np.ndarray  # the group of every input, numbered 0..k-1
-
-    def copies(self, inputs):
-        """The classes of copies among ``inputs``: each class's first member, each input's class.
-
-        Two inputs of one group are copies when the curvature along a move
-        of mass between them, -(H_uu + H_vv - 2*H_uv), rounds to zero or
-        below: the model cannot tell them apart.  Synonyms whose channel
-        rows agree to rounding (once mu^m falls below the rounding of
-        lambda^m) are copies, even where the matrix product rounds their
-        rows of H differently.  Copies of copies join one class.
-        """
-        curvature = self.curvature[np.ix_(inputs, inputs)]
-        diagonal, groups = curvature.diagonal(), self.groups[inputs]
-        same = ((diagonal[:, None] + diagonal <= curvature + curvature.T)
-                & (groups[:, None] == groups))
-        first = same.argmax(axis=1)  # the first input each is a copy of, itself at least
-        while (first[first] != first).any():
-            first = first[first]
-        return np.unique(first, return_inverse=True)
+    rows: np.ndarray  # h*(p - W_u), so that F = rows/sqrt(p*scale)
+    out: np.ndarray  # p
+    scale: float  # max|H|
 
 
-def _solve_with_copies(kkt, rhs, first, copies):
-    """The moves of a singular KKT system whose inputs fall into classes of copies.
+def _minimum_norm_step(model, free, step, sums):
+    """The minimum-norm step of ``model``, or None when a group has no free input.
 
-    The first ``copies.size`` unknowns are the moves of the inputs,
-    ``copies`` their classes and ``first`` each class's first member.
-    Only the sum of the moves of a class is determined, so the system is
-    solved for one member per class, on the mean of the class's
-    right-hand sides (their D_u agree to rounding), and each member takes
-    an equal share: the least-squares, minimum-norm solution that
-    ``lstsq`` returns, without an SVD.  ``lstsq`` solves a system singular
-    for any other reason.
+    ``step`` holds the moves of the pinned inputs, and ``sums`` what the
+    ``free`` inputs of each group must move in all.  The step is s0 + P*y:
+    s0 holds the pinned moves and spreads each group's sum equally over its
+    free inputs, and P = I - (group mean) projects the free moves onto
+    those that keep every sum (the null-space method; Nocedal and Wright,
+    section 16.2).  With -H = F*F', y maximizes g'*P*y - |B*y + F'*s0|^2/2
+    for B = F_free'*P.  It comes from an SVD of B, the factor of the reduced
+    -H and not its square (Golub and Van Loan, section 5.3), with the
+    singular values at or below max(shape)*eps of the largest dropped, as
+    ``lstsq`` drops them.  P is orthogonal, so the least y gives the least
+    step and copies share their move equally; P is applied to y once more,
+    so every group keeps its sum to rounding.
     """
-    n, k = copies.size, first.size
-    if k < n:
-        keep = np.concatenate([first, np.arange(n, rhs.size)])
-        size = np.bincount(copies)
-        reduced = rhs[keep]
-        reduced[:k] = np.bincount(copies, rhs[:n]) / size
-        try:
-            total = np.linalg.solve(kkt[np.ix_(keep, keep)], reduced)[:k]
-            return total[copies] / size[copies]
-        except np.linalg.LinAlgError:
-            pass
-    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
+    groups = model.groups[free]
+    size = np.bincount(groups, minlength=sums.size)
+    if not size.all():  # its pinned moves cannot be taken up
+        return None
+    size = size[groups]
+    project = np.eye(free.size) - (groups[:, None] == groups) / size
+    known = step.copy()
+    known[free] = sums[groups] / size
+    factor = model.rows * np.divide(1.0, np.sqrt(model.out * model.scale),
+                                    out=np.zeros_like(model.out), where=model.out > 0.0)
+    reduced = project @ factor[free]  # B', one row per free input
+    v, sigma, ut = np.linalg.svd(reduced, full_matrices=False)
+    keep = sigma > sigma[0] * max(reduced.shape) * np.finfo(float).eps
+    v, sigma, ut = v[:, keep], sigma[keep], ut[keep]
+    y = v @ ((v.T @ project @ model.grad[free]) / sigma**2 - (ut @ (factor.T @ known)) / sigma)
+    known[free] += project @ y
+    return known
 
 
 def _check_stop_rule(tol, max_iter) -> None:
@@ -853,18 +848,18 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     side, until the step is feasible; that point costs one evaluation.
     When it does not raise I, the step is cut at the first codon it
     blocks (a ratio test) and backtracked, accepting only points that
-    raise I.  Synonyms whose channel rows agree to rounding make the
-    system singular; it is solved for one codon per class of them, each
-    member taking an equal share (the minimum-norm solution), and
-    ``lstsq`` remains for systems singular for another reason.  A codon
-    at zero is released once the face is nearly optimal.  Where a Newton
-    step raises no point, a BA step is tried, and where that fails too, a
-    step towards each set's codon of largest D_u (Frank-Wolfe): its slope
-    is the gap, so it raises I whenever the run is not certified, and it
-    reaches codons at zero.  The run reports failure to certify
-    (``max_iter`` iterations, one per point tried, or no step that raises
-    I) through ``converged`` and ``gap_bits`` rather than an exception.
-    Aminos the host never emits keep their uniform conditional.
+    raise I.  A system that LU reports singular, as synonyms whose
+    channel rows agree to rounding make it, gets one minimum-norm step
+    from an SVD of the factor of -H, in which such synonyms take equal
+    shares.  A codon at zero is released once the face is nearly
+    optimal.  Where a Newton step raises no point, a BA step is tried,
+    and where that fails too, a step towards each set's codon of largest
+    D_u (Frank-Wolfe): its slope is the gap, so it raises I whenever the
+    run is not certified, and it reaches codons at zero.  The run reports
+    failure to certify (``max_iter`` iterations, one per point tried, or
+    no step that raises I) through ``converged`` and ``gap_bits`` rather
+    than an exception.  Aminos the host never emits keep their uniform
+    conditional.
 
     A point-mass host (one amino of mass 1.0, as in every run of
     :func:`capacity_c`) on a 4-fold or a 2-fold amino builds no channel:

@@ -473,6 +473,8 @@ def main(argv=None) -> int:
                 name, _, path = item.partition("=")
                 if not path:
                     raise UsageError(f"--fasta expects NAME=PATH, got {item!r}")
+                if name in genes:
+                    raise UsageError(f"--fasta names {name!r} more than once")
                 genes[name] = Path(path)
             written = run_figures(args.out, genes)
             sys.stdout.write("".join(f"{args.out / n}\n" for n in written))

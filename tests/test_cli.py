@@ -433,6 +433,17 @@ def test_figures_bad_fasta_argument(capsys, tmp_path):
     assert "NAME=PATH" in err
 
 
+def test_figures_rejects_a_repeated_fasta_name(capsys, tmp_path):
+    # under one name the second gene would replace the first
+    out_dir = tmp_path / "figs"
+    code, _, err = run(capsys, "figures", "--out", str(out_dir),
+                       "--fasta", f"a={DATA / 'toy_gene_a.fasta'}",
+                       "--fasta", f"a={DATA / 'toy_gene_b.fasta'}")
+    assert code == 1
+    assert "--fasta names 'a' more than once" in err
+    assert not out_dir.exists()
+
+
 def test_figures_ingest_each_gene_once(tmp_path, monkeypatch):
     # the numerics are stubbed out: only the host resolution is under test
     from types import SimpleNamespace

@@ -24,10 +24,11 @@ the boundary of the simplex that Blahut-Arimoto only crawls towards.  A
 Newton step drops every input it would push below zero at once: it pins
 them at zero and is solved again for the others, and falls back to the
 step up to the first blocking input (a ratio test) only when that point
-does not raise I.  A Newton system that LU reports singular (synonyms
-whose channel rows agree to rounding leave it so) gets one minimum-norm
-step, from an SVD of the factor of -H on the moves that keep each group's
-sum, so such synonyms share their move equally.
+does not raise I; a direction gets those two trials and is not
+backtracked.  A Newton system that LU reports singular (synonyms whose
+channel rows agree to rounding leave it so) gets one minimum-norm step,
+from an SVD of the factor of -H on the moves that keep each group's sum,
+so such synonyms share their move equally.
 
 Conventions
 -----------
@@ -86,9 +87,10 @@ from .ncdna import _divergence_from_uniform, _excess, capacity_nc, entropy_bits
 
 _LN2 = math.log(2.0)
 _MONOTONE_SLACK = 1e-12
-# bits: the floor of the stop rule, below which a rate prints as zero
+# bits: the floor of the stop rule.  A coding rate below it still prints as
+# computed; only the noncoding capacities clamp to zero (``ncdna._ZERO_DUST``)
 _GAP_FLOOR = 1e-15
-# step halvings along one Newton direction before a BA step is tried
+# step halvings along one Frank-Wolfe direction; a Newton direction is not backtracked
 _BACKTRACKS = 20
 # a rise in I larger than this share of I (about 500 ulps) is read off two
 # values of I.  Their rounding is a few ulps; the kernel's terms err by up to
@@ -403,11 +405,6 @@ class _Ascent:
         self.top, self.gap = self._bound(self.point, self.info)
 
     @functools.cached_property
-    def group(self):
-        """The group of every supported input."""
-        return self.partition.group_of[self.problem.support]
-
-    @functools.cached_property
     def members(self):
         """The members of each emitted group, as positions in the support."""
         members, support = self.partition.members[self.emitted], self.problem.support
@@ -439,7 +436,7 @@ class _Ascent:
 
     def _normalized(self, cond):
         """``cond`` scaled to sum to one over every group."""
-        return cond / (cond.sum() if self.single else np.bincount(self.group, cond)[self.group])
+        return cond / (cond.sum() if self.single else np.bincount(self.dense, cond)[self.dense])
 
     def group_max(self, div, free):
         """max_{u in g, free} D_u for every group g, in nats."""
@@ -536,7 +533,10 @@ class _Ascent:
         with the pinned moves held fixed, until it is feasible (Bertsekas
         1982); those rounds are solves only, and the point costs one
         evaluation.  When it does not raise I, the unprojected step is taken
-        as far as the first input it blocks (a ratio test) and backtracked.
+        as far as the first input it blocks (a ratio test), for one more
+        evaluation: a direction gets at most two trials, and is not
+        backtracked, since :meth:`toward_best` raises I wherever the run
+        is not certified.
         """
         cond, div = self.point.cond, self.point.div
         free = cond > 0.0
@@ -569,24 +569,18 @@ class _Ascent:
                 trial[face] = at + move  # a pinned input is at - at, exactly zero
                 if self._advance(self._normalized(trial)):
                     return True
+        if not self.budget():
+            return False
         # ratio test: the largest step, up to 1, that keeps every input >= 0
         shrink = np.flatnonzero(step < 0.0)
         ratios = at[shrink] / -step[shrink]
         limit = ratios.min() if ratios.size else np.inf
-        alpha, to_bound = min(1.0, limit), limit <= 1.0
-        for _ in range(_BACKTRACKS):
-            if not self.budget():
-                return False
-            moved = np.maximum(at + alpha * step, 0.0)
-            if to_bound:  # the blocking inputs leave the face exactly
-                moved[shrink[ratios == limit]] = 0.0
-            trial = cond.copy()
-            trial[face] = moved
-            if self._advance(self._normalized(trial)):
-                return True
-            alpha *= 0.5
-            to_bound = False
-        return False
+        moved = np.maximum(at + min(1.0, limit) * step, 0.0)
+        if limit <= 1.0:  # the blocking inputs leave the face exactly
+            moved[shrink[ratios == limit]] = 0.0
+        trial = cond.copy()
+        trial[face] = moved
+        return self._advance(self._normalized(trial))
 
     def _projected(self, model, at, pinned, step):
         """``step`` with every input it pushes below zero pinned at zero, or None.
@@ -847,19 +841,19 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     again for the rest, with the pinned mass as the sets' right-hand
     side, until the step is feasible; that point costs one evaluation.
     When it does not raise I, the step is cut at the first codon it
-    blocks (a ratio test) and backtracked, accepting only points that
-    raise I.  A system that LU reports singular, as synonyms whose
-    channel rows agree to rounding make it, gets one minimum-norm step
-    from an SVD of the factor of -H, in which such synonyms take equal
-    shares.  A codon at zero is released once the face is nearly
-    optimal.  Where a Newton step raises no point, a BA step is tried,
-    and where that fails too, a step towards each set's codon of largest
-    D_u (Frank-Wolfe): its slope is the gap, so it raises I whenever the
-    run is not certified, and it reaches codons at zero.  The run reports
-    failure to certify (``max_iter`` iterations, one per point tried, or
-    no step that raises I) through ``converged`` and ``gap_bits`` rather
-    than an exception.  Aminos the host never emits keep their uniform
-    conditional.
+    blocks (a ratio test) and tried once more, taken only if it raises
+    I; a Newton direction is not backtracked.  A system that LU reports
+    singular, as synonyms whose channel rows agree to rounding make it,
+    gets one minimum-norm step from an SVD of the factor of -H, in which
+    such synonyms take equal shares.  A codon at zero is released once
+    the face is nearly optimal.  Where a Newton step raises no point, a
+    BA step is tried, and where that fails too, a step towards each set's
+    codon of largest D_u (Frank-Wolfe): its slope is the gap, so it
+    raises I whenever the run is not certified, and it reaches codons at
+    zero.  The run reports failure to certify (``max_iter`` iterations,
+    one per point tried, or no step that raises I) through ``converged``
+    and ``gap_bits`` rather than an exception.  Aminos the host never
+    emits keep their uniform conditional.
 
     A point-mass host (one amino of mass 1.0, as in every run of
     :func:`capacity_c`) on a 4-fold or a 2-fold amino builds no channel:

@@ -81,13 +81,17 @@ class SweepSpec:
 
 
 def log_m_grid(start: int, stop: int, points: int) -> list[int]:
-    """Log-spaced integer stage counts, duplicates collapsed."""
+    """Log-spaced integer stage counts from ``start`` to ``stop``, duplicates collapsed.
+
+    The ends are set exactly and the points between clipped to them: from
+    about 1e15 up, the points of ``np.logspace`` round past them.
+    """
     if start < 1 or stop < start or points < 1:
         raise UsageError("m range needs 1 <= start <= stop and points >= 1")
     if points == 1:
         return [int(start)]
-    grid = np.logspace(np.log10(start), np.log10(stop), points)
-    return sorted({int(round(g)) for g in grid})
+    inner = np.logspace(np.log10(start), np.log10(stop), points)[1:-1]
+    return sorted({int(start), int(stop), *(min(max(int(round(g)), start), stop) for g in inner)})
 
 
 def _read_text(path: Path) -> str:

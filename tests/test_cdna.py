@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnacap import cdna
+from dnacap import cdna, ncdna
 from dnacap.cdna import (
     SingularSystemError,
     ba_optimize,
@@ -496,6 +496,34 @@ def test_ba_certifies_seeded_many_amino_hosts_in_fewer_iterations(lstsq_calls):
     assert sum(iterations.values()) <= 5300
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_tries_each_direction_at_most_twice_on_sparse_hosts(monkeypatch):
+    # Dirichlet(0.1) hosts emit few aminos, whose optima lie on the boundary;
+    # halving a rejected ratio-test step up to 19 more times took 3434
+    # iterations here (235 for host 88), and up to 21 evaluations per call
+    newton, evaluations = cdna._Ascent.newton, []
+
+    def counted(run):
+        before = run.iterations
+        moved = newton(run)
+        evaluations.append(run.iterations - before)
+        return moved
+    monkeypatch.setattr(cdna._Ascent, "newton", counted)
+    rng = np.random.default_rng(22)
+    iterations = []
+    for _ in range(400):
+        host = rng.dirichlet(np.ones(21) * 0.1)
+        q = 10 ** rng.uniform(-6, -1)
+        params = ChannelParams(q, float(rng.uniform(0.05, 1.0)),
+                               max(1, int(10 ** rng.uniform(-1, 2.5) / q)))
+        result = ba_optimize(host, params)
+        assert result.converged, (len(iterations), params, result.gap_bits)
+        iterations.append(result.iterations)
+    assert sum(iterations) <= 2700
+    assert iterations[88] <= 70
+    assert max(evaluations) <= 2
+
+
 def test_ba_dominates_fixed_conditionals(gene_a, gene_b_host):
     host_a, usage_a = gene_a
     rng = np.random.default_rng(41)
@@ -603,7 +631,19 @@ def test_deterministic_single_codon_aminos_are_zero():
     for amino in ("Met", "Trp"):
         for params in (ChannelParams(0.0, 1.0, 1), ChannelParams(0.3, 0.5, 50)):
             for method in ("ba", "uniform", "linearized"):
-                assert deterministic_rate(amino, params, method).rate == 0.0
+                result = deterministic_rate(amino, params, method)
+                assert result.rate == 0.0 and result.iterations == 0
+
+
+@pytest.mark.parametrize("amino", ["Ser", "Lys", "Ile"])
+def test_deterministic_uniform_method_is_the_uniform_conditional_rate(amino):
+    params = ChannelParams(1e-3, 0.5, 30)
+    result = deterministic_rate(amino, params, "uniform")
+    expected = uniform_conditional_rate(point_mass_host(amino), params)
+    assert result.rate == expected.rate
+    assert result.mutual_information == expected.mutual_information
+    assert np.array_equal(result.conditional, expected.conditional)
+    assert result.iterations == 0 and result.gap_bits is None
 
 
 def test_deterministic_ser_no_mutation():
@@ -842,14 +882,6 @@ def test_channel_cache_stays_bounded_over_a_long_sweep():
 UNIFORM_OPTIMAL = [a for a in AMINO_ACIDS if MULTIPLICITIES[AMINO_INDEX[a]] in (2, 4)]
 
 
-def fresh_start(params, amino):
-    """I and the gap an optimizer run on the point mass at ``amino`` reads at its start."""
-    host = point_mass_host(amino)
-    problem = cdna._Problem(cdna._kimura_channel(params), host[cdna._SYNONYM_SETS.group_of])
-    run = cdna._Ascent(problem, cdna._SYNONYM_SETS, host, cdna.DEFAULT_TOL, 1)
-    return run.info, run.gap
-
-
 def decimal_point_mass_information(amino, q, gamma, m):
     """I(Z;U) in bits of the point mass at ``amino`` under the uniform conditional.
 
@@ -946,8 +978,9 @@ def test_certified_start_returns_the_uniform_conditional():
     params = ChannelParams(1e-3, 0.5, 30)
     result = ba_optimize(point_mass_host("Ala"), params)
     assert result.iterations == 1 and result.converged
-    info, gap = fresh_start(params, "Ala")
-    assert result.mutual_information == info and result.gap_bits == gap
+    # the 4-fold closed form, bit for bit
+    assert result.mutual_information == ncdna._divergence_from_uniform(params)
+    assert result.gap_bits == 0.0
     assert np.array_equal(result.conditional, uniform_conditional())
     result.conditional[:] = -1.0  # callers own what they get back
     assert np.array_equal(ba_optimize(point_mass_host("Ala"), params).conditional,

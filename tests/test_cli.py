@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnacap.cli import log_m_grid, main
+from dnacap.cli import SweepSpec, UsageError, log_m_grid, main
 from dnacap.genetic_code import AMINO_ACIDS
 
 DATA = Path(__file__).parent / "data"
@@ -189,7 +189,49 @@ def test_log_m_grid():
     assert log_m_grid(5, 5, 1) == [5]
 
 
+def test_log_m_grid_ends_at_large_stops_exactly(capsys):
+    # np.logspace ends at 9007199254740982 and at 2**63 + 2048 here
+    assert log_m_grid(1, 2**53 + 1, 2) == [1, 2**53 + 1]
+    grid = log_m_grid(1, 2**63 - 1, 3)
+    assert grid[0] == 1 and grid[-1] == 2**63 - 1 and len(grid) == 3
+    # the point between rounds to 2**63, past the stop
+    assert log_m_grid(2**63 - 2, 2**63 - 1, 3) == [2**63 - 2, 2**63 - 1]
+    code, out, _ = run(capsys, "sweep", "--quantity", "ncdna", "--q", "1e-9",
+                       "--gamma", "1", "--m-range", "1", str(2**63 - 1), "3")
+    assert code == 0
+    assert [row["m"] for row in csv.DictReader(io.StringIO(out))][-1] == str(2**63 - 1)
+
+
 # --- exit codes ----------------------------------------------------------------
+
+SWEEP = ["sweep", "--quantity", "ncdna", "--q", "1e-3", "--gamma", "1"]
+POINT = ["point", "--q", "1e-3", "--gamma", "1", "--m", "1"]
+
+
+@pytest.mark.parametrize("case, message", [
+    (SWEEP + ["--m", "-1"], "m grid must be non-empty with m >= 0"),
+    (SWEEP + ["--m-range", "10", "1", "3"], "m range needs 1 <= start <= stop and points >= 1"),
+    (SWEEP + ["--m-range", "1", "10", "0"], "m range needs 1 <= start <= stop and points >= 1"),
+    (POINT + ["--quantity", "cdna_rate", "--host", "amino:Xyz"], "unknown amino acid 'Xyz'"),
+    (POINT + ["--quantity", "steg_rate", "--host", "amino:Ser"],
+     "steg_rate needs a host with codon usage"),
+    ({"quantity": "bogus", "q": 1e-3, "gamma": 1.0, "m_grid": [1]}, "unknown quantity 'bogus'"),
+    ({"quantity": "ncdna", "q": 1e-3, "gamma": 1.0, "m_grid": [1], "method": "bogus"},
+     "unknown method 'bogus'"),
+    ({"quantity": "ncdna", "q": 1e-3, "gamma": 1.0, "m_grid": [1, 1]},
+     "m grid must be strictly increasing"),
+], ids=["m<0", "start>stop", "points=0", "amino", "steg_point_mass",
+        "spec_quantity", "spec_method", "spec_grid"])
+def test_usage_errors(capsys, case, message):
+    # the last three reach SweepSpec from the API only: the CLI's choices and
+    # its sorted grids stop them first
+    if isinstance(case, dict):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            SweepSpec(**case)
+        return
+    code, _, err = run(capsys, *case)
+    assert code == 1
+    assert message in err
 
 def test_usage_error_unknown_host(capsys):
     code, _, err = run(capsys, "point", "--quantity", "cdna_rate",

@@ -21,14 +21,10 @@ the optimum (Blahut 1972), once the gap is at most ``tol`` times I plus
 takes Blahut-Arimoto steps while each halves the gap, then projected Newton
 steps on the face of inputs of positive conditional, which reach optima on
 the boundary of the simplex that Blahut-Arimoto only crawls towards.  A
-Newton step drops every input it would push below zero at once: it pins
-them at zero and is solved again for the others, and falls back to the
-step up to the first blocking input (a ratio test) only when that point
-does not raise I; a direction gets those two trials and is not
-backtracked.  A Newton system that LU reports singular (synonyms whose
-channel rows agree to rounding leave it so) gets one minimum-norm step,
-from an SVD of the factor of -H on the moves that keep each group's sum,
-so such synonyms share their move equally.
+Newton step pins every input it would push below zero at once, falls back
+to a ratio test only when that point does not raise I, and is not
+backtracked; a singular Newton system gets one minimum-norm step from an
+SVD of the factor of -H (:func:`ba_optimize` gives the details).
 
 Conventions
 -----------
@@ -42,7 +38,11 @@ pmf, as a sum of non-negative terms ``W(z|u) * phi(p(z)/W(z|u) - 1)`` with
 ``p(z) - W(z|u)`` from the form of the channel that holds it to full
 precision: the probabilities where the entry is small (shallow cascades)
 and the deviations from 1/64 elsewhere (deep cascades, whose rates fall
-far below machine epsilon).  Rates keep full relative accuracy at any depth.
+far below machine epsilon).  So I keeps 5e-11 relative accuracy at any depth,
+and the closed forms and the noncoding capacity keep theirs, except Stp's deep
+at small gamma, whose rows differ by less than the tables' rounding.  An optimum
+below 1e-15 bits can be certified by the stop rule's floor alone, and its I
+may read up to 1/9 low.
 
 The kernel's tables for all 64 rows are built once per parameter set and
 read-only; those of the last 32 parameter sets are kept (about 5 MiB), so
@@ -86,9 +86,7 @@ from .mutation_channel import (
 from .ncdna import _divergence_from_uniform, _excess, capacity_nc, entropy_bits
 
 _LN2 = math.log(2.0)
-_MONOTONE_SLACK = 1e-12
-# bits: the floor of the stop rule.  A coding rate below it still prints as
-# computed; only the noncoding capacities clamp to zero (``ncdna._ZERO_DUST``)
+# bits: the floor of the stop rule (``_Ascent._within``) and of no other check
 _GAP_FLOOR = 1e-15
 # step halvings along one Frank-Wolfe direction; a Newton direction is not backtracked
 _BACKTRACKS = 20
@@ -96,6 +94,10 @@ _BACKTRACKS = 20
 # values of I.  Their rounding is a few ulps; the kernel's terms err by up to
 # 5e-11 relative, but smoothly, and at the series cut-off a term is 5e-11*W
 _DECISIVE = 1e-13
+# a Blahut-Arimoto step that lowers I by more than this share of I has a wrong
+# divergence: two values of I each err by up to the kernel's 5e-11.  No floor:
+# where I underflows, the start's gap (<= n*I for n inputs) certifies the run
+_MONOTONE_SLACK = 1e-10
 # Below this |t| the series t**2/2 - t**3/3 of phi(t) is accurate to 5e-11
 # relative; above it t - log1p(t) loses at most 4.4e-11 (log1p rounds by up
 # to 2.2e-16*|t|, against t**2/2), so the cut-off follows from the bounds.
@@ -462,8 +464,7 @@ class _Ascent:
             return False
         rise = trial.info - self.info
         if trusted:
-            # a fall beyond rounding is a wrong divergence
-            if rise < -min(_MONOTONE_SLACK, _MONOTONE_SLACK * abs(self.info) + _GAP_FLOOR):
+            if rise < -_MONOTONE_SLACK * self.info:
                 raise AssertionError(
                     f"Blahut-Arimoto objective decreased: {self.info} -> {trial.info}"
                 )
@@ -669,10 +670,11 @@ def _minimum_norm_step(model, free, step, sums):
     section 16.2).  With -H = F*F', y maximizes g'*P*y - |B*y + F'*s0|^2/2
     for B = F_free'*P.  It comes from an SVD of B, the factor of the reduced
     -H and not its square (Golub and Van Loan, section 5.3), with the
-    singular values at or below max(shape)*eps of the largest dropped, as
-    ``lstsq`` drops them.  P is orthogonal, so the least y gives the least
-    step and copies share their move equally; P is applied to y once more,
-    so every group keeps its sum to rounding.
+    singular values at or below sqrt(max(shape)*eps) of the largest dropped,
+    as ``lstsq`` drops their squares from -H (a cut-off of max(shape)*eps on
+    B keeps rounding noise, and gave steps of 1e14).  P is orthogonal, so
+    the least y gives the least step and copies share their move equally; P
+    is applied to y once more, so every group keeps its sum to rounding.
     """
     groups = model.groups[free]
     size = np.bincount(groups, minlength=sums.size)
@@ -686,7 +688,7 @@ def _minimum_norm_step(model, free, step, sums):
                                     out=np.zeros_like(model.out), where=model.out > 0.0)
     reduced = project @ factor[free]  # B', one row per free input
     v, sigma, ut = np.linalg.svd(reduced, full_matrices=False)
-    keep = sigma > sigma[0] * max(reduced.shape) * np.finfo(float).eps
+    keep = sigma > sigma[0] * math.sqrt(max(reduced.shape) * np.finfo(float).eps)
     v, sigma, ut = v[:, keep], sigma[keep], ut[keep]
     y = v @ ((v.T @ project @ model.grad[free]) / sigma**2 - (ut @ (factor.T @ known)) / sigma)
     known[free] += project @ y

@@ -412,6 +412,24 @@ def test_ba_never_ends_below_its_uniform_start(gene_a, gamma):
         assert ba_optimize(host, params).mutual_information >= start
 
 
+def test_blahut_arimoto_step_that_lowers_i_beyond_the_kernel_error_raises(monkeypatch):
+    # Ser's first step here lowers I = 5.7e-11 bits by 1.9e-12 relative, within
+    # the kernel's error; a fall of 1e-9 relative (5.7e-20 bits) is a wrong
+    # divergence, which an absolute 1e-15-bit slack let pass
+    params = ChannelParams(1e-2, 0.1, 9085)
+    assert ba_optimize(point_mass_host("Ser"), params).converged
+    information, values = cdna._Problem.information, []
+
+    def fallen(problem, cond):
+        point = information(problem, cond)
+        values.append(point.info)
+        return point._replace(info=values[0] * (1.0 - 1e-9)) if len(values) > 1 else point
+    monkeypatch.setattr(cdna._Problem, "information", fallen)
+    with pytest.raises(AssertionError, match="objective decreased"):
+        ba_optimize(point_mass_host("Ser"), params)
+    assert len(values) == 2 and values[0] < 1e-10
+
+
 def test_ba_drops_the_blocking_codons_of_a_many_amino_host_at_once():
     # an active-set step that stops at the first codon it blocks takes 78
     # iterations here, one per codon dropped
@@ -471,6 +489,36 @@ def test_ba_solves_a_singular_system_of_no_copies_without_lstsq(lstsq_calls):
     result = ba_optimize(point_mass_host("Leu"), ChannelParams(1e-2, 0.1, 825))
     assert result.converged
     assert lstsq_calls == []
+
+
+def seeded_sweep_run(seed, index):
+    """Host and parameters of run ``index`` of the seeded sweep below."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        host = rng.dirichlet(np.ones(21) * 0.5)
+        q = 10 ** rng.uniform(-6, -1)
+        params = ChannelParams(q, float(rng.uniform(0.05, 1.0)),
+                               max(1, int(10 ** rng.uniform(-1, 2.5) / q)))
+    return host, params
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_minimum_norm_step_drops_singular_values_of_rounding_size(monkeypatch):
+    # singular values of the reduced factor at 1.8e-14 of the largest, kept
+    # above a max(shape)*eps cut-off, gave a step of 4.5e14 here (16
+    # iterations); lstsq on the KKT system gives 0.367
+    host, params = seeded_sweep_run(5, 107)
+    assert params.m == 2008
+    minimum_norm_step, largest = cdna._minimum_norm_step, []
+
+    def recorded(*args):
+        step = minimum_norm_step(*args)
+        largest.append(np.inf if step is None else np.abs(step).max())
+        return step
+    monkeypatch.setattr(cdna, "_minimum_norm_step", recorded)
+    result = ba_optimize(host, params)
+    assert result.converged and result.iterations <= 13
+    assert largest and max(largest) <= 1.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -443,6 +443,37 @@ def test_figures_certifies_every_optimizer_run(tmp_path, monkeypatch):
                for _, r in runs if r.converged)
 
 
+def test_figures_rows_keep_the_information_inequalities(tmp_path, monkeypatch):
+    # every row of the bundle, none excluded.  A point mass's rate is at most
+    # 3*C_nc (the codon channel is three uses of the base channel; Cover and
+    # Thomas, Thm 2.8.1): 278 rows broke it while capacities below 1e-15
+    # printed as 0.  Its slack, 1e-10 relative, covers the kernel's 5e-11 in I.
+    # A fixed conditional's rate is at most the optimized one, certified to
+    # tol*I with no floor.
+    from dnacap import cdna, cli, ncdna
+    from dnacap.mutation_channel import ChannelParams
+
+    rows = []
+    to_csv = cli.rows_to_csv
+    monkeypatch.setattr(cli, "rows_to_csv", lambda r: rows.extend(r) or to_csv(r))
+    cli.run_figures(tmp_path, {"toyA": DATA / "toy_gene_a.fasta"})
+    assert len(rows) == 3073
+    point_masses = [r for r in rows if r["host"].startswith("amino:")]
+    above_three_capacities = [
+        r for r in point_masses
+        if r["value_bits"] > 3.0 * (1.0 + 1e-10) * ncdna.capacity_nc(
+            ChannelParams(r["q"], r["gamma"], r["m"])).value]
+    assert len(point_masses) == 2208 and above_three_capacities == []
+    key = ("q", "gamma", "m", "host")
+    optimized = {tuple(r[k] for k in key): r["value_bits"] for r in rows
+                 if r["quantity"] == "cdna_rate" and r["method"] == "ba"}
+    fixed = [r for r in rows if r["quantity"] == "steg_rate"
+             or r["method"] in ("uniform", "linearized")]
+    above_optimum = [r for r in fixed if r["value_bits"] > (1.0 + cdna.DEFAULT_TOL)
+                     * optimized[tuple(r[k] for k in key)]]
+    assert len(fixed) == 422 and above_optimum == []
+
+
 def test_figures_builds_each_parameter_set_once_per_file(tmp_path, monkeypatch):
     from dnacap import cdna, cli
 

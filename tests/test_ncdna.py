@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from dnacap import ncdna
 from dnacap.mutation_channel import ChannelParams, base_matrix_power
 from dnacap.ncdna import (
     binary_entropy,
@@ -158,3 +159,38 @@ def decimal_capacity(q, gamma, m):
 def test_capacity_matches_decimal_reference(q, gamma, m):
     assert capacity_nc(ChannelParams(q, gamma, m)).value == pytest.approx(
         decimal_capacity(q, gamma, m), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("q,gamma,m", [
+    (1e-2, 0.001, 1668101), (1e-2, 1.0, 3000), (1e-9, 1.0, 3 * 10**10), (1e-2, 0.1, 20000),
+])
+def test_capacity_below_1e_15_bits_is_returned_as_computed(q, gamma, m):
+    # such capacities printed as 0, below coding rates at the same parameters
+    value = capacity_nc(ChannelParams(q, gamma, m)).value
+    assert 0.0 < value < 1e-15
+    assert value == pytest.approx(decimal_capacity(q, gamma, m), rel=1e-9, abs=0.0)
+
+
+def test_bounds_check_orders_capacities_below_1e_15_bits():
+    lower, value, upper = bounds_check(ChannelParams(1e-2, 0.1, 20000))
+    assert 0.0 < lower < value < 1e-15 < upper
+
+
+@pytest.mark.parametrize("excess, misordered", [(1e-9, True), (1e-14, False)])
+def test_bounds_check_ordering_is_relative(monkeypatch, excess, misordered):
+    # the gamma = 1 bound raised by ``excess`` relative over a capacity of
+    # 2.3e-35 bits: an absolute slack of 1e-12 bits let any excess pass, and
+    # the relative slack passes only rounding
+    capacity, calls = ncdna.capacity_nc, []
+
+    def raised_lower_bound(p):
+        calls.append(p)
+        value = capacity(p).value * (1.0 + excess if len(calls) == 1 else 1.0)
+        return ncdna.CapacityResult(value=value, params=p)
+    monkeypatch.setattr(ncdna, "capacity_nc", raised_lower_bound)
+    params = ChannelParams(1e-2, 1.0, 3000)
+    if misordered:
+        with pytest.raises(AssertionError, match="ordering violated"):
+            bounds_check(params)
+    else:
+        assert bounds_check(params)[1] == capacity(params).value

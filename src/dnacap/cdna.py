@@ -44,19 +44,24 @@ at small gamma, whose rows differ by less than the tables' rounding.  An optimum
 below 1e-15 bits can be certified by the stop rule's floor alone, and its I
 may read up to 1/9 low.
 
-The kernel's tables for all 64 rows are built once per parameter set and
-read-only; those of the last 32 parameter sets are kept (about 5 MiB), so
-sweeps that revisit an m-grid once per host and method build each
-parameter set once.  Each evaluation or optimizer run selects the rows
-of the inputs its host can emit, and uses the tables as they are when it
-can emit every input.  The point masses of 14 aminos need no tables:
-their synonym sets are orbits of the channel's symmetries (the 4-fold
-sets, and the 2-fold transition pairs at the third base), so the uniform
-conditional is optimal and I has a closed form in lam^m and mu^m.  The
-point masses of Ile, Leu, Arg, Ser and Stp run the optimizer as any host
-does.  Sums over synonym sets, such as the check that every block of a
-conditional sums to one, are one ``np.bincount`` over the codon-to-amino
-map.
+The codon channel takes 27 distinct values, one for each triple of
+per-position relations (same base, transition, transversion), so the
+kernel's tables are built once per parameter set on those 27 classes and
+read through a class table of the 64x64 entries.  The kernels of the last
+32 parameter sets are kept, so sweeps that revisit an m-grid once per host
+and method build each parameter set once.  Each evaluation or optimizer
+run selects the rows of the inputs its host can emit: a point mass
+gathers its few rows from the classes, and a host with more inputs takes
+them from tables of all 64 rows, which are gathered once per parameter
+set on first need, kept with its kernel (164 KiB, at most about 5 MiB in
+all) and used as they are when the host can emit every input.  The point
+masses of 14 aminos need no tables: their synonym sets are orbits of the
+channel's symmetries (the 4-fold sets, and the 2-fold transition pairs at
+the third base), so the uniform conditional is optimal and I has a closed
+form in lam^m and mu^m.  The point masses of Ile, Leu, Arg, Ser and Stp
+run the optimizer as any host does.  Sums over synonym sets, such as the
+check that every block of a conditional sums to one, are one
+``np.bincount`` over the codon-to-amino map.
 """
 
 from __future__ import annotations
@@ -76,8 +81,13 @@ from .genetic_code import (
     SYNONYM_INDICES,
     synonym_sums,
 )
-from .mutation_channel import (
+# base_matrix_power, codon_matrix and codon_matrix_deviations build the
+# same channel as a 4x4 and two 64x64 matrices; the kernel needs none of
+# them, but benchmarks/spans.py wraps them here by name
+from .mutation_channel import (  # noqa: F401
+    _CODON_CLASSES,
     ChannelParams,
+    _codon_class_entries,
     _eigenvalue_powers,
     base_matrix_power,
     codon_matrix,
@@ -217,15 +227,15 @@ def _first_unnormalized(sums, host):
 # core engine, generic in the channel and in the synonym partition
 
 
-class _Kernel(NamedTuple):
-    """The divergence kernel's constants for a channel, one row per input.
+class _Tables(NamedTuple):
+    """The divergence kernel's constants for some rows of a channel, one row per input.
 
     ``rows`` holds the probabilities W.  p - W is exact to rounding in the
     probability form where W is small and in the deviation form (W - 1/n
     for n outputs) elsewhere; the absolute errors (about eps*W and
     eps*|W - 1/n|) cross at W = 1/(2n), which sets ``small``.  The float
     tables are the layers of ``packed``, so that selecting the rows of some
-    inputs (:meth:`take`) copies two arrays, not six, and every table
+    inputs (:func:`_gather`) copies two arrays, not six, and every table
     stays contiguous.
     """
 
@@ -237,22 +247,69 @@ class _Kernel(NamedTuple):
     series_below: np.ndarray  # the series cut-off on t**2, zero below 1e-150
     packed: np.ndarray  # the layers W, W - 1/n, entry, inv, series_below
 
-    def take(self, inputs) -> "_Kernel":
-        # np.take keeps every layer contiguous; indexing packed[:, inputs] would not
-        return _unpack(np.take(self.packed, inputs, axis=1), self.small[inputs])
+
+def _gather(layers, small, index) -> _Tables:
+    # np.take keeps every layer contiguous; indexing layers[:, index] would not
+    packed = np.take(layers, index, axis=1)
+    return _Tables(packed[0], small[index], packed[2], packed[:2], packed[3], packed[4], packed)
 
 
-def _unpack(packed, small) -> _Kernel:
-    return _Kernel(packed[0], small, packed[2], packed[:2], packed[3], packed[4], packed)
+# a selection of at most this many rows, as the synonym set of a point mass,
+# is gathered from the classes.  A larger one is copied from the full tables,
+# which are gathered once per channel on first need: a row costs less to copy
+# from them than to gather from the classes, but to build them costs as much
+# as to gather all 64 rows
+_FEW_ROWS = 6
 
 
-def _kernel(matrix, deviations) -> _Kernel:
-    """Kernel tables of a channel given as W and as w, with W = (1 + w)/n."""
-    n_outputs = matrix.shape[1]
+class _Kernel:
+    """The divergence kernel's constants for a channel, on its classes of equal entries.
+
+    ``classes`` holds the five layers of :class:`_Tables` (W, W - 1/n,
+    entry, 1/W and the series cut-off) once for every class, ``small`` the
+    mask of every class, and ``table`` the class of every entry (inputs x
+    outputs).  Every value is computed on its class, so the tables of a row
+    hold the same bits whichever way they are gathered.  All three are
+    read-only, as are the full tables of every row, which are gathered on
+    first need and then kept with the kernel.
+    """
+
+    def __init__(self, classes, small, table):
+        self.classes, self.small, self.table = _read_only((classes, small, table))
+
+    @functools.cached_property
+    def full(self) -> _Tables:
+        """The tables of all rows."""
+        return _read_only(_gather(self.classes, self.small, self.table))
+
+    def take(self, inputs) -> _Tables:
+        """The tables of the rows ``inputs``, increasing input indices.
+
+        All rows are the full tables as they are; up to ``_FEW_ROWS`` rows
+        are gathered from the classes, and more copied from the full tables.
+        """
+        if inputs.size == self.table.shape[0]:
+            return self.full
+        if inputs.size <= _FEW_ROWS:
+            return _gather(self.classes, self.small, self.table[inputs])
+        return _gather(self.full.packed, self.full.small, inputs)
+
+
+def _kernel(matrix, deviations, table=None) -> _Kernel:
+    """Kernel tables of a channel given as W and as w, with W = (1 + w)/n.
+
+    W and w hold one value per class of equal entries, and ``table`` the
+    class of every entry; without a table they are the channel's matrices,
+    and every entry is a class of its own.
+    """
+    if table is None:
+        table = np.arange(matrix.size).reshape(matrix.shape)
+        matrix, deviations = matrix.ravel(), deviations.ravel()
+    n_outputs = table.shape[1]
     offsets = deviations / n_outputs  # W - 1/n
     small = matrix < 0.5 / n_outputs
-    return _unpack(np.stack([matrix, offsets, np.where(small, matrix, offsets),
-                             *_reciprocal(matrix)]), small)
+    return _Kernel(np.stack([matrix, offsets, np.where(small, matrix, offsets),
+                             *_reciprocal(matrix)]), small, table)
 
 
 def _reciprocal(w):
@@ -279,17 +336,21 @@ def _terms(w, num, inv, series_below):
 
 @functools.lru_cache(maxsize=32)
 def _kimura_channel(params: ChannelParams) -> _Kernel:
-    """The kernel tables of the codon channel at ``params``, shared and read-only.
+    """The kernel of the codon channel at ``params``, shared and read-only.
 
-    The tables of the last 32 parameter sets are kept: one entry is five
-    64x64 float layers and the ``small`` mask, 164 KiB, so about 5 MiB in
-    all.  Sweeps revisit one m-grid per host and method, and 32 covers the
-    largest grid of the figures bundle (25 m), so each of its parameter
-    sets is built once.  A least-recently-used cache hits nothing on a cycle
-    longer than ``maxsize``: a sweep over more than 32 m rebuilds every point.
+    The codon channel takes one value per class of codon pairs (27 in
+    all), so the kernel's layers are computed on the 27 classes, and its
+    rows are gathered through the class table.  The kernels of the last 32
+    parameter sets are kept.  One holds 1 KiB of classes, and the full
+    tables (five 64x64 float layers and the ``small`` mask, 164 KiB) once a
+    host with more than a few inputs has needed them, so at most about
+    5 MiB in all.  Sweeps revisit one m-grid per host and method, and 32
+    covers the largest grid of the figures bundle (25 m), so each of its
+    parameter sets is built once.  A least-recently-used cache hits nothing
+    on a cycle longer than ``maxsize``: a sweep over more than 32 m rebuilds
+    every point.
     """
-    return _read_only(_kernel(codon_matrix(base_matrix_power(params)),
-                              codon_matrix_deviations(params)))
+    return _kernel(*_codon_class_entries(params), _CODON_CLASSES)
 
 
 def _read_only(tables):
@@ -331,14 +392,12 @@ class _Problem:
 
     def __init__(self, kernel: _Kernel, mass):
         self.support = np.flatnonzero(mass > 0.0)
-        if self.support.size == mass.size:
-            self.mass, self.kernel = mass, kernel
-        else:
-            self.mass, self.kernel = mass[self.support], kernel.take(self.support)
+        self.mass = mass if self.support.size == mass.size else mass[self.support]
+        self.tables = kernel.take(self.support)
 
     def information(self, cond) -> "_Point":
         """I(Z;U) in bits, D_u in nats for every supported input, p - W and p."""
-        k, p_in = self.kernel, self.mass * cond
+        k, p_in = self.tables, self.mass * cond
         out = p_in @ k.stacked  # p(z), then p(z) - 1/n
         num = np.where(k.small, out[0], out[1]) - k.entry
         div = _terms(k.rows, num, k.inv, k.series_below).sum(axis=-1)
@@ -353,7 +412,7 @@ class _Problem:
         over each group), and p' - p comes from the offsets W - 1/n.
         """
         delta = self.mass * (trial - point.cond)
-        shift = delta @ self.kernel.stacked[1]
+        shift = delta @ self.tables.stacked[1]
         new_out = point.out + shift
         kl = _terms(new_out, -shift, *_reciprocal(new_out)).sum()
         return float(delta @ (point.div - top) - kl) / _LN2
@@ -510,7 +569,7 @@ class _Ascent:
         slope = float((mass * direction) @ (point.div - self.top[self.dense]))
         if not slope > 0.0:  # the gap, lost to rounding
             return False
-        shift = (mass * direction) @ self.problem.kernel.stacked[1]  # the change of p
+        shift = (mass * direction) @ self.problem.tables.stacked[1]  # the change of p
         curvature = float(shift**2 @ np.divide(1.0, point.out, out=np.zeros_like(point.out),
                                                where=point.out > 0.0))
         alpha = min(1.0, slope / curvature) if curvature > 0.0 else 1.0
@@ -939,7 +998,7 @@ def linearized_conditional(amino: str, params: ChannelParams) -> np.ndarray:
     q < 1/2 is always safe for the exact system.
     """
     idx = SYNONYM_INDICES[_amino_index(amino)]
-    rows = _kimura_channel(params).rows[idx]
+    rows = _kimura_channel(params).take(idx).rows
     gram = rows @ rows.T
     if np.linalg.cond(gram) > 1e12:
         raise SingularSystemError(

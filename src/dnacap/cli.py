@@ -410,14 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="evaluate a quantity over a grid of stage counts")
     _add_common(p_sweep)
     group = p_sweep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", type=int, nargs="+", help="explicit stage counts")
+    group.add_argument("--m", type=_integer, nargs="+",
+                       help="explicit stage counts; each an integer such as 10 or 1e5")
     group.add_argument("--m-range", nargs=3, type=_integer,
                        metavar=("START", "STOP", "POINTS"),
                        help="log-spaced integer grid; each value an integer such as 10 or 1e5")
 
     p_point = sub.add_parser("point", help="evaluate a single point, JSON output")
     _add_common(p_point)
-    p_point.add_argument("--m", type=int, required=True)
+    p_point.add_argument("--m", type=_integer, required=True,
+                         help="stage count, an integer such as 10 or 1e5")
 
     p_ingest = sub.add_parser("ingest", help="codon counts and amino pmf from FASTA")
     p_ingest.add_argument("path", type=Path)

@@ -16,7 +16,11 @@ with diagonal entries ``(1 + 2*mu^m + lam^m)/4``, within-category entries
 ``(1 - 2*mu^m + lam^m)/4`` and all remaining entries ``(1 - lam^m)/4``.
 Cascades of any depth therefore cost O(1); iterated multiplication exists
 only as a test oracle.  Codons see the threefold Kronecker product of the
-base matrix.
+base matrix.  A base pair is in one of three relations (same base,
+transition, transversion), so a codon pair is in one of 27 classes, and
+the 64x64 codon channel takes one value per class: ``_CODON_CLASSES``
+holds the class of every entry, and :func:`_codon_class_entries` the
+values.
 """
 
 from __future__ import annotations
@@ -152,6 +156,42 @@ def _kron(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return op(x[:, None, :, None], y[None, :, None, :]).reshape(shape)
 
 
+# the relation of two bases: 0 the same, 1 a transition, 2 a transversion
+_RELATION = _symmetric(0, 1, 2)
+#: the class 9*r1 + 3*r2 + r3 of every codon pair, from its relations at the
+#: three positions
+_CODON_CLASSES = _kron(np.add, _kron(np.add, 9 * _RELATION, 3 * _RELATION), _RELATION)
+_CODON_CLASSES.flags.writeable = False
+
+
+def _by_class(op, x) -> np.ndarray:
+    """``op(op(x[r1], x[r2]), x[r3])`` for every class 9*r1 + 3*r2 + r3.
+
+    The values of the three relations are combined as :func:`_kron`
+    combines the three positions, so every class value has the bits of the
+    64x64 entries of that class.
+    """
+    x = np.asarray(x)
+    return op(op(x[:, None], x).ravel()[:, None], x).ravel()
+
+
+def _combine(x, y):
+    # (1+x)(1+y) - 1, kept in deviation form
+    return x + y + x * y
+
+
+def _codon_class_entries(params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+    """W and w of the 27 codon classes, with W = (1 + w)/64.
+
+    ``W[_CODON_CLASSES]`` is ``codon_matrix(base_matrix_power(params))``
+    and ``w[_CODON_CLASSES]`` is ``codon_matrix_deviations(params)``, bit
+    for bit.
+    """
+    entries, deviations = _stage_entries(params)
+    return (_by_class(np.multiply, np.clip(entries, 0.0, 1.0)),
+            _by_class(_combine, deviations))
+
+
 def codon_matrix_deviations(params: ChannelParams) -> np.ndarray:
     """64x64 matrix w with m-stage codon transition probabilities (1 + w)/64.
 
@@ -160,14 +200,7 @@ def codon_matrix_deviations(params: ChannelParams) -> np.ndarray:
     machine epsilon relative to 1/64 survive.  The rate computations in
     :mod:`dnacap.cdna` rely on this once ``lam**m`` underflows toward zero.
     """
-    _, deviations = _stage_entries(params)
-    dev = _symmetric(*deviations)  # the 4x4 d of base entries (1 + d)/4
-
-    def combine(x, y):
-        # (1+x)(1+y) - 1, kept in deviation form
-        return x + y + x * y
-
-    return _kron(combine, _kron(combine, dev, dev), dev)
+    return _codon_class_entries(params)[1][_CODON_CLASSES]
 
 
 def gamma_from_ti_tv(epsilon: float) -> float:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnacap import cdna, ncdna
+from dnacap import cdna, mutation_channel, ncdna
 from dnacap.cdna import (
     SingularSystemError,
     ba_optimize,
@@ -33,7 +33,12 @@ from dnacap.genetic_code import (
     SYNONYM_INDICES,
     SYNONYMS,
 )
-from dnacap.mutation_channel import ChannelParams, base_matrix_power, codon_matrix
+from dnacap.mutation_channel import (
+    ChannelParams,
+    base_matrix_power,
+    codon_matrix,
+    codon_matrix_deviations,
+)
 from dnacap.ncdna import capacity_nc
 from dnacap.sequences import amino_pmf, codon_usage, ingest_fasta
 
@@ -220,13 +225,10 @@ def test_host_check_clips_rounding_below_zero_only():
     assert np.array_equal(cdna._check_host(list(valid)), valid)
 
 
-def test_linearized_rate_builds_the_channel_once(monkeypatch):
-    builds = []
-    build = cdna.codon_matrix
-    monkeypatch.setattr(cdna, "codon_matrix", lambda base: builds.append(1) or build(base))
+def test_linearized_rate_builds_the_channel_once():
     cdna._kimura_channel.cache_clear()
     deterministic_rate("Ser", ChannelParams(1e-2, 0.1, 30), "linearized")
-    assert len(builds) == 1
+    assert cdna._kimura_channel.cache_info().misses == 1
 
 
 def test_steganographic_rate_checks_the_host_once(gene_a, monkeypatch):
@@ -886,8 +888,8 @@ def fingerprint(result):
 
 
 def test_cached_channel_tables_are_read_only():
-    tables = cdna._kimura_channel(ChannelParams(1e-2, 0.5, 7))
-    for table in tables:
+    kernel = cdna._kimura_channel(ChannelParams(1e-2, 0.5, 7))
+    for table in (kernel.classes, kernel.small, kernel.table, *kernel.full):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[1]
 
@@ -923,6 +925,44 @@ def test_channel_cache_stays_bounded_over_a_long_sweep():
         uniform_conditional_rate(host, ChannelParams(1e-2, 0.5, m))
     info = cdna._kimura_channel.cache_info()
     assert info.currsize <= info.maxsize
+
+
+def kronecker_deviations(params):
+    """The 64x64 codon deviations as threefold Kronecker combines of the 4x4 ones."""
+    _, deviations = mutation_channel._stage_entries(params)
+    dev = mutation_channel._symmetric(*deviations)
+
+    def combine(x, y):
+        return x + y + x * y
+
+    return mutation_channel._kron(combine, mutation_channel._kron(combine, dev, dev), dev)
+
+
+def bits(tables):
+    return [np.asarray(table).tobytes() for table in tables]
+
+
+def test_class_tables_match_the_64x64_tables_bit_for_bit():
+    rng = np.random.default_rng(17)
+    grid = [(10 ** rng.uniform(-9, 0), rng.uniform(0.0, 1.5), int(10 ** rng.uniform(0, 12)))
+            for _ in range(40)]
+    # q, gamma and m at their ends, the deep point, and q = 1, gamma = 3/2 at
+    # odd m, where the diagonal and transition entries are exactly 0
+    grid += [(q, gamma, m) for q in (0.0, 1.0) for gamma in (0.0, 1.5)
+             for m in (0, 1, 2**63 - 1)]
+    grid += [(1e-9, 0.1, 31622776602), (1.0, 1.5, 5)]
+    for q, gamma, m in grid:
+        params = ChannelParams(q, gamma, m)
+        deviations = codon_matrix_deviations(params)
+        assert deviations.tobytes() == kronecker_deviations(params).tobytes(), params
+        reference = cdna._kernel(codon_matrix(base_matrix_power(params)), deviations).full
+        kernel = cdna._kimura_channel(params)
+        assert bits(kernel.full) == bits(reference), params
+        # the rows of every point mass, and of a host with more than a few inputs
+        for idx in (*SYNONYM_INDICES, np.arange(0, 64, 3)):
+            selected = [np.take(table, idx, axis=-2) for table in reference]
+            assert bits(kernel.take(idx)) == bits(selected), (params, idx)
+    assert (cdna._kimura_channel(ChannelParams(1.0, 1.5, 5)).full.rows == 0.0).any()
 
 
 # --- closed forms of the point masses whose uniform conditional is optimal -----
@@ -1007,19 +1047,17 @@ def test_closed_forms_agree_with_a_fresh_optimizer_run():
 
 
 def test_capacity_runs_the_optimizer_for_five_aminos_only(monkeypatch):
-    runs, builds = [], []
-    blahut_arimoto, build = cdna._blahut_arimoto, cdna.codon_matrix
+    runs = []
+    blahut_arimoto = cdna._blahut_arimoto
     monkeypatch.setattr(cdna, "_blahut_arimoto",
                         lambda *args: runs.append(1) or blahut_arimoto(*args))
-    monkeypatch.setattr(cdna, "codon_matrix", lambda base: builds.append(1) or build(base))
     result = capacity_c(ChannelParams(1e-3, 0.5, 30))
     # one iteration for each of the 14 closed forms, 39 for Ile, Leu, Arg, Ser and Stp
     assert result.iterations == 53 and result.converged
     assert len(runs) == 5
     cdna._kimura_channel.cache_clear()
-    builds.clear()
     ba_optimize(point_mass_host("Ala"), ChannelParams(1e-3, 0.5, 30))
-    assert builds == []
+    assert cdna._kimura_channel.cache_info().misses == 0
 
 
 def test_certified_start_returns_the_uniform_conditional():

@@ -131,6 +131,27 @@ def test_sweep_m_range_accepts_integers_in_exponent_form(capsys):
     assert out == plain
 
 
+# --m was read as a plain int, so --m 1e5 exited 1 where --m-range 1e5 ran
+@pytest.mark.parametrize("command", ["sweep", "point"])
+def test_m_accepts_integers_in_exponent_form(capsys, command):
+    common = (command, "--quantity", "ncdna", "--q", "1e-2", "--gamma", "1", "--m")
+    _, plain, _ = run(capsys, *common, "100000")
+    code, out, _ = run(capsys, *common, "1e5")
+    assert code == 0
+    assert out == plain
+
+
+@pytest.mark.parametrize("command", ["sweep", "point"])
+@pytest.mark.parametrize("value", ["1.9", "inf", "a"])
+def test_m_rejects_non_integers_as_usage_errors(capsys, command, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--quantity", "ncdna", "--q", "1e-2", "--gamma", "1", "--m", value])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected an integer, got {value!r}" in captured.err
+
+
 # --tol -1 and --max-iter 0 used to exit 2 as data errors, and --tol nan to
 # run 10000 iterations and exit 0
 @pytest.mark.parametrize("option, value, message", [
@@ -477,15 +498,15 @@ def test_figures_rows_keep_the_information_inequalities(tmp_path, monkeypatch):
 def test_figures_builds_each_parameter_set_once_per_file(tmp_path, monkeypatch):
     from dnacap import cdna, cli
 
-    builds = []
-    build = cdna.codon_matrix
-    monkeypatch.setattr(cdna, "codon_matrix", lambda base: builds.append(1) or build(base))
+    def builds():
+        return cdna._kimura_channel.cache_info().misses
+
     per_file = []  # (builds made for the file, its distinct coding (q, gamma, m))
     to_csv = cli.rows_to_csv
 
     def recording_to_csv(rows):
         coding = {(r["q"], r["gamma"], r["m"]) for r in rows if r["quantity"] != "ncdna"}
-        per_file.append((len(builds) - sum(made for made, _ in per_file), len(coding)))
+        per_file.append((builds() - sum(made for made, _ in per_file), len(coding)))
         return to_csv(rows)
 
     monkeypatch.setattr(cli, "rows_to_csv", recording_to_csv)
@@ -496,7 +517,7 @@ def test_figures_builds_each_parameter_set_once_per_file(tmp_path, monkeypatch):
     expected = {name: 0 if name.startswith("ncdna") else 18 if name.startswith("det_methods")
                 else 25 for name in written}
     assert {name: made for name, (made, _) in counts.items()} == expected
-    assert len(builds) == 243
+    assert builds() == 243
 
 
 def test_figures_bad_fasta_argument(capsys, tmp_path):

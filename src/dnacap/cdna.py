@@ -50,11 +50,11 @@ kernel's tables are built once per parameter set on those 27 classes and
 read through a class table of the 64x64 entries.  The kernels of the last
 32 parameter sets are kept, so sweeps that revisit an m-grid once per host
 and method build each parameter set once.  Each evaluation or optimizer
-run selects the rows of the inputs its host can emit: a point mass
-gathers its few rows from the classes, and a host with more inputs takes
-them from tables of all 64 rows, which are gathered once per parameter
-set on first need, kept with its kernel (164 KiB, at most about 5 MiB in
-all) and used as they are when the host can emit every input.  The point
+run selects the rows of the inputs its host can emit, by one of two
+rules: a host that can emit every input reads the tables of all 64 rows,
+which are gathered once per parameter set on first need and kept with its
+kernel (164 KiB, at most about 5 MiB in all), and any other host, as a
+point mass, gathers its rows from the classes.  The point
 masses of 14 aminos need no tables: their synonym sets are orbits of the
 channel's symmetries (the 4-fold sets, and the 2-fold transition pairs at
 the third base), so the uniform conditional is optimal and I has a closed
@@ -234,9 +234,8 @@ class _Tables(NamedTuple):
     probability form where W is small and in the deviation form (W - 1/n
     for n outputs) elsewhere; the absolute errors (about eps*W and
     eps*|W - 1/n|) cross at W = 1/(2n), which sets ``small``.  The float
-    tables are the layers of ``packed``, so that selecting the rows of some
-    inputs (:func:`_gather`) copies two arrays, not six, and every table
-    stays contiguous.
+    tables are layers of one array gathered from the classes
+    (:func:`_gather`), so every table stays contiguous.
     """
 
     rows: np.ndarray
@@ -245,21 +244,12 @@ class _Tables(NamedTuple):
     stacked: np.ndarray  # [W, W - 1/n] as two layers: p_in @ stacked = [p, p - 1/n]
     inv: np.ndarray  # 1/W, zero below 1e-150
     series_below: np.ndarray  # the series cut-off on t**2, zero below 1e-150
-    packed: np.ndarray  # the layers W, W - 1/n, entry, inv, series_below
 
 
 def _gather(layers, small, index) -> _Tables:
     # np.take keeps every layer contiguous; indexing layers[:, index] would not
-    packed = np.take(layers, index, axis=1)
-    return _Tables(packed[0], small[index], packed[2], packed[:2], packed[3], packed[4], packed)
-
-
-# a selection of at most this many rows, as the synonym set of a point mass,
-# is gathered from the classes.  A larger one is copied from the full tables,
-# which are gathered once per channel on first need: a row costs less to copy
-# from them than to gather from the classes, but to build them costs as much
-# as to gather all 64 rows
-_FEW_ROWS = 6
+    taken = np.take(layers, index, axis=1)
+    return _Tables(taken[0], small[index], taken[2], taken[:2], taken[3], taken[4])
 
 
 class _Kernel:
@@ -270,8 +260,8 @@ class _Kernel:
     mask of every class, and ``table`` the class of every entry (inputs x
     outputs).  Every value is computed on its class, so the tables of a row
     hold the same bits whichever way they are gathered.  All three are
-    read-only, as are the full tables of every row, which are gathered on
-    first need and then kept with the kernel.
+    read-only, as are the tables of all rows, which are gathered on first
+    need and then kept with the kernel.
     """
 
     def __init__(self, classes, small, table):
@@ -285,26 +275,20 @@ class _Kernel:
     def take(self, inputs) -> _Tables:
         """The tables of the rows ``inputs``, increasing input indices.
 
-        All rows are the full tables as they are; up to ``_FEW_ROWS`` rows
-        are gathered from the classes, and more copied from the full tables.
+        All rows are the full tables as they are; any other selection, as
+        the synonym set of a point mass, is gathered from the classes.
         """
         if inputs.size == self.table.shape[0]:
             return self.full
-        if inputs.size <= _FEW_ROWS:
-            return _gather(self.classes, self.small, self.table[inputs])
-        return _gather(self.full.packed, self.full.small, inputs)
+        return _gather(self.classes, self.small, self.table[inputs])
 
 
-def _kernel(matrix, deviations, table=None) -> _Kernel:
+def _kernel(matrix, deviations, table) -> _Kernel:
     """Kernel tables of a channel given as W and as w, with W = (1 + w)/n.
 
     W and w hold one value per class of equal entries, and ``table`` the
-    class of every entry; without a table they are the channel's matrices,
-    and every entry is a class of its own.
+    class of every entry (inputs x outputs).
     """
-    if table is None:
-        table = np.arange(matrix.size).reshape(matrix.shape)
-        matrix, deviations = matrix.ravel(), deviations.ravel()
     n_outputs = table.shape[1]
     offsets = deviations / n_outputs  # W - 1/n
     small = matrix < 0.5 / n_outputs
@@ -343,8 +327,8 @@ def _kimura_channel(params: ChannelParams) -> _Kernel:
     rows are gathered through the class table.  The kernels of the last 32
     parameter sets are kept.  One holds 1 KiB of classes, and the full
     tables (five 64x64 float layers and the ``small`` mask, 164 KiB) once a
-    host with more than a few inputs has needed them, so at most about
-    5 MiB in all.  Sweeps revisit one m-grid per host and method, and 32
+    host that can emit every input has needed them, so at most about 5 MiB
+    in all.  Sweeps revisit one m-grid per host and method, and 32
     covers the largest grid of the figures bundle (25 m), so each of its
     parameter sets is built once.  A least-recently-used cache hits nothing
     on a cycle longer than ``maxsize``: a sweep over more than 32 m rebuilds
@@ -392,7 +376,7 @@ class _Problem:
 
     def __init__(self, kernel: _Kernel, mass):
         self.support = np.flatnonzero(mass > 0.0)
-        self.mass = mass if self.support.size == mass.size else mass[self.support]
+        self.mass = mass[self.support]
         self.tables = kernel.take(self.support)
 
     def information(self, cond) -> "_Point":
@@ -468,9 +452,7 @@ class _Ascent:
     @functools.cached_property
     def members(self):
         """The members of each emitted group, as positions in the support."""
-        members, support = self.partition.members[self.emitted], self.problem.support
-        full = support.size == self.partition.group_of.size
-        return members if full else np.searchsorted(support, members)
+        return np.searchsorted(self.problem.support, self.partition.members[self.emitted])
 
     @functools.cached_property
     def dense(self):
@@ -823,7 +805,9 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
     mass = _nonnegative(host_mass, "host mass")
     if abs(host_mass.sum() - 1.0) > 1e-9:
         raise ValueError(f"host mass sums to {host_mass.sum()}, expected 1")
-    kernel = _kernel(channel, channel.shape[1] * channel - 1.0)
+    entries = channel.ravel()  # every entry is a class of its own
+    kernel = _kernel(entries, channel.shape[1] * entries - 1.0,
+                     np.arange(entries.size).reshape(channel.shape))
     return _blahut_arimoto(kernel, _partition(members, channel.shape[0]), mass,
                            tol, max_iter)
 

@@ -147,19 +147,19 @@ def _resolve_host(spec: SweepSpec):
             raise UsageError(f"unknown amino acid {name!r}")
         resolved = (cdna.point_mass_host(name), None, source)
     elif source.startswith("fasta:"):
-        text = _read_text(Path(source.split(":", 1)[1]))
-        counts = sequences.ingest_fasta(text, frame=spec.frame)
-        resolved = (
-            sequences.amino_pmf(counts),
-            sequences.codon_usage(counts),
-            source,
-        )
+        resolved = (*_gene_host(Path(source.split(":", 1)[1]), spec.frame), source)
     else:
         raise UsageError(
             f"host must be 'uniform', 'amino:NAME' or 'fasta:PATH', got {source!r}"
         )
     spec._host_cache[key] = resolved
     return resolved
+
+
+def _gene_host(path: Path, frame: int):
+    """(host_pmf, usage) of the gene in the FASTA file at ``path``."""
+    counts = sequences.ingest_fasta(_read_text(path), frame=frame)
+    return sequences.amino_pmf(counts), sequences.codon_usage(counts)
 
 
 def _point_value(spec: SweepSpec, m: int):
@@ -278,7 +278,7 @@ def run_ingest(path: Path, frame: int, fmt: str, out: Path | None) -> str:
 
 
 def _figure_specs(genes: dict[str, Path]) -> dict[str, list[SweepSpec]]:
-    gene_hosts = [f"fasta:{p}" for p in genes.values()]
+    gene_hosts = [f"fasta:{name}" for name in genes]
     coding_hosts = ["uniform", "amino:Ser"] + gene_hosts
     multi = [a for a in AMINO_ACIDS if MULTIPLICITY[a] >= 2]
     bundle: dict[str, list[SweepSpec]] = {}
@@ -315,9 +315,12 @@ def _figure_specs(genes: dict[str, Path]) -> dict[str, list[SweepSpec]]:
         for a in ("Ser", "Leu")
         for meth in ("ba", "linearized", "uniform")
     ]
-    # one host cache for the whole bundle: each gene file is read, ingested
-    # and warned about once
-    host_cache = {}
+    # one host cache for the whole bundle, which holds each gene under its
+    # name (at frame 0, as every spec here reads), so no row depends on where
+    # the file lies: each gene file is read, ingested and warned about once
+    at_path = {path: _gene_host(path, 0) for path in dict.fromkeys(genes.values())}
+    host_cache = {(f"fasta:{name}", 0): (*at_path[path], f"fasta:{name}")
+                  for name, path in genes.items()}
     for specs in bundle.values():
         for spec in specs:
             spec._host_cache = host_cache
@@ -431,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figures", help="emit the whole CSV bundle of capacity/rate curves")
     p_fig.add_argument("--out", type=Path, default=Path("figures_csv"))
     p_fig.add_argument("--fasta", action="append", default=[], metavar="NAME=PATH",
-                       help="add a gene host to the coding-DNA figures (repeatable)")
+                       help="add a gene host to the coding-DNA figures, its rows "
+                            "labelled fasta:NAME (repeatable)")
     return parser
 
 

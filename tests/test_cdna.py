@@ -877,6 +877,12 @@ def test_ba_partitioned_zero_mass_group_keeps_uniform_conditional():
     result = ba_partitioned(channel, groups, np.array([1.0, 0.0]), tol=1e-14)
     assert np.allclose(result.conditional[groups[1]], 0.5, atol=1e-15)
     assert result.host_entropy == 0.0
+    # the run on the rows of the emitted group, gathered from the classes,
+    # is the run on the channel without the other group's rows
+    alone = ba_partitioned(channel[groups[0]], [np.arange(2)], np.array([1.0]), tol=1e-14)
+    assert result.mutual_information.hex() == alone.mutual_information.hex()
+    assert result.conditional[groups[0]].tobytes() == alone.conditional.tobytes()
+    assert result.iterations == alone.iterations == 21
 
 
 # --- cached channel tables -----------------------------------------------------
@@ -955,14 +961,24 @@ def test_class_tables_match_the_64x64_tables_bit_for_bit():
         params = ChannelParams(q, gamma, m)
         deviations = codon_matrix_deviations(params)
         assert deviations.tobytes() == kronecker_deviations(params).tobytes(), params
-        reference = cdna._kernel(codon_matrix(base_matrix_power(params)), deviations).full
+        matrix = codon_matrix(base_matrix_power(params))
+        entries = np.arange(matrix.size).reshape(matrix.shape)  # each entry its own class
+        reference = cdna._kernel(matrix.ravel(), deviations.ravel(), entries).full
         kernel = cdna._kimura_channel(params)
         assert bits(kernel.full) == bits(reference), params
-        # the rows of every point mass, and of a host with more than a few inputs
-        for idx in (*SYNONYM_INDICES, np.arange(0, 64, 3)):
+        # the rows of every point mass, and of hosts of 7, 22 and all 64 inputs
+        for idx in (*SYNONYM_INDICES, np.arange(7), np.arange(0, 64, 3), np.arange(64)):
             selected = [np.take(table, idx, axis=-2) for table in reference]
             assert bits(kernel.take(idx)) == bits(selected), (params, idx)
     assert (cdna._kimura_channel(ChannelParams(1.0, 1.5, 5)).full.rows == 0.0).any()
+    # a host of every input reads the kept full tables themselves; the point
+    # masses of the capacity search never gather them
+    params = ChannelParams(1e-2, 0.5, 7)
+    cdna._kimura_channel.cache_clear()
+    capacity_c(params)
+    kernel = cdna._kimura_channel(params)
+    assert "full" not in vars(kernel)
+    assert cdna._Problem(kernel, np.full(64, 1.0 / 64)).tables is kernel.full
 
 
 # --- closed forms of the point masses whose uniform conditional is optimal -----

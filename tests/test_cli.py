@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shutil
 import stat
 from pathlib import Path
 
@@ -558,8 +559,28 @@ def test_figures_ingest_each_gene_once(tmp_path, monkeypatch):
         monkeypatch.setattr(cdna, name, lambda *args, **kwargs: result)
     monkeypatch.setattr(ncdna, "capacity_nc", lambda *args, **kwargs: result)
     genes = {"a": DATA / "toy_gene_a.fasta", "b": DATA / "toy_gene_b.fasta"}
-    cli.run_figures(tmp_path, genes)
+    cli.run_figures(tmp_path, {**genes, "a again": genes["a"]})
     assert sorted(ingested) == sorted(path.read_text() for path in genes.values())
+
+
+def test_figures_label_each_gene_by_its_name(tmp_path):
+    # the same gene at two paths under one name gives the same bundle, and
+    # two names of one file give two hosts
+    from dnacap import cli
+
+    moved = tmp_path / "elsewhere" / "gene.fa"
+    moved.parent.mkdir()
+    shutil.copy(GENE_A, moved)
+    bundles = [tmp_path / "here", tmp_path / "there"]
+    for out_dir, gene in zip(bundles, (Path(GENE_A), moved)):
+        cli.run_figures(out_dir, {"toy": gene})
+    names = sorted(p.name for p in bundles[0].iterdir())
+    assert names == sorted(p.name for p in bundles[1].iterdir())
+    assert all((bundles[0] / n).read_bytes() == (bundles[1] / n).read_bytes() for n in names)
+    bundle = cli._figure_specs({"a": moved, "b": moved})
+    hosts = {cli._resolve_host(spec)[2] for specs in bundle.values() for spec in specs
+             if spec.host_source.startswith("fasta:")}
+    assert hosts == {"fasta:a", "fasta:b"}
 
 
 # --- output files -----------------------------------------------------------------

@@ -187,17 +187,18 @@ def _nonnegative(values, name: str) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def _check_host(host) -> np.ndarray:
+def _check_host(host, size=21, name="host pmf") -> np.ndarray:
+    """``host`` as a pmf of ``size`` entries, clipped at zero; ``name`` heads each error."""
     host = np.asarray(host, dtype=float)
-    if host.shape != (21,):
-        raise ValueError(f"host pmf must have shape (21,), got {host.shape}")
+    if host.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {host.shape}")
     # a valid pmf, as every host the package builds, needs no clip: NaN
     # fails min >= 0 and an infinite entry one of the two tests
     if host.min() >= 0.0 and abs(host.sum() - 1.0) <= 1e-9:
         return host
-    clipped = _nonnegative(host, "host pmf")
+    clipped = _nonnegative(host, name)
     if abs(host.sum() - 1.0) > 1e-9:
-        raise ValueError(f"host pmf sums to {host.sum()}, expected 1")
+        raise ValueError(f"{name} sums to {host.sum()}, expected 1")
     return clipped
 
 
@@ -427,9 +428,11 @@ def _rate_result(info, cond, iterations, converged, host_entropy, gap_bits=None)
 class _Ascent:
     """The optimizer's state: the accepted point, its I and gap, the budget.
 
-    Every trial point costs one iteration, and I never falls.  A Newton
-    trial is accepted only when it raises I; near the optimum I moves less
-    than its own rounding, so there the trial is judged by its exact gain
+    Every trial point costs one iteration, and I never falls.
+    :meth:`_advance` alone enforces the budget of ``max_iter`` iterations:
+    once it is spent, every trial is refused unevaluated.  A Newton trial
+    is accepted only when it raises I; near the optimum I moves less than
+    its own rounding, so there the trial is judged by its exact gain
     (:meth:`_Problem.gain`), and I is the last value read plus the gains
     accepted since.  The inputs of positive conditional are free; one at
     zero stays there until :meth:`newton` releases it or
@@ -491,6 +494,8 @@ class _Ascent:
     def _advance(self, cond, trusted=False) -> bool:
         """Move to ``cond`` if that raises I; one iteration either way.
 
+        Once ``max_iter`` iterations are spent it returns False without
+        evaluating or counting ``cond``; no step checks the budget itself.
         A rise of more than ``_DECISIVE*I`` is read off the two values of
         I.  Within that band of rounding a trial whose own gap certifies it
         is taken; otherwise the exact gain decides, which keeps its accuracy
@@ -499,6 +504,8 @@ class _Ascent:
         values show within their rounding.  A move taken within rounding
         keeps I from falling.
         """
+        if not self.budget():
+            return False
         self.iterations += 1
         trial = self.problem.information(cond)
         if not math.isfinite(trial.info):  # an output no free input reaches
@@ -529,6 +536,7 @@ class _Ascent:
 
         ``trusted`` takes it as it is (a run of BA steps judged by the
         gap); otherwise it must show a rise, like a Newton trial.
+        :meth:`_advance` alone enforces the budget.
         """
         point = self.point
         largest = self.top[0] if self.single else self.top.max()
@@ -542,6 +550,7 @@ class _Ascent:
         the gap, so a short enough step raises I whenever the run is not
         certified; unlike a Blahut-Arimoto step it reaches inputs at zero.
         The step starts at the maximum of I's quadratic model, up to 1.
+        :meth:`_advance` alone enforces the budget.
         """
         point, mass = self.point, self.problem.mass
         best = (np.argmax(point.div, keepdims=True) if self.single else
@@ -556,8 +565,6 @@ class _Ascent:
                                                where=point.out > 0.0))
         alpha = min(1.0, slope / curvature) if curvature > 0.0 else 1.0
         for _ in range(_BACKTRACKS):
-            if not self.budget():
-                return False
             if self._advance(self._normalized(point.cond + alpha * direction)):
                 return True
             alpha *= 0.5
@@ -578,7 +585,7 @@ class _Ascent:
         as far as the first input it blocks (a ratio test), for one more
         evaluation: a direction gets at most two trials, and is not
         backtracked, since :meth:`toward_best` raises I wherever the run
-        is not certified.
+        is not certified.  :meth:`_advance` alone enforces the budget.
         """
         cond, div = self.point.cond, self.point.div
         free = cond > 0.0
@@ -604,15 +611,13 @@ class _Ascent:
                 break
             pinned |= blocked  # released, but the step would push it below zero
             step[blocked] = 0.0
-        if (at + step < 0.0).any() and self.budget():
+        if (at + step < 0.0).any():
             move = self._projected(model, at, pinned, step)
             if move is not None:
                 trial = cond.copy()
                 trial[face] = at + move  # a pinned input is at - at, exactly zero
                 if self._advance(self._normalized(trial)):
                     return True
-        if not self.budget():
-            return False
         # ratio test: the largest step, up to 1, that keeps every input >= 0
         shrink = np.flatnonzero(step < 0.0)
         ratios = at[shrink] / -step[shrink]
@@ -764,8 +769,7 @@ def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
             gap = run.gap
             blahut = run.ba_step(trusted=True) and run.gap <= 0.5 * gap
             continue
-        if not (run.newton() or (run.budget() and run.ba_step())
-                or (run.budget() and run.toward_best())):
+        if not (run.newton() or run.ba_step() or run.toward_best()):
             break
     full = partition.start.copy()  # uniform where the host has no mass
     full[run.problem.support] = run.point.cond
@@ -799,12 +803,7 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
         raise ValueError(
             f"groups must be non-empty and hold every input of 0..{channel.shape[0] - 1} once"
         )
-    host_mass = np.asarray(host_mass, dtype=float)
-    if host_mass.shape != (len(members),):
-        raise ValueError(f"host mass must have shape ({len(members)},), got {host_mass.shape}")
-    mass = _nonnegative(host_mass, "host mass")
-    if abs(host_mass.sum() - 1.0) > 1e-9:
-        raise ValueError(f"host mass sums to {host_mass.sum()}, expected 1")
+    mass = _check_host(host_mass, len(members), "host mass")
     entries = channel.ravel()  # every entry is a class of its own
     kernel = _kernel(entries, channel.shape[1] * entries - 1.0,
                      np.arange(entries.size).reshape(channel.shape))

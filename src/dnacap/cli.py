@@ -29,7 +29,7 @@ import numpy as np
 
 from . import cdna, ncdna, sequences
 from .genetic_code import AMINO_ACIDS, MULTIPLICITY
-from .mutation_channel import ChannelParams
+from .mutation_channel import _MAX_STAGES, ChannelParams
 
 QUANTITIES = ("ncdna", "cdna_rate", "capacity", "steg_rate")
 METHODS = ("ba", "uniform", "linearized")
@@ -76,6 +76,8 @@ class SweepSpec:
             raise UsageError(f"unknown method {self.method!r}")
         if not self.m_grid or any(m < 0 for m in self.m_grid):
             raise UsageError("m grid must be non-empty with m >= 0")
+        if max(self.m_grid) > _MAX_STAGES:
+            raise UsageError(f"m must be at most {_MAX_STAGES}, got {max(self.m_grid)}")
         if any(b <= a for a, b in zip(self.m_grid, self.m_grid[1:])):
             raise UsageError("m grid must be strictly increasing")
 
@@ -481,7 +483,7 @@ def main(argv=None) -> int:
             genes = {}
             for item in args.fasta:
                 name, _, path = item.partition("=")
-                if not path:
+                if not name or not path:
                     raise UsageError(f"--fasta expects NAME=PATH, got {item!r}")
                 if name in genes:
                     raise UsageError(f"--fasta names {name!r} more than once")

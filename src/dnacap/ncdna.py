@@ -44,13 +44,6 @@ def entropy_bits(pmf: np.ndarray) -> float:
     return float(-(p[mask] * np.log2(p[mask])).sum())
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy of a Bernoulli(p) variable in bits, with 0*log(0) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    return entropy_bits([p, 1.0 - p])
-
-
 def row_entropy(params: ChannelParams) -> float:
     """Entropy in bits of any row of the m-stage base transition matrix."""
     return entropy_bits(base_matrix_power(params)[0])
@@ -104,7 +97,7 @@ def capacity_nc_gamma0(q: float, m: int) -> float:
     and the large-m capacity limit is 1 bit/base instead of 0.
     """
     (_, within, _), _ = _stage_entries(ChannelParams(q, 0.0, m))  # validates q and m
-    return 2.0 - binary_entropy(within)  # at least 1 bit: no cancellation
+    return 2.0 - entropy_bits([within, 1.0 - within])  # at least 1 bit: no cancellation
 
 
 def bounds_check(params: ChannelParams) -> tuple[float, float, float]:

@@ -493,15 +493,19 @@ def test_ba_solves_a_singular_system_of_no_copies_without_lstsq(lstsq_calls):
     assert lstsq_calls == []
 
 
+def seeded_runs(seed, count, concentration=0.5):
+    """Hosts and parameters of the first ``count`` runs of a seeded sweep below."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        host = rng.dirichlet(np.ones(21) * concentration)
+        q = 10 ** rng.uniform(-6, -1)
+        yield host, ChannelParams(q, float(rng.uniform(0.05, 1.0)),
+                                  max(1, int(10 ** rng.uniform(-1, 2.5) / q)))
+
+
 def seeded_sweep_run(seed, index):
     """Host and parameters of run ``index`` of the seeded sweep below."""
-    rng = np.random.default_rng(seed)
-    for _ in range(index + 1):
-        host = rng.dirichlet(np.ones(21) * 0.5)
-        q = 10 ** rng.uniform(-6, -1)
-        params = ChannelParams(q, float(rng.uniform(0.05, 1.0)),
-                               max(1, int(10 ** rng.uniform(-1, 2.5) / q)))
-    return host, params
+    return list(seeded_runs(seed, index + 1))[-1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -531,13 +535,8 @@ def test_ba_certifies_seeded_many_amino_hosts_in_fewer_iterations(lstsq_calls):
     # left 2 of them uncertified, and 11 of these 1000 in all
     iterations = {}
     for seed, hosts in ((7, 200), (11, 400), (5, 400)):
-        rng = np.random.default_rng(seed)
         iterations[seed] = 0
-        for _ in range(hosts):
-            host = rng.dirichlet(np.ones(21) * 0.5)
-            q = 10 ** rng.uniform(-6, -1)
-            params = ChannelParams(q, float(rng.uniform(0.05, 1.0)),
-                                   max(1, int(10 ** rng.uniform(-1, 2.5) / q)))
+        for host, params in seeded_runs(seed, hosts):
             result = ba_optimize(host, params)
             assert result.converged, (seed, params, result.gap_bits, result.mutual_information)
             iterations[seed] += result.iterations
@@ -559,19 +558,45 @@ def test_newton_tries_each_direction_at_most_twice_on_sparse_hosts(monkeypatch):
         evaluations.append(run.iterations - before)
         return moved
     monkeypatch.setattr(cdna._Ascent, "newton", counted)
-    rng = np.random.default_rng(22)
     iterations = []
-    for _ in range(400):
-        host = rng.dirichlet(np.ones(21) * 0.1)
-        q = 10 ** rng.uniform(-6, -1)
-        params = ChannelParams(q, float(rng.uniform(0.05, 1.0)),
-                               max(1, int(10 ** rng.uniform(-1, 2.5) / q)))
+    for host, params in seeded_runs(22, 400, concentration=0.1):
         result = ba_optimize(host, params)
         assert result.converged, (len(iterations), params, result.gap_bits)
         iterations.append(result.iterations)
     assert sum(iterations) <= 2700
     assert iterations[88] <= 70
     assert max(evaluations) <= 2
+
+
+@pytest.mark.parametrize("seed, index, full", [(5, 228, 7), (11, 27, 9)])
+def test_budget_stops_a_run_at_every_evaluation(seed, index, full):
+    # each run takes a Newton direction with two trials and a Frank-Wolfe
+    # step, so some budgets end inside newton and some inside toward_best
+    host, params = seeded_sweep_run(seed, index)
+    whole = ba_optimize(host, params)
+    assert whole.converged and whole.iterations == full
+    for max_iter in range(1, full + 3):
+        result = ba_optimize(host, params, max_iter=max_iter)
+        assert result.iterations == min(max_iter, full)
+        assert result.converged == (max_iter >= full)
+        info = evaluate_rate(host, result.conditional, params).mutual_information
+        assert info == pytest.approx(result.mutual_information, rel=1e-12)
+        if max_iter >= full:
+            assert np.array_equal(result.conditional, whole.conditional)
+            assert result.mutual_information == whole.mutual_information
+
+
+def test_ba_information_within_the_point_mass_bound_on_seeded_hosts():
+    # invariant 4: I(Z;U) = I(Z;X') + I(Z;U|X') <= H(X') + sum_x' p(x')*C_x',
+    # with C_x' the optimum of the point mass on x'; every C_x' and I are
+    # certified to tol relative
+    for seed, hosts, concentration in ((7, 200, 0.5), (22, 100, 0.1)):
+        for host, params in seeded_runs(seed, hosts, concentration):
+            info = ba_optimize(host, params).mutual_information
+            bound = entropy_bits(host) + sum(
+                host[ai] * deterministic_rate(amino, params).mutual_information
+                for ai, amino in enumerate(AMINO_ACIDS) if host[ai] > 0.0)
+            assert info <= bound * (1.0 + cdna.DEFAULT_TOL), (seed, params, info, bound)
 
 
 def test_ba_dominates_fixed_conditionals(gene_a, gene_b_host):

@@ -232,6 +232,10 @@ POINT = ["point", "--q", "1e-3", "--gamma", "1", "--m", "1"]
 
 @pytest.mark.parametrize("case, message", [
     (SWEEP + ["--m", "-1"], "m grid must be non-empty with m >= 0"),
+    (SWEEP + ["--m", "5", "1e19"], "m must be at most 9223372036854775807"),
+    (SWEEP + ["--m-range", "1", "9223372036854775808", "3"],
+     "m must be at most 9223372036854775807, got 9223372036854775808"),
+    (["point", *SWEEP[1:], "--m", "1e19"], "m must be at most 9223372036854775807"),
     (SWEEP + ["--m-range", "10", "1", "3"], "m range needs 1 <= start <= stop and points >= 1"),
     (SWEEP + ["--m-range", "1", "10", "0"], "m range needs 1 <= start <= stop and points >= 1"),
     (POINT + ["--quantity", "cdna_rate", "--host", "amino:Xyz"], "unknown amino acid 'Xyz'"),
@@ -242,8 +246,8 @@ POINT = ["point", "--q", "1e-3", "--gamma", "1", "--m", "1"]
      "unknown method 'bogus'"),
     ({"quantity": "ncdna", "q": 1e-3, "gamma": 1.0, "m_grid": [1, 1]},
      "m grid must be strictly increasing"),
-], ids=["m<0", "start>stop", "points=0", "amino", "steg_point_mass",
-        "spec_quantity", "spec_method", "spec_grid"])
+], ids=["m<0", "m>2**63-1", "m_range>2**63-1", "point_m>2**63-1", "start>stop", "points=0",
+        "amino", "steg_point_mass", "spec_quantity", "spec_method", "spec_grid"])
 def test_usage_errors(capsys, case, message):
     # the last three reach SweepSpec from the API only: the CLI's choices and
     # its sorted grids stop them first
@@ -522,10 +526,13 @@ def test_figures_builds_each_parameter_set_once_per_file(tmp_path, monkeypatch):
 
 
 def test_figures_bad_fasta_argument(capsys, tmp_path):
-    code, _, err = run(capsys, "figures", "--out", str(tmp_path / "x"),
-                       "--fasta", "justaname")
-    assert code == 1
-    assert "NAME=PATH" in err
+    # an empty NAME would label the gene's rows "fasta:"
+    for argument in ("justaname", f"={DATA / 'toy_gene_a.fasta'}"):
+        code, _, err = run(capsys, "figures", "--out", str(tmp_path / "x"),
+                           "--fasta", argument)
+        assert code == 1
+        assert "NAME=PATH" in err
+        assert not (tmp_path / "x").exists()
 
 
 def test_figures_rejects_a_repeated_fasta_name(capsys, tmp_path):

@@ -6,11 +6,11 @@ import pytest
 from dnacap import ncdna
 from dnacap.mutation_channel import ChannelParams, base_matrix_power
 from dnacap.ncdna import (
-    binary_entropy,
     bounds_check,
     capacity_nc,
     capacity_nc_gamma0,
     cutoff_estimate,
+    entropy_bits,
     row_entropy,
 )
 
@@ -78,7 +78,7 @@ def test_gamma0_closed_form_examples():
     assert capacity_nc_gamma0(0.01, 10**6) == pytest.approx(1.0, abs=1e-6)
     # oracle: direct binary-entropy evaluation at q=1/4, m=1
     assert capacity_nc_gamma0(0.25, 1) == pytest.approx(
-        2.0 - binary_entropy(0.75), abs=1e-15
+        2.0 - entropy_bits([0.75, 0.25]), abs=1e-15
     )
     assert capacity_nc_gamma0(0.25, 1) == pytest.approx(1.188721875540867, abs=1e-12)
 
@@ -130,12 +130,11 @@ def test_cutoff_estimate():
         cutoff_estimate(0.01, -0.5)
 
 
-def test_binary_entropy_range():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        binary_entropy(1.5)
+def test_entropy_bits_of_a_bit():
+    # 0*log(0) counts as 0
+    assert entropy_bits([0.0, 1.0]) == 0.0
+    assert entropy_bits([1.0, 0.0]) == 0.0
+    assert entropy_bits([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
 
 
 def decimal_capacity(q, gamma, m):

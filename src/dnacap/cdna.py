@@ -967,7 +967,7 @@ def steganographic_rate(host_codon_usage, host, params: ChannelParams) -> RateRe
         )
     # unreachable blocks are filled uniformly, to keep them valid pmfs
     usage = np.where(blocks[AMINO_OF_CODON] <= 0.0, _SYNONYM_SETS.start, usage)
-    return _evaluate(host, _nonnegative(usage, "conditional"), params)
+    return _evaluate(host, _nonnegative(usage, "codon usage"), params)
 
 
 def linearized_conditional(amino: str, params: ChannelParams) -> np.ndarray:

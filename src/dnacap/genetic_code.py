@@ -118,24 +118,3 @@ def translate(codons) -> list[str]:
     """Map a codon sequence to its amino-acid sequence."""
     return [codon_to_amino(c) for c in codons]
 
-
-_EXPECTED_MULTIPLICITY = {
-    "Ala": 4, "Arg": 6, "Asn": 2, "Asp": 2, "Cys": 2, "Gln": 2, "Glu": 2,
-    "Gly": 4, "His": 2, "Ile": 3, "Leu": 6, "Lys": 2, "Met": 1, "Phe": 2,
-    "Pro": 4, "Ser": 6, "Thr": 4, "Trp": 1, "Tyr": 2, "Val": 4, "Stp": 3,
-}
-
-
-def _check_table() -> None:
-    # Import-time self-check: the code is fixed data, so a typo in the
-    # table should refuse to load rather than corrupt every result.
-    if MULTIPLICITY != _EXPECTED_MULTIPLICITY:
-        raise AssertionError("genetic code table: multiplicity mismatch")
-    seen = [c for a in AMINO_ACIDS for c in SYNONYMS[a]]
-    if len(seen) != 64 or len(set(seen)) != 64:
-        raise AssertionError("genetic code table: synonym sets must partition the 64 codons")
-    if set(seen) != set(CODONS):
-        raise AssertionError("genetic code table: unknown codon present")
-
-
-_check_table()

@@ -147,7 +147,7 @@ def _illegal_character(lines: list[str], first: int, end: int) -> FastaError:
                 )
 
 
-def _canonical_records(text: str, frame: int, n_policy: str):
+def _canonical_records(text: str, frame: int):
     """The headers and base codes of canonical FASTA text, or None.
 
     The fast front end of :func:`ingest_fasta`.  Canonical text is ASCII
@@ -158,8 +158,7 @@ def _canonical_records(text: str, frame: int, n_policy: str):
     prove to count cleanly is declined, before anything is logged, and
     :func:`parse_fasta` reads it: a header line holding another line
     break, a body holding anything but bases and whitespace, a record with
-    fewer than three usable bases, any N under ``n_policy="error"``, or a
-    frame other than 0, 1 or 2.
+    fewer than three usable bases, or a frame other than 0, 1 or 2.
     """
     if not (text.isascii() and text.startswith(">")) or frame not in (0, 1, 2):
         return None
@@ -169,9 +168,7 @@ def _canonical_records(text: str, frame: int, n_policy: str):
         return None
     lines = [record.partition(b"\n") for record in records]
     codes = [body.translate(_FASTA_CODE, _ASCII_SPACE) for _, _, body in lines]
-    joined = b"".join(codes)
-    if b"\xff" in joined or min(map(len, codes)) < frame + 3 or (
-            n_policy == "error" and b"\x04" in joined):
+    if b"\xff" in b"".join(codes) or min(map(len, codes)) < frame + 3:
         return None
     # str.splitlines() finds one line per header unless one holds another break
     heads = (b"\n".join([head for head, _, _ in lines]) + b"\n").decode("ascii").splitlines()
@@ -185,14 +182,12 @@ def _encode(bases: str) -> bytes:
     return bases.encode("ascii", "replace").translate(_BASE_CODE)
 
 
-def _check_controls(frame: int, n_policy: str) -> None:
+def _check_frame(frame: int) -> None:
     if frame not in (0, 1, 2):
         raise ValueError(f"frame must be 0, 1 or 2, got {frame}")
-    if n_policy not in ("drop_codon", "error"):
-        raise ValueError(f"unknown n_policy {n_policy!r}")
 
 
-def _frame_codes(records: list[bytes], frame: int, n_policy: str, headers=None) -> np.ndarray:
+def _frame_codes(records: list[bytes], frame: int, headers=None) -> np.ndarray:
     """Frame the records' base codes in one array; the index of every codon framed.
 
     The core of :func:`frame_codons` and :func:`ingest_fasta`, whichever
@@ -201,11 +196,10 @@ def _frame_codes(records: list[bytes], frame: int, n_policy: str, headers=None) 
     framed, record after record, N codons included (``_HAS_N`` marks them).
     Logs, per record and in order, the trailing bases and the N codons
     dropped and, given the headers, the stop codons before the final kept
-    codon.  The first record with fewer than three usable bases, or with
-    an N codon under ``n_policy="error"``, raises after the warnings of
-    the records before it.
+    codon.  The first record with fewer than three usable bases raises
+    after the warnings of the records before it.
     """
-    _check_controls(frame, n_policy)
+    _check_frame(frame)
     usable = np.fromiter(map(len, records), dtype=np.intp, count=len(records)) - frame
     too_short = usable < 3
     short = int(np.argmax(too_short)) if too_short.any() else len(records)
@@ -236,11 +230,6 @@ def _frame_codes(records: list[bytes], frame: int, n_policy: str, headers=None) 
         if trailing[r]:
             logger.warning("dropping %d trailing base(s) beyond the last codon", int(trailing[r]))
         if dropped[r]:
-            if n_policy == "error":
-                start = int(ends[r] - n_codons[r])
-                first_n = int(n_at[np.searchsorted(n_at, start)])
-                raise ValueError(f"codon with unknown base at offset "
-                                 f"{frame + 3 * (first_n - start)}: {_CODONS5[index[first_n]]}")
             logger.warning("dropped %d codon(s) containing N", int(dropped[r]))
         if early[r]:
             logger.warning(
@@ -253,23 +242,22 @@ def _frame_codes(records: list[bytes], frame: int, n_policy: str, headers=None) 
     return index
 
 
-def frame_codons(seq, frame: int = 0, n_policy: str = "drop_codon") -> list[str]:
+def frame_codons(seq, frame: int = 0) -> list[str]:
     """Group a sequence into codons for one of the three reading frames.
 
     Skips ``frame`` leading bases and chunks the rest into triplets; the
-    1-2 trailing leftover bases are dropped (logged).  Codons containing
-    N are dropped under ``n_policy="drop_codon"`` or raise under
-    ``"error"``.  Fewer than three usable bases is an error, and so is a
+    1-2 trailing leftover bases and the codons containing N are dropped
+    (logged).  Fewer than three usable bases is an error, and so is a
     codon holding anything but A/C/G/T/N (a raw string is not cleaned).
     """
     bases = seq.bases if isinstance(seq, RawSequence) else str(seq)
-    _check_controls(frame, n_policy)
+    _check_frame(frame)
     codes = _encode(bases)
     # only codons are read: skipped leading and dropped trailing bases are not
     at = codes.find(b"\xff", frame, frame + max(len(codes) - frame, 0) // 3 * 3)
     if at >= 0:
         raise ValueError(f"not a base: {bases[at]!r} at offset {at}")
-    index = _frame_codes([codes], frame, n_policy)
+    index = _frame_codes([codes], frame)
     return _CODON_STRINGS[index[~_HAS_N[index]]].tolist()
 
 
@@ -281,7 +269,7 @@ def count_codons(codons) -> CodonCounts:
     return CodonCounts(counts)
 
 
-def ingest_fasta(text: str, frame: int = 0, n_policy: str = "drop_codon") -> CodonCounts:
+def ingest_fasta(text: str, frame: int = 0) -> CodonCounts:
     """Parse, frame, and count all records of a FASTA text, aggregated.
 
     Counting is additive, so the result does not depend on record order.
@@ -291,14 +279,14 @@ def ingest_fasta(text: str, frame: int = 0, n_policy: str = "drop_codon") -> Cod
     including every text that raises, goes through :func:`parse_fasta`.
     The counts, the log records and the errors are the same either way.
     """
-    read = _canonical_records(text, frame, n_policy)
+    read = _canonical_records(text, frame)
     if read is None:
         records = parse_fasta(text)
         if not records:
             raise FastaError("no sequences found")
         read = [r.header for r in records], [_encode(r.bases) for r in records]
     headers, codes = read
-    index = _frame_codes(codes, frame, n_policy, headers)
+    index = _frame_codes(codes, frame, headers)
     return CodonCounts(np.bincount(index, minlength=len(_CODONS5))[_BASE5_OF_CODON])
 
 
@@ -309,24 +297,18 @@ def amino_pmf(counts: CodonCounts) -> np.ndarray:
     return synonym_sums(counts.counts) / counts.total
 
 
-def codon_usage(counts: CodonCounts, zero_policy: str = "uniform_fill") -> np.ndarray:
+def codon_usage(counts: CodonCounts) -> np.ndarray:
     """Empirical synonymous-codon usage, one pmf per synonym set.
 
     Returned as a length-64 vector (entry u is the usage of codon u within
-    its own synonym set).  Sets with no observed codons are filled
-    uniformly under ``zero_policy="uniform_fill"`` or raise under
-    ``"error"``.
+    its own synonym set).  A set with no observed codon gets uniform
+    usage.
     """
-    if zero_policy not in ("uniform_fill", "error"):
-        raise ValueError(f"unknown zero_policy {zero_policy!r}")
     if counts.total < 1:
         raise ValueError("cannot build codon usage from empty codon counts")
-    totals = synonym_sums(counts.counts)
-    empty = totals <= 0
-    if zero_policy == "error" and empty.any():
-        raise ValueError(f"no codons observed for {AMINO_ACIDS[int(np.argmax(empty))]}")
-    return np.divide(counts.counts, totals[AMINO_OF_CODON],
-                     out=1.0 / MULTIPLICITIES[AMINO_OF_CODON], where=~empty[AMINO_OF_CODON])
+    totals = synonym_sums(counts.counts)[AMINO_OF_CODON]
+    return np.divide(counts.counts, totals, out=1.0 / MULTIPLICITIES[AMINO_OF_CODON],
+                     where=totals > 0)
 
 
 def amino_pmf_to_csv(pmf: np.ndarray) -> str:

@@ -700,6 +700,23 @@ def test_steganographic_rejects_inconsistent_usage(gene_a):
         steganographic_rate(broken, host, ChannelParams(0.01, 1.0, 1))
 
 
+@pytest.mark.parametrize("ser_usage", [
+    [np.nan, 0.2, 0.2, 0.2, 0.2, 0.2],
+    [-0.5, 0.5, 0.25, 0.25, 0.25, 0.25],
+], ids=["nan", "negative"])
+def test_steganographic_usage_errors_name_the_usage(ser_usage):
+    usage = uniform_conditional()
+    usage[_SER] = ser_usage
+    with pytest.raises(ValueError, match="^codon usage has "):
+        steganographic_rate(usage, point_mass_host("Ser"), _PARAMS)
+
+
+def test_steganographic_rejects_usage_of_the_wrong_shape():
+    message = "codon usage must have shape (64,), got (63,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        steganographic_rate(np.full(63, 1 / 3), point_mass_host("Ser"), _PARAMS)
+
+
 # --- deterministic hosts -------------------------------------------------------
 
 def test_deterministic_single_codon_aminos_are_zero():
@@ -744,6 +761,12 @@ def test_deterministic_rate_monotone_in_m():
 def test_deterministic_rejects_unknown_method():
     with pytest.raises(ValueError):
         deterministic_rate("Ser", ChannelParams(0.01, 1.0, 1), method="magic")
+
+
+@pytest.mark.parametrize("call", [deterministic_rate, linearized_conditional])
+def test_point_mass_rates_reject_unknown_aminos(call):
+    with pytest.raises(ValueError, match="^unknown amino acid: 'Xyz'$"):
+        call("Xyz", _PARAMS)
 
 
 @pytest.mark.parametrize("amino", ["Met", "Trp"])

@@ -239,6 +239,8 @@ POINT = ["point", "--q", "1e-3", "--gamma", "1", "--m", "1"]
     (SWEEP + ["--m-range", "10", "1", "3"], "m range needs 1 <= start <= stop and points >= 1"),
     (SWEEP + ["--m-range", "1", "10", "0"], "m range needs 1 <= start <= stop and points >= 1"),
     (POINT + ["--quantity", "cdna_rate", "--host", "amino:Xyz"], "unknown amino acid 'Xyz'"),
+    (["sweep", "--quantity", "cdna_rate", "--q", "1e-2", "--gamma", "0.1", "--m", "1", "10",
+      "--host", "amino:Xyz"], "dnacap: error: unknown amino acid 'Xyz'"),
     (POINT + ["--quantity", "steg_rate", "--host", "amino:Ser"],
      "steg_rate needs a host with codon usage"),
     ({"quantity": "bogus", "q": 1e-3, "gamma": 1.0, "m_grid": [1]}, "unknown quantity 'bogus'"),
@@ -247,7 +249,7 @@ POINT = ["point", "--q", "1e-3", "--gamma", "1", "--m", "1"]
     ({"quantity": "ncdna", "q": 1e-3, "gamma": 1.0, "m_grid": [1, 1]},
      "m grid must be strictly increasing"),
 ], ids=["m<0", "m>2**63-1", "m_range>2**63-1", "point_m>2**63-1", "start>stop", "points=0",
-        "amino", "steg_point_mass", "spec_quantity", "spec_method", "spec_grid"])
+        "amino", "sweep_amino", "steg_point_mass", "spec_quantity", "spec_method", "spec_grid"])
 def test_usage_errors(capsys, case, message):
     # the last three reach SweepSpec from the API only: the CLI's choices and
     # its sorted grids stop them first
@@ -258,6 +260,8 @@ def test_usage_errors(capsys, case, message):
     code, _, err = run(capsys, *case)
     assert code == 1
     assert message in err
+    # a sweep passes a usage error on without the grid point in front
+    assert not re.search(r"at m=\d+:", err)
 
 def test_usage_error_unknown_host(capsys):
     code, _, err = run(capsys, "point", "--quantity", "cdna_rate",
@@ -351,6 +355,15 @@ def test_strict_flags_non_convergence_of_capacity(capsys):
                        "--max-iter", "1", "--strict")
     assert code == 3
     assert "converge" in err
+
+
+def test_sweep_strict_error_keeps_its_own_message(capsys):
+    code, _, err = run(capsys, "sweep", "--quantity", "cdna_rate", "--q", "1e-2",
+                       "--gamma", "0.1", "--m", "825", "2154", "--host", "amino:Ser",
+                       "--max-iter", "1", "--strict")
+    assert code == 3
+    assert "numerical failure: optimizer did not converge at m=825" in err
+    assert "at m=825:" not in err
 
 
 def test_strict_error_names_the_gap(capsys):

@@ -109,14 +109,10 @@ def test_frame_codons_too_short():
 def test_frame_codons_invalid_arguments():
     with pytest.raises(ValueError):
         frame_codons("ACGACG", frame=3)
-    with pytest.raises(ValueError):
-        frame_codons("ACGACG", n_policy="whatever")
 
 
-def test_frame_codons_n_policies():
-    assert frame_codons("ACGANGTTT", n_policy="drop_codon") == ["ACG", "TTT"]
-    with pytest.raises(ValueError, match="unknown base"):
-        frame_codons("ACGANGTTT", n_policy="error")
+def test_frame_codons_drops_n_codons():
+    assert frame_codons("ACGANGTTT") == ["ACG", "TTT"]
 
 
 # --- counting and distributions ------------------------------------------------
@@ -151,18 +147,15 @@ def test_codon_usage_within_synonym_set():
     assert np.allclose(usage[ser], [0, 0, 0.75, 0.25, 0, 0], atol=1e-15)
 
 
-def test_codon_usage_zero_policies():
-    counts = count_codons(["TAT"])
-    usage = codon_usage(counts, zero_policy="uniform_fill")
+def test_codon_usage_fills_unobserved_sets_uniformly():
+    usage = codon_usage(count_codons(["TAT"]))
     ser = SYNONYM_INDICES[AMINO_INDEX["Ser"]]
     assert np.allclose(usage[ser], 1.0 / 6, atol=1e-15)
-    with pytest.raises(ValueError, match="no codons observed"):
-        codon_usage(counts, zero_policy="error")
-    # the message names the first empty synonym set, in amino order
-    with pytest.raises(ValueError, match=r"^no codons observed for Asn$"):
-        codon_usage(count_codons(["GCA", "AGA", "TAT"]), zero_policy="error")
-    with pytest.raises(ValueError):
-        codon_usage(counts, zero_policy="nonsense")
+
+
+def test_codon_usage_requires_counts():
+    with pytest.raises(ValueError, match="^cannot build codon usage from empty codon counts$"):
+        codon_usage(CodonCounts())
 
 
 def test_codon_usage_uniform_counts_are_uniform():
@@ -292,11 +285,9 @@ def reference_parse_fasta(text):
     return records
 
 
-def reference_frame_codons(bases, frame=0, n_policy="drop_codon"):
+def reference_frame_codons(bases, frame=0):
     if frame not in (0, 1, 2):
         raise ValueError(f"frame must be 0, 1 or 2, got {frame}")
-    if n_policy not in ("drop_codon", "error"):
-        raise ValueError(f"unknown n_policy {n_policy!r}")
     usable = bases[frame:]
     if len(usable) < 3:
         raise ValueError(f"fewer than 3 usable bases after frame {frame} ({len(usable)} left)")
@@ -308,8 +299,6 @@ def reference_frame_codons(bases, frame=0, n_policy="drop_codon"):
     for i in range(0, len(usable) - 2, 3):
         codon = usable[i:i + 3]
         if "N" in codon:
-            if n_policy == "error":
-                raise ValueError(f"codon with unknown base at offset {frame + i}: {codon}")
             dropped_n += 1
             continue
         codons.append(codon)
@@ -318,13 +307,13 @@ def reference_frame_codons(bases, frame=0, n_policy="drop_codon"):
     return codons
 
 
-def reference_ingest_fasta(text, frame=0, n_policy="drop_codon"):
+def reference_ingest_fasta(text, frame=0):
     records = reference_parse_fasta(text)
     if not records:
         raise FastaError("no sequences found")
     counts = np.zeros(64, dtype=np.int64)
     for record in records:
-        codons = reference_frame_codons(record.bases, frame=frame, n_policy=n_policy)
+        codons = reference_frame_codons(record.bases, frame=frame)
         early_stops = sum(c in ("TAA", "TAG", "TGA") for c in codons[:-1])
         if early_stops:
             _REF_LOGGER.warning("record %r: %d stop codon(s) before the final codon",
@@ -412,7 +401,7 @@ def random_fasta(rng):
 
 # every error and warning the reader has; the seeded inputs must reach each
 OUTCOMES = ("before any '>'", "has no sequence data", "illegal character", "fewer than 3",
-            "unknown base", "trailing base", "containing N", "before the final codon")
+            "trailing base", "containing N", "before the final codon")
 
 
 def test_ingestion_matches_per_character_reference(caplog):
@@ -436,19 +425,17 @@ def test_ingestion_matches_per_character_reference(caplog):
             parsed = _outcome(caplog, parse_fasta, text)
             assert parsed == _outcome(caplog, reference_parse_fasta, text)
             for frame in (0, 1, 2):
-                for n_policy in ("drop_codon", "error"):
-                    new = _outcome(caplog, ingest_fasta, text, frame, n_policy)
-                    ref = _outcome(caplog, reference_ingest_fasta, text, frame, n_policy)
-                    assert new[1:] == ref[1:]
-                    if ref[0] is not None:
-                        assert np.array_equal(new[0].counts, ref[0])
-                    messages.update(message for _, _, message in ref[2])
-                    messages.add(ref[1][1] if ref[1] else "")
-                    for record in parsed[0] or []:
-                        new = _outcome(caplog, frame_codons, record, frame, n_policy)
-                        ref = _outcome(caplog, reference_frame_codons, record.bases,
-                                       frame, n_policy)
-                        assert new == ref
+                new = _outcome(caplog, ingest_fasta, text, frame)
+                ref = _outcome(caplog, reference_ingest_fasta, text, frame)
+                assert new[1:] == ref[1:]
+                if ref[0] is not None:
+                    assert np.array_equal(new[0].counts, ref[0])
+                messages.update(message for _, _, message in ref[2])
+                messages.add(ref[1][1] if ref[1] else "")
+                for record in parsed[0] or []:
+                    new = _outcome(caplog, frame_codons, record, frame)
+                    ref = _outcome(caplog, reference_frame_codons, record.bases, frame)
+                    assert new == ref
     assert all(any(o in m for m in messages) for o in OUTCOMES)
 
 

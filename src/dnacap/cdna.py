@@ -14,7 +14,8 @@ mutations; hosts induced by uniform codons; point-mass hosts, including
 their linearized conditional solver and the capacity search over all
 point masses).
 
-One optimizer serves every maximization.  It stops on the duality gap
+One optimizer serves every maximization but that of a point mass (below).
+It stops on the duality gap
 ``sum_x' p(x') max_{u in x'} D_u - I``, an upper bound on the distance to
 the optimum (Blahut 1972), once the gap is at most ``tol`` times I plus
 1e-15 bits; ``converged`` means certified.  From the uniform start it
@@ -40,9 +41,10 @@ precision: the probabilities where the entry is small (shallow cascades)
 and the deviations from 1/64 elsewhere (deep cascades, whose rates fall
 far below machine epsilon).  So I keeps 5e-11 relative accuracy at any depth,
 and the closed forms and the noncoding capacity keep theirs, except Stp's deep
-at small gamma, whose rows differ by less than the tables' rounding.  An optimum
-below 1e-15 bits can be certified by the stop rule's floor alone, and its I
-may read up to 1/9 low.
+at small gamma, whose rows differ by less than the tables' rounding.  For a
+host other than a point mass, an optimum below 1e-15 bits can be certified
+by the stop rule's floor alone, and its I may read up to 1/9 low; a point
+mass is solved exactly at every depth (below).
 
 The codon channel takes 27 distinct values, one for each triple of
 per-position relations (same base, transition, transversion), so the
@@ -58,8 +60,17 @@ point mass, gathers its rows from the classes.  The point
 masses of 14 aminos need no tables: their synonym sets are orbits of the
 channel's symmetries (the 4-fold sets, and the 2-fold transition pairs at
 the third base), so the uniform conditional is optimal and I has a closed
-form in lam^m and mu^m.  The point masses of Ile, Leu, Arg, Ser and Stp
-run the optimizer as any host does.  Sums over synonym sets, such as the
+form in lam^m and mu^m.  The synonym sets of Ile, Leu, Arg, Ser and Stp
+split into two or three orbits of their stabilizers in the channel's
+symmetry group (of order 3072), the optimum is even on every orbit, and
+their point masses are maximized over one or two orbit weights by Newton
+steps solved by hand, certified by max D - I <= tol*I with no floor.  One
+row per orbit, on the outputs of the positions where the synonyms differ,
+takes p - W from the probabilities where the entry is small and from the
+channel's characters elsewhere, products of 1, lam^m and mu^m with exact
+integer coefficients, so Stp's rows stay distinct at any depth.  So the
+capacity search builds no 64x64 tables and runs no 64-codon optimizer.
+Sums over synonym sets, such as the
 check that every block of a conditional sums to one, are one
 ``np.bincount`` over the codon-to-amino map.
 """
@@ -77,6 +88,8 @@ from .genetic_code import (
     AMINO_ACIDS,
     AMINO_INDEX,
     AMINO_OF_CODON,
+    BASE_INDEX,
+    CODON_INDEX,
     MULTIPLICITIES,
     SYNONYM_INDICES,
     synonym_sums,
@@ -86,9 +99,11 @@ from .genetic_code import (
 # them, but benchmarks/spans.py wraps them here by name
 from .mutation_channel import (  # noqa: F401
     _CODON_CLASSES,
+    _RELATION,
     ChannelParams,
     _codon_class_entries,
     _eigenvalue_powers,
+    _stage_entries,
     base_matrix_power,
     codon_matrix,
     codon_matrix_deviations,
@@ -131,7 +146,8 @@ class RateResult:
     optimizer run ``gap_bits`` is the duality gap at that conditional, an
     upper bound on the distance of ``mutual_information`` to the optimum,
     and ``converged`` means certified: the gap is at most ``tol`` times
-    the information plus 1e-15 bits.  At a certified optimum the gap can
+    the information, plus 1e-15 bits on the 64-codon optimizer (a point
+    mass is certified with no floor).  At a certified optimum the gap can
     read a few ulps of I below zero, from rounding.  An evaluation has no
     gap (None).
     """
@@ -816,6 +832,17 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
 
 
 def _evaluate(host, cond, params: ChannelParams) -> RateResult:
+    top = int(host.argmax())
+    code = _orbit_code(top) if host[top] == 1.0 else None
+    if code is not None and np.count_nonzero(host) == 1:
+        # a point mass on Ile, Leu, Arg, Ser or Stp with a conditional even on
+        # every orbit, as the uniform one, is read in the exact orbit form
+        block = cond[code.members]
+        weights = np.bincount(code.orbit_of, block)
+        if np.array_equal(block, (weights / code.sizes)[code.orbit_of]):
+            tables = _orbit_tables(code, params)
+            info = math.ldexp(_orbit_point(tables, weights).info, -2 * tables.shift)
+            return _rate_result(info, cond, 0, True, entropy_bits(host))
     # I(Z;U) depends on the input pmf alone: each input weighs its mass
     problem = _Problem(_kimura_channel(params), host[AMINO_OF_CODON] * cond)
     info = problem.information(np.ones(len(problem.support))).info
@@ -827,7 +854,10 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
 
     No optimization is performed; the conditional is used as supplied.
     A non-finite or negative entry in either raises, as does a block that
-    does not sum to one for an amino the host emits.
+    does not sum to one for an amino the host emits.  A point mass on Ile,
+    Leu, Arg, Ser or Stp whose block is even on every orbit (the uniform
+    conditional, or an optimum of :func:`ba_optimize`) is read in the
+    exact orbit form of the optimizer, without the 64x64 tables.
     """
     host = _check_host(host)
     return _evaluate(host, _check_conditional(cond, host), params)
@@ -862,6 +892,333 @@ def _transition_pair_information(params: ChannelParams) -> float:
 # these maps, so the uniform conditional is optimal, every D_u equal there
 # and the gap 0 (Gallager 1968, section 4.5).
 _UNIFORM_OPTIMAL = {2: _transition_pair_information, 4: _divergence_from_uniform}
+
+# The synonym sets of the other five multi-codon aminos split into the orbits
+# of their stabilizers in the channel's symmetry group, of order 3072: at each
+# position the 8 relabellings that keep {A, G} and {C, T}, and the 6
+# permutations of the positions.  The optimum is constant on each orbit
+# (Gallager 1968, section 4.5), so it has one free weight for Ile and Stp and
+# two for Leu, Arg and Ser.
+_ORBITS = {
+    "Ile": (("ATT", "ATC"), ("ATA",)),
+    "Leu": (("CTA", "CTG"), ("CTT", "CTC"), ("TTA", "TTG")),
+    "Arg": (("CGT", "CGC"), ("CGA", "CGG"), ("AGA", "AGG")),
+    "Ser": (("TCA", "TCG"), ("TCT", "TCC"), ("AGT", "AGC")),
+    "Stp": (("TAG", "TGA"), ("TAA",)),
+}
+# the characters of the base channel on A, C, T, G: trivial, the eigenvalue
+# lam (purines against pyrimidines) and twice mu (Evans and Speed 1993)
+_CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]])
+# a direction of orbit weights whose difference row is at most this share of
+# the largest one moves I by less than its rounding
+_FLAT = np.finfo(float).eps
+
+
+class _OrbitCode(NamedTuple):
+    """The constants of one amino's orbits, on the k positions where its synonyms differ.
+
+    Outputs are numbered like codons on those positions (n = 4**k).  Every
+    orbit has a representative, its first codon, and a mean row, the mean
+    of its first and last codons (that of the orbit).  ``gather`` reads the
+    representative rows and then the mean rows off the 3**k class values.
+    ``blocks`` holds the differences mean_i - rep_j (r*r rows, i major),
+    then mean_a - mean_b, as integer multiples of 1/n: one block per
+    monomial lam^(m*e) * mu^(m*f), the sum over its characters chi of the
+    exact coefficient differences (0, +-1 or +-2) times chi.
+    """
+
+    members: np.ndarray  # the codons of every orbit, in orbit order
+    orbit_of: np.ndarray  # the orbit of each of them
+    sizes: np.ndarray  # codons per orbit
+    start: np.ndarray  # the uniform conditional's orbit weights
+    gather: np.ndarray  # (3**k, 2*r*n)
+    blocks: np.ndarray  # (monomials, 2*r*r*n)
+    monomials: tuple  # (e, f, characters) of every block
+    positions: int  # k
+
+
+@functools.cache
+def _orbit_code(amino: int) -> _OrbitCode | None:
+    """The orbit constants of the amino of index ``amino``, or None outside ``_ORBITS``.
+
+    Built on first use and kept: the five take about 1 ms to build, which
+    would double the module's import time.
+    """
+    orbits = _ORBITS.get(AMINO_ACIDS[amino])
+    if orbits is None:
+        return None
+    codons = [codon for orbit in orbits for codon in orbit]
+    positions = [i for i in range(3) if len({codon[i] for codon in codons}) > 1]
+    k, r = len(positions), len(orbits)
+    place = 4 ** np.arange(k - 1, -1, -1)
+    digits = np.arange(4**k)[:, None] // place % 4  # the base, or character, at each position
+    bases = np.array([[BASE_INDEX[codon[i]] for i in positions] for codon in codons])
+    sizes = np.array([len(orbit) for orbit in orbits])
+    lasts = np.cumsum(sizes) - 1
+    firsts = lasts + 1 - sizes
+    # the class 3**(k-1)*r_1 + ... + r_k of (codon, z) for every codon and output z
+    classes = (_RELATION[bases[:, None, :], digits] * 3 ** np.arange(k - 1, -1, -1)).sum(-1)
+    gather = np.zeros((3**k, 2, r, 4**k))
+    outputs = np.arange(4**k)
+    for orbit, (first, last) in enumerate(zip(firsts, lasts)):
+        gather[classes[first], 0, orbit, outputs] = 1.0
+        gather[classes[first], 1, orbit, outputs] += 0.5
+        gather[classes[last], 1, orbit, outputs] += 0.5
+    characters = functools.reduce(np.kron, [_CHARACTERS] * k)  # chi at z, both numbered like codons
+    at = characters[:, bases @ place]  # chi(u) for every character and codon
+    means, reps = 0.5 * (at[:, firsts] + at[:, lasts]), at[:, firsts]
+    differences = np.concatenate([(means[:, :, None] - reps[:, None, :]).reshape(-1, r * r),
+                                  (means[:, :, None] - means[:, None, :]).reshape(-1, r * r)],
+                                 axis=1)  # (characters, 2*r*r)
+    # the monomial 4*e + f of each character that differs on the synonyms
+    used = differences.any(axis=1)
+    monomial = (4 * (digits == 1).sum(axis=1) + (digits >= 2).sum(axis=1))[used]
+    keys, counts = np.unique(monomial, return_counts=True)
+    terms = differences[used, :, None] * characters[used, None, :]  # (characters, 2*r*r, n)
+    blocks = (monomial == keys[:, None]) @ terms.reshape(len(monomial), -1) / 4.0**k
+    code = _OrbitCode(np.array([CODON_INDEX[codon] for codon in codons]),
+                      np.repeat(np.arange(r), sizes), sizes.astype(float), sizes / sizes.sum(),
+                      gather.reshape(3**k, -1), blocks,
+                      tuple(zip((keys // 4).tolist(), (keys % 4).tolist(), counts.tolist())), k)
+    _read_only(code[:6])  # every array
+    return code
+
+
+class _OrbitTables(NamedTuple):
+    """One amino's orbit rows at one parameter set, for :func:`_orbit_point`."""
+
+    rows: np.ndarray  # (r, n): W of each representative
+    small: np.ndarray | bool  # where p - W comes from the probabilities, or one bool for all
+    inv: np.ndarray  # the kernel's 1/W and series cut-off (:func:`_reciprocal`)
+    series_below: np.ndarray
+    means: np.ndarray  # (r, n): each orbit's mean row
+    offsets: np.ndarray  # (r, r*n): mean_i - rep_j, from the characters
+    pairs: np.ndarray  # (r, r, n): mean_a - mean_b, from the characters
+    positive: bool  # every mean row is positive, and so is p
+    # the kept directions of the face of every orbit (:func:`_orbit_directions`):
+    # the rows mean_a - mean_0, their largest entries and the orbits a
+    directions: np.ndarray
+    scales: list
+    targets: list
+    shift: int  # the differences are scaled by 2**shift, I and D by 2**(2*shift)
+
+
+def _orbit_tables(code: _OrbitCode, params: ChannelParams) -> _OrbitTables:
+    (lam_m, _), (mu_m, _) = _eigenvalue_powers(params)
+    entries = [min(max(entry, 0.0), 1.0) for entry in _stage_entries(params)[0]]
+    values = functools.reduce(np.multiply.outer, [np.array(entries)] * code.positions).ravel()
+    r = code.sizes.size
+    rows, means = (values @ code.gather).reshape(2, r, -1)
+    n = rows.shape[1]
+    lams = (1.0, lam_m, lam_m * lam_m, lam_m * lam_m * lam_m)
+    mus = (1.0, mu_m, mu_m * mu_m, mu_m * mu_m * mu_m)
+    powers = [lams[e] * mus[f] for e, f, _ in code.monomials]
+    exact = np.array(powers) @ code.blocks
+    # p - W errs by about eps*W from the probabilities, and by at most
+    # eps*2*sum|Lambda|/n from the characters: each entry takes the smaller
+    bound = 2.0 * sum(abs(power) * count for power, (_, _, count) in zip(powers, code.monomials)) / n
+    # every row holds every class value, from min(entries)**k to max(entries)**k
+    if max(entries) ** code.positions < bound:
+        small = True
+    elif min(entries) ** code.positions >= bound:
+        small = False
+    else:
+        small = rows < bound
+    # rows within 2**-400 of each other have I below 2**-800, which may turn
+    # subnormal: their differences are scaled to about 2**-200 by a power of
+    # two, and I and every D to about 2**-400; no entry is small there
+    largest = max(map(abs, powers))
+    shift = -math.frexp(largest)[1] - 200 if 0.0 < largest < 2.0**-400 else 0
+    if shift:
+        exact = np.ldexp(exact, shift)
+    offsets, pairs = exact.reshape(2, r * r, n)
+    pairs = pairs.reshape(r, r, n)
+    return _OrbitTables(rows, small, *_reciprocal(rows), means, offsets.reshape(r, r * n), pairs,
+                        min(entries) > 0.0, *_orbit_directions(pairs[1:, 0], range(1, r)), shift)
+
+
+def _orbit_directions(rows, targets):
+    """The ``rows`` that neither underflow nor are flat to rounding, their scales and ``targets``.
+
+    A row's scale is its largest entry; one whose scale is at most
+    ``_FLAT`` times the largest moves I by less than its rounding.
+    """
+    scales = np.abs(rows).max(axis=1).tolist()
+    floor = _FLAT * max(scales, default=0.0)
+    kept = [i for i, scale in enumerate(scales) if scale > floor]
+    if len(kept) < len(scales):
+        rows = rows[kept]
+    return rows, [scales[i] for i in kept], [targets[i] for i in kept]
+
+
+class _OrbitPoint(NamedTuple):
+    weights: np.ndarray
+    info: float  # I in bits
+    div: list  # D of each representative, in nats
+    out: np.ndarray  # p on the outputs
+    gap: float  # max D - I, in bits
+
+
+def _orbit_point(tables: _OrbitTables, weights) -> _OrbitPoint:
+    """I and the D of every orbit at the orbit ``weights``, by the divergence kernel.
+
+    p - W comes from the probabilities where ``small`` and from the exact
+    differences elsewhere, as sum_i w_i*(mean_i - rep_j).
+    """
+    out = weights @ tables.means
+    if tables.small is True:
+        num = out - tables.rows
+    elif tables.small is False:
+        num = (weights @ tables.offsets).reshape(tables.rows.shape)
+    else:
+        num = np.where(tables.small, out - tables.rows,
+                       (weights @ tables.offsets).reshape(tables.rows.shape))
+    div = _terms(tables.rows, num, tables.inv, tables.series_below).sum(axis=1).tolist()
+    info = sum(weight * d for weight, d in zip(weights.tolist(), div)) / _LN2
+    return _OrbitPoint(weights, info, div, out, max(div) / _LN2 - info)
+
+
+def _orbit_newton(tables: _OrbitTables, point: _OrbitPoint):
+    """The Newton point of I in the orbit weights, on the face of positive weight, or None.
+
+    Each direction moves weight from the face's first orbit (the reference)
+    to one other; it is scaled by its own exact difference row
+    mean_a - mean_ref and dropped where that row underflows or is flat to
+    rounding (:func:`_orbit_directions`).  The gradient is D_a - D_ref and
+    -H the Gram matrix of the rows under 1/p, solved by hand on one or two
+    coordinates.  Off the hot path: an orbit at zero weight is released
+    once the face is nearly optimal, as in :meth:`_Ascent.newton`; a
+    direction whose step would take its orbit below zero is pinned there
+    and the other solved again (Bertsekas 1982); where the reference would
+    fall below zero the step is cut at the first orbit it empties (a ratio
+    test).
+    """
+    weights, div = point.weights, point.div
+    if weights.all():
+        ref, rows, scales, targets = 0, tables.directions, tables.scales, tables.targets
+    else:
+        free = weights > 0.0
+        face_top = max(d for d, on in zip(div, free) if on)
+        if face_top / _LN2 - point.info <= 0.5 * point.gap:
+            free |= np.array(div) > face_top
+        face = np.flatnonzero(free).tolist()
+        ref = face[0]
+        rows, scales, targets = _orbit_directions(tables.pairs[face[1:], ref], face[1:])
+    if not targets:
+        return None
+    if tables.positive:
+        weighted = rows / point.out
+    else:
+        weighted = np.divide(rows, point.out, out=np.zeros_like(rows), where=point.out > 0.0)
+    # in units of each row's scale
+    curvature = [[entry / (scale * other) for entry, other in zip(line, scales)]
+                 for line, scale in zip((weighted @ rows.T).tolist(), scales)]
+    grad = [(div[a] - div[ref]) / scale for a, scale in zip(targets, scales)]
+    step = _solve_by_hand(curvature, grad)
+    if step is None:
+        return None
+    trial = weights.tolist()
+    moves = [move / scale for move, scale in zip(step, scales)]
+    if any(trial[a] + move < 0.0 for a, move in zip(targets, moves)):
+        moves = _pinned_moves(curvature, grad, scales, [trial[a] for a in targets], moves)
+    for a, move in zip(targets, moves):
+        trial[a] += move
+    trial[ref] -= sum(moves)
+    if not all(map(math.isfinite, trial)):
+        return None
+    if trial[ref] < 0.0:  # ratio test
+        move = np.array(trial) - weights
+        shrink = np.flatnonzero(move < 0.0)
+        ratios = weights[shrink] / -move[shrink]
+        trial = np.maximum(weights + ratios.min() * move, 0.0)
+        trial[shrink[ratios == ratios.min()]] = 0.0
+        return trial / trial.sum()
+    total = sum(trial)
+    return np.array([weight / total for weight in trial])
+
+
+def _pinned_moves(curvature, grad, scales, at, moves):
+    """The Newton moves with every orbit they take below zero pinned there.
+
+    ``at`` holds the weights of the directions' orbits.  A pinned orbit
+    gives up its weight; with two directions and one pinned, the other is
+    solved again with the pinned move held fixed, until no orbit falls
+    below zero (Bertsekas 1982).
+    """
+    pinned = [False] * len(moves)
+    while any(weight + move < 0.0 for weight, move in zip(at, moves)):
+        pinned = [pin or weight + move < 0.0 for weight, move, pin in zip(at, moves, pinned)]
+        moves = [-weight if pin else move for weight, move, pin in zip(at, moves, pinned)]
+        if not all(pinned):  # two directions, one pinned: solve again for the other
+            other, held = pinned.index(False), pinned.index(True)
+            moves[other] = (grad[other] - curvature[other][held] * moves[held] * scales[held]) \
+                / curvature[other][other] / scales[other]
+    return moves
+
+
+def _orbit_rise(tables: _OrbitTables, point: _OrbitPoint, candidate: _OrbitPoint, tol) -> bool:
+    """Whether ``candidate`` raises I over ``point``, as :meth:`_Ascent._advance` judges a trial.
+
+    A rise of more than ``_DECISIVE*I`` is read off the two values, and a
+    certified candidate within that band is taken; otherwise the exact gain
+    ``sum_j dw_j*D_j - KL(p' || p)`` decides, with p' - p from the exact
+    pair rows.
+    """
+    rise = candidate.info - point.info
+    if rise > _DECISIVE * point.info:
+        return True
+    if rise >= -_DECISIVE * point.info and candidate.gap <= tol * candidate.info:
+        return True
+    move = candidate.weights - point.weights
+    change = move @ tables.pairs[:, 0]  # p' - p, as sum_j dw_j*(mean_j - mean_0)
+    kl = _terms(candidate.out, -change, *_reciprocal(candidate.out)).sum()
+    return float(move @ (np.array(point.div) - max(point.div)) - kl) > 0.0
+
+
+def _solve_by_hand(curvature, grad):
+    """x with curvature @ x = grad on one or two coordinates (lists), or None when singular."""
+    if len(grad) == 1:
+        det = curvature[0][0]
+        return [grad[0] / det] if det > 0.0 else None
+    (a, b), (_, d) = curvature
+    det = a * d - b * b
+    if not det > 1e-12 * a * d:
+        return None
+    return [(grad[0] * d - grad[1] * b) / det, (grad[1] * a - grad[0] * b) / det]
+
+
+def _orbit_optimum(code: _OrbitCode, params: ChannelParams, tol, max_iter) -> RateResult:
+    """Maximize I of a point mass over its orbit weights until max_orbit D - I <= tol*I.
+
+    There is no floor: a run whose I and gap both underflow to 0 certifies
+    at 0.  Every evaluation is one iteration, the first at the uniform
+    conditional, and each later one a Newton point (:func:`_orbit_newton`),
+    taken if it raises I (:func:`_orbit_rise`).  The run ends uncertified
+    after ``max_iter`` evaluations, at a Newton point that does not raise
+    I, or after two points in a row that do not halve the gap: Newton
+    steps converge quadratically, so there the D differ by their rounding
+    (as below about 1e-12*I near the kernel's series cut-off).  The
+    returned conditional is the point whose I and gap are reported, spread
+    evenly over each orbit.
+    """
+    tables = _orbit_tables(code, params)
+    point = _orbit_point(tables, code.start)
+    iterations, stalls = 1, 0
+    while point.gap > tol * point.info and iterations < max_iter and stalls < 2:
+        trial = _orbit_newton(tables, point)
+        if trial is None:
+            break
+        iterations += 1
+        candidate = _orbit_point(tables, trial)
+        if not _orbit_rise(tables, point, candidate, tol):
+            break
+        stalls = stalls + 1 if candidate.gap > 0.5 * point.gap else 0
+        point = candidate
+    cond = _SYNONYM_SETS.start.copy()
+    cond[code.members] = (point.weights / code.sizes)[code.orbit_of]
+    return _rate_result(math.ldexp(point.info, -2 * tables.shift), cond, iterations,
+                        point.gap <= tol * point.info, 0.0,
+                        gap_bits=math.ldexp(point.gap, -2 * tables.shift))
 
 
 def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
@@ -903,8 +1260,14 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     :func:`capacity_c`) on a 4-fold or a 2-fold amino builds no channel:
     its uniform conditional is optimal, and the run returns I in closed
     form with one iteration, converged, a gap of 0 and the uniform
-    conditional.  ``tol`` must be finite and above zero, and ``max_iter``
-    at least 1; both are checked first.
+    conditional.  A point mass on Ile, Leu, Arg, Ser or Stp builds no 64x64
+    channel either: the optimum is even on each orbit of its synonym set
+    (``_ORBITS``), so the run maximizes I over one or two orbit weights
+    (:func:`_orbit_optimum`).  Its iterations are evaluations, the first
+    at the uniform conditional; it stops once ``max_orbit D - I <= tol*I``,
+    with no floor, and returns the conditional whose I it reports, equal on
+    the codons of each orbit.  ``tol`` must be finite and above zero, and
+    ``max_iter`` at least 1; both are checked first.
     """
     host = _check_host(host)
     emitted = np.flatnonzero(host)
@@ -915,6 +1278,9 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
             # a point mass has entropy 0, and the uniform conditional's gap is 0
             return _rate_result(closed_form(params), uniform_conditional(), 1, True, 0.0,
                                 gap_bits=0.0)
+        code = _orbit_code(int(emitted[0]))
+        if code is not None:
+            return _orbit_optimum(code, params, tol, max_iter)
     return _blahut_arimoto(_kimura_channel(params), _SYNONYM_SETS, host, tol, max_iter)
 
 
@@ -1000,10 +1366,11 @@ def deterministic_rate(amino: str, params: ChannelParams, method: str = "ba",
                        tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> RateResult:
     """Rate for a host that always emits one amino acid (H(X') = 0).
 
-    ``method`` selects the conditional: ``"ba"`` optimizes, ``"uniform"``
-    spreads evenly, ``"linearized"`` uses the closed-form approximation.
-    Single-codon aminos (Met, Trp) can only carry rate zero and return
-    immediately.
+    ``method`` selects the conditional: ``"ba"`` optimizes
+    (:func:`ba_optimize`: a closed form for 14 aminos, the orbit weights
+    for Ile, Leu, Arg, Ser and Stp), ``"uniform"`` spreads evenly,
+    ``"linearized"`` uses the closed-form approximation.  Single-codon
+    aminos (Met, Trp) can only carry rate zero and return immediately.
     """
     ai = _amino_index(amino)
     if method not in ("ba", "uniform", "linearized"):
@@ -1026,9 +1393,9 @@ def capacity_c(params: ChannelParams, include_stp: bool = True,
 
     The capacity-achieving host pmf is deterministic, so the search
     evaluates the optimized rate for each amino acid (the two
-    single-codon ones are zero outright and 14 more closed forms, leaving
-    5 optimizer runs) and returns the argmax with the full per-amino rate
-    table.  With ``include_stp=False`` the stop symbol, which a real gene
+    single-codon ones are zero outright, 14 more closed forms, and 5 runs
+    on orbit weights, with no run of the 64-codon optimizer and no 64x64
+    tables) and returns the argmax with the full per-amino rate table.  With ``include_stp=False`` the stop symbol, which a real gene
     can use only once, is excluded from the argmax but still reported in
     the table.
     ``iterations`` totals the runs, and ``gap_bits`` is their largest gap.

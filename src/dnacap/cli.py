@@ -206,7 +206,7 @@ def _point_value(spec: SweepSpec, m: int):
     if spec.strict and not result.converged:
         raise NumericalError(
             f"optimizer did not converge at m={m} within {spec.max_iter} iterations: "
-            f"duality gap {result.gap_bits:.3g} bits exceeds tol*I + 1e-15 with tol={spec.tol:g}"
+            f"duality gap {result.gap_bits:.3g} bits exceeds tol*I with tol={spec.tol:g}"
         )
     row["value_bits"] = result.rate
     return row, result
@@ -396,7 +396,8 @@ def _add_common(p):
     p.add_argument("--frame", type=int, default=0, choices=(0, 1, 2))
     p.add_argument("--tol", type=_tolerance, default=cdna.DEFAULT_TOL,
                    help="relative duality-gap bound that certifies an optimizer run: "
-                        "stop once gap <= tol*I + 1e-15 bits; finite and > 0 "
+                        "stop once gap <= tol*I, plus 1e-15 bits unless the host is a "
+                        "point mass; finite and > 0 "
                         "(default %(default)g)")
     p.add_argument("--max-iter", type=_iterations, default=cdna.DEFAULT_MAX_ITER,
                    help="evaluations per optimizer run, at least 1 (default %(default)d)")

@@ -75,9 +75,17 @@ def _divergence_from_uniform(params: ChannelParams) -> float:
     it keeps its relative accuracy however small it is.
     """
     entries, deviations = _stage_entries(params)
+    # below 2**-500 the terms, about d**2/2, turn subnormal and lose their
+    # digits: the deviations are scaled to about 2**-60 by a power of two,
+    # where the series reads d**2/2 to rounding, and the sum is scaled back
+    # once, so it is rounded into the subnormal range only once
+    largest = max(map(abs, deviations))
+    shift = -math.frexp(largest)[1] - 60 if 0.0 < largest < 2.0**-500 else 0
+    if shift:
+        deviations = [math.ldexp(d, shift) for d in deviations]
     total = sum(weight * _excess(entry, d)
                 for weight, entry, d in zip((1.0, 1.0, 2.0), entries, deviations))
-    return total / (4.0 * math.log(2.0))
+    return math.ldexp(total / (4.0 * math.log(2.0)), -2 * shift)
 
 
 def capacity_nc(params: ChannelParams) -> CapacityResult:
@@ -85,7 +93,9 @@ def capacity_nc(params: ChannelParams) -> CapacityResult:
 
     Equals ``2 - row_entropy(params)``, computed as
     :func:`_divergence_from_uniform`: never clamped, it keeps about 5e-14
-    relative accuracy down to 2.2e-308 bits/base, where doubles turn subnormal.
+    relative accuracy down to 2.2e-308 bits/base, where doubles turn
+    subnormal; below that the sum is rounded once into the subnormal range,
+    so it holds only the digits a subnormal has.
     """
     return CapacityResult(value=_divergence_from_uniform(params), params=params)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from decimal import Decimal, localcontext
@@ -29,6 +30,9 @@ from dnacap.genetic_code import (
     AMINO_INDEX,
     AMINO_OF_CODON,
     BASE_INDEX,
+    BASES,
+    CODON_INDEX,
+    CODONS,
     MULTIPLICITIES,
     SYNONYM_INDICES,
     SYNONYMS,
@@ -61,6 +65,12 @@ def gene_b_host():
 
 
 # --- helpers and pmf constructors -------------------------------------------
+
+def engine(host, params, tol=cdna.DEFAULT_TOL, max_iter=cdna.DEFAULT_MAX_ITER):
+    """The 64-codon optimizer on ``host``; ba_optimize solves point masses without it."""
+    return cdna._blahut_arimoto(cdna._kimura_channel(params), cdna._SYNONYM_SETS, host,
+                                tol, max_iter)
+
 
 def test_uniform_codon_host_is_multiplicity_over_64():
     host = uniform_codon_host()
@@ -315,10 +325,12 @@ def test_ba_conditionals_near_uniform_for_small_synonym_sets(gene_a):
 def test_ba_shallow_cascade_keeps_tiny_channel_entries(q):
     # entries near (q/3)**3 vanish from 1/64 + deviation; they must still
     # enter the divergences, or the optimizer never converges; at q=1e-100
-    # (entries near 1e-302) they must not overflow the kernel either
-    result = ba_optimize(point_mass_host("Ser"), ChannelParams(q, 1.0, 1))
-    assert result.converged
-    assert result.rate == pytest.approx(LOG2_6, abs=1e-6)
+    # (entries near 1e-302) they must not overflow the kernel either.  Both
+    # paths: the orbit solver and the 64-codon optimizer
+    for optimize in (ba_optimize, engine):
+        result = optimize(point_mass_host("Ser"), ChannelParams(q, 1.0, 1))
+        assert result.converged
+        assert result.rate == pytest.approx(LOG2_6, abs=1e-6)
 
 
 def test_ba_reports_non_convergence_without_raising(gene_a):
@@ -329,15 +341,17 @@ def test_ba_reports_non_convergence_without_raising(gene_a):
 
 
 def test_ba_at_max_iter_returns_the_iterate_it_reports():
+    # on both paths: the orbit solver and the 64-codon optimizer
     host = point_mass_host("Ser")
     params = ChannelParams(1e-2, 1.0, 316)
-    result = ba_optimize(host, params, max_iter=2)
-    assert not result.converged and result.iterations == 2
-    info = evaluate_rate(host, result.conditional, params).mutual_information
-    assert info == pytest.approx(result.mutual_information, rel=1e-12)
-    # one iteration evaluates the uniform start and updates nothing
-    first = ba_optimize(host, params, max_iter=1)
-    assert np.array_equal(first.conditional, uniform_conditional())
+    for optimize in (ba_optimize, engine):
+        result = optimize(host, params, max_iter=2)
+        assert not result.converged and result.iterations == 2
+        info = evaluate_rate(host, result.conditional, params).mutual_information
+        assert info == pytest.approx(result.mutual_information, rel=1e-12)
+        # one iteration evaluates the uniform start and updates nothing
+        first = optimize(host, params, max_iter=1)
+        assert np.array_equal(first.conditional, uniform_conditional())
 
 
 def test_ba_rejects_bad_controls(gene_a):
@@ -388,7 +402,7 @@ STALLED_ROWS = [
 @pytest.mark.parametrize("amino, gamma, m, plain_ba", STALLED_ROWS)
 def test_ba_certifies_rows_plain_blahut_arimoto_left_short(amino, gamma, m, plain_ba):
     host, params = point_mass_host(amino), ChannelParams(1e-2, gamma, m)
-    result = ba_optimize(host, params)
+    result = engine(host, params)
     info = result.mutual_information
     assert result.converged and result.iterations <= 10
     assert result.gap_bits <= cdna.DEFAULT_TOL * info + 1e-15
@@ -401,7 +415,7 @@ def test_ba_certifies_rows_plain_blahut_arimoto_left_short(amino, gamma, m, plai
 
 def test_ba_leucine_deep_row_reaches_the_certified_optimum():
     # plain BA printed 1.952e-7 here, 11% below the optimum
-    result = ba_optimize(point_mass_host("Leu"), ChannelParams(1e-2, 0.1, 5623))
+    result = engine(point_mass_host("Leu"), ChannelParams(1e-2, 0.1, 5623))
     assert result.mutual_information == pytest.approx(2.196e-7, rel=1e-3)
 
 
@@ -419,7 +433,7 @@ def test_blahut_arimoto_step_that_lowers_i_beyond_the_kernel_error_raises(monkey
     # the kernel's error; a fall of 1e-9 relative (5.7e-20 bits) is a wrong
     # divergence, which an absolute 1e-15-bit slack let pass
     params = ChannelParams(1e-2, 0.1, 9085)
-    assert ba_optimize(point_mass_host("Ser"), params).converged
+    assert engine(point_mass_host("Ser"), params).converged
     information, values = cdna._Problem.information, []
 
     def fallen(problem, cond):
@@ -428,7 +442,7 @@ def test_blahut_arimoto_step_that_lowers_i_beyond_the_kernel_error_raises(monkey
         return point._replace(info=values[0] * (1.0 - 1e-9)) if len(values) > 1 else point
     monkeypatch.setattr(cdna._Problem, "information", fallen)
     with pytest.raises(AssertionError, match="objective decreased"):
-        ba_optimize(point_mass_host("Ser"), params)
+        engine(point_mass_host("Ser"), params)
     assert len(values) == 2 and values[0] < 1e-10
 
 
@@ -488,7 +502,7 @@ def test_singular_newton_system_takes_the_minimum_norm_step_on_the_factor():
 def test_ba_solves_a_singular_system_of_no_copies_without_lstsq(lstsq_calls):
     # the first Newton system after the Blahut-Arimoto phase is singular
     # although no two synonyms are copies
-    result = ba_optimize(point_mass_host("Leu"), ChannelParams(1e-2, 0.1, 825))
+    result = engine(point_mass_host("Leu"), ChannelParams(1e-2, 0.1, 825))
     assert result.converged
     assert lstsq_calls == []
 
@@ -1034,42 +1048,64 @@ def test_class_tables_match_the_64x64_tables_bit_for_bit():
 UNIFORM_OPTIMAL = [a for a in AMINO_ACIDS if MULTIPLICITIES[AMINO_INDEX[a]] in (2, 4)]
 
 
-def decimal_point_mass_information(amino, q, gamma, m):
-    """I(Z;U) in bits of the point mass at ``amino`` under the uniform conditional.
+def decimal_point_mass(amino, q, gamma, m, cond=None):
+    """(I(Z;U), max_u D_u) in bits of the point mass at ``amino``, in decimal.
 
-    Reference in decimal arithmetic from the channel's own eigenvalues:
-    the m-stage entries of the third base, the one base where the synonyms
-    differ, and the divergences of the synonyms' rows from their mean.
-    The rows differ from their mean by about x relative: 2*mu^m/(1 + lam^m)
-    on a transition pair, the larger of lam^m and 2*mu^m on all four bases.
-    I is about x**2, so the sum cancels all but that many digits and is
-    taken with 2*|log10 x| + 50 of them: with 80 digits it reads -7.2e-81
-    at q=0.01164, gamma=0.1034, m=7183, where x is 2.4e-71 and I 2.1e-142.
-    Below x = 1e-170, I is below 2*x**2 and rounds to 0.0.
+    ``cond`` maps each synonym to its conditional (uniform when None).  The
+    reference is computed from the channel's own eigenvalues on the
+    positions where the synonyms differ, the others carrying nothing: the
+    m-stage base entries there, their products, and the divergences of the
+    synonyms' rows from their mixture.  The rows differ from it by about x
+    relative, the largest |Lambda_chi| = |prod lam^m or mu^m| of a character
+    that is not constant on the synonym set (2*mu^m/(1 + lam^m) on a
+    transition pair).  I is about x**2, so the sum cancels all but that many
+    digits and is taken with 2*|log10 x| + 50 of them: with 80 digits it
+    reads -7.2e-81 at q=0.01164, gamma=0.1034, m=7183, where x is 2.4e-71
+    and I 2.1e-142.  Below x = 1e-170, I is below 2*x**2 and rounds to 0.0.
     """
     q, gamma = Decimal(q), Decimal(gamma)
-    thirds = [BASE_INDEX[codon[2]] for codon in SYNONYMS[amino]]
-
+    codons = SYNONYMS[amino]
+    positions = [i for i in range(3) if len({codon[i] for codon in codons}) > 1]
+    bases = [[BASE_INDEX[codon[i]] for i in positions] for codon in codons]
+    # the characters of the base channel on A, C, T, G, and which eigenvalue each carries
+    characters = [((1, 1, 1, 1), 0), ((1, -1, -1, 1), 1), ((1, 1, -1, -1), 2), ((1, -1, 1, -1), 2)]
+    varying = [chars for chars in itertools.product(characters, repeat=len(positions))
+               if len({math.prod(c[b] for (c, _), b in zip(chars, u)) for u in bases}) > 1]
     def powers():
         return (1 - 4 * gamma * q / 3) ** m, (1 - 2 * q + 2 * gamma * q / 3) ** m
 
     with localcontext() as ctx:
         ctx.prec = 60
         lam, mu = powers()
-        if len(thirds) == 2:
+        if len(codons) == 2:
             spread = abs(2 * mu / (1 + lam)) if 1 + lam else Decimal(0)
         else:
-            spread = max(abs(lam), 2 * abs(mu))
+            spread = max(math.prod(abs((1, lam, mu)[kind]) for _, kind in chars)
+                         for chars in varying)
         if spread < Decimal("1e-170"):
-            return 0.0
+            return 0.0, 0.0
         ctx.prec = 50 + 2 * max(0, -spread.adjusted())
         lam, mu = powers()
         diag, within, other = (1 + 2 * mu + lam) / 4, (1 - 2 * mu + lam) / 4, (1 - lam) / 4
-        rows = [[diag if u == z else within if u + z == 3 else other for z in range(4)]
-                for u in thirds]
-        p_out = [sum(column) / len(rows) for column in zip(*rows)]
-        info = sum(w * (w / p).ln() for row in rows for w, p in zip(row, p_out) if w > 0)
-        return float(info / len(rows) / Decimal(2).ln())
+        # normalized here: a block that sums to 1 - 1e-16 would shift p by
+        # more than the rows differ at depth
+        weights = [Decimal(1) if cond is None else Decimal(float(cond[c])) for c in codons]
+        weights = [w / sum(weights) for w in weights]
+
+        def base(u, z):
+            return diag if u == z else within if u + z == 3 else other
+
+        rows = [[math.prod(base(b, z) for b, z in zip(u, out))
+                 for out in itertools.product(range(4), repeat=len(positions))] for u in bases]
+        p_out = [sum(w * row[z] for w, row in zip(weights, rows)) for z in range(len(rows[0]))]
+        div = [sum(w * (w / p).ln() for w, p in zip(row, p_out) if w > 0) for row in rows]
+        info = sum(w * d for w, d in zip(weights, div))
+        return float(info / Decimal(2).ln()), float(max(div) / Decimal(2).ln())
+
+
+def decimal_point_mass_information(amino, q, gamma, m):
+    """I(Z;U) in bits of the point mass at ``amino`` under the uniform conditional."""
+    return decimal_point_mass(amino, q, gamma, m)[0]
 
 
 @pytest.mark.parametrize("q,gamma,m", [
@@ -1110,18 +1146,163 @@ def test_closed_forms_agree_with_a_fresh_optimizer_run():
             assert abs(info - run.mutual_information) <= 1e-9 * info + 1e-15, (params, amino)
 
 
-def test_capacity_runs_the_optimizer_for_five_aminos_only(monkeypatch):
+# --- the symmetry group of the codon channel and the orbit solver ---------------
+
+ORBIT_AMINOS = ("Ile", "Leu", "Arg", "Ser", "Stp")
+
+
+def symmetry_group():
+    """(order, images): the channel's 3072 symmetries as permutations of the codons.
+
+    At each position the 8 relabellings of A, C, T, G that keep the pairs
+    {A, G} and {C, T}, times the 6 permutations of the positions; ``order``
+    holds the permutation of each, ``images`` the image of every codon.
+    """
+    pairs = {frozenset("AG"), frozenset("CT")}
+    keep = np.array([p for p in itertools.permutations(range(4))
+                     if {frozenset(BASES[p[BASE_INDEX[b]]] for b in pair)
+                         for pair in pairs} == pairs])
+    digits = np.array([[BASE_INDEX[b] for b in codon] for codon in CODONS])
+    orders, images = [], []
+    for order in itertools.permutations(range(3)):
+        first, second, third = (keep[:, digits[:, i]] for i in order)  # (8, 64) each
+        image = 16 * first[:, None, None] + 4 * second[None, :, None] + third[None, None, :]
+        images.append(image.reshape(-1, 64))
+        orders += [order] * len(images[-1])
+    return np.array(orders), np.concatenate(images)
+
+
+def test_the_symmetry_group_keeps_the_class_table():
+    order, images = symmetry_group()
+    assert images.shape == (3072, 64)
+    assert len({image.tobytes() for image in images}) == 3072
+    assert all(sorted(image) == list(range(64)) for image in images)
+    # the class of (g u, g z) holds the relations of (u, z) in the order g
+    # gives the positions, so the channel keeps its law
+    classes = mutation_channel._CODON_CLASSES
+    relations = np.stack([classes // 9, classes // 3 % 3, classes % 3])
+    for g, (i, j, k) in zip(images, order):
+        assert np.array_equal(classes[np.ix_(g, g)],
+                              9 * relations[i] + 3 * relations[j] + relations[k])
+
+
+def stabilizer_orbits(amino):
+    """The orbits of the synonym set of ``amino`` under its stabilizer in the group."""
+    _, images = symmetry_group()
+    members = SYNONYM_INDICES[AMINO_INDEX[amino]]
+    stabilizer = images[np.isin(images[:, members], members).all(axis=1)]
+    return {frozenset(CODONS[v] for v in stabilizer[:, u]) for u in members}
+
+
+def test_orbit_table_holds_the_stabilizer_orbits():
+    assert set(cdna._ORBITS) == set(ORBIT_AMINOS)
+    for amino, orbits in cdna._ORBITS.items():
+        assert stabilizer_orbits(amino) == {frozenset(orbit) for orbit in orbits}, amino
+    # the aminos of the closed forms are one orbit each, which makes their
+    # uniform conditional optimal
+    for amino in UNIFORM_OPTIMAL:
+        assert stabilizer_orbits(amino) == {frozenset(SYNONYMS[amino])}, amino
+
+
+def assert_orbit_symmetric(amino, conditional):
+    for orbit in cdna._ORBITS[amino]:
+        values = {conditional[CODON_INDEX[codon]].hex() for codon in orbit}
+        assert len(values) == 1, (amino, orbit, values)
+
+
+@pytest.mark.parametrize("q,gamma,m", [
+    # shallow cascades, q > 1/2 (negative eigenvalues) and the optima 9/8 above uniform
+    (1e-3, 0.5, 1), (1e-2, 1.0, 30), (0.3, 1.4, 7), (1e-2, 0.1, 100), (0.9, 0.2, 3),
+    (0.7, 1.2, 2), (1e-2, 0.1, 825), (1e-2, 0.1, 2154),
+    # deep: I far below 1e-15, and below 2**-800 (the rows taken scaled)
+    (1e-2, 0.1, 14678), (1e-9, 0.1, 316227766017), (1e-2, 1.0, 5623), (1e-2, 1.0, 22300),
+    # entries that are exactly 0 (gamma = 0, and q = 1 at gamma = 3/2), no
+    # mutation (q = 0), and lam = mu = 0, where I is 0
+    (0.3, 0.0, 5), (1.0, 1.5, 3), (0.5, 1.5, 2), (0.0, 0.7, 4), (0.75, 1.0, 3),
+])
+def test_orbit_solver_matches_decimal_reference(q, gamma, m):
+    params = ChannelParams(q, gamma, m)
+    for amino in ORBIT_AMINOS:
+        result = ba_optimize(point_mass_host(amino), params)
+        assert result.converged and result.gap_bits <= cdna.DEFAULT_TOL * result.mutual_information
+        assert_orbit_symmetric(amino, result.conditional)
+        info, top = decimal_point_mass(amino, q, gamma, m, {
+            codon: result.conditional[CODON_INDEX[codon]] for codon in SYNONYMS[amino]})
+        assert result.mutual_information == pytest.approx(info, rel=1e-10, abs=0.0), amino
+        assert result.mutual_information + result.gap_bits == pytest.approx(
+            top, rel=1e-10, abs=0.0), amino
+
+
+def test_point_mass_optima_are_nine_eighths_of_uniform_at_depth():
+    # the item-3 ratio at gamma=0.1, where I < 1e-15: the optimum puts half
+    # its weight on each side of the widest split of the rows
+    for m in (14678, 17000):
+        params = ChannelParams(1e-2, 0.1, m)
+        for amino in ORBIT_AMINOS:
+            info = ba_optimize(point_mass_host(amino), params).mutual_information
+            uniform = decimal_point_mass_information(amino, 1e-2, 0.1, m)
+            assert 0.0 < info < 1e-15
+            assert info == pytest.approx(9 / 8 * uniform, rel=1e-6), (amino, m)
+    # Stp where its 64-codon rows differ by less than their rounding: the
+    # uniform value from 120 digits, and 9/8 of it
+    params = ChannelParams(1e-2, 0.1, 2154)
+    uniform = uniform_conditional_rate(point_mass_host("Stp"), params).mutual_information
+    assert uniform == pytest.approx(7.2350566783e-37, rel=1e-10)
+    assert decimal_point_mass_information("Stp", 1e-2, 0.1, 2154) == pytest.approx(
+        7.2350566783e-37, rel=1e-10)
+    result = ba_optimize(point_mass_host("Stp"), params)
+    assert result.mutual_information == pytest.approx(9 / 8 * 7.2350566783e-37, rel=1e-6)
+    tag, tga, taa = (result.conditional[CODON_INDEX[c]] for c in ("TAG", "TGA", "TAA"))
+    assert tag == tga and tag + tga + taa == pytest.approx(1.0)
+
+
+def test_orbit_solver_agrees_with_the_engine_on_shallow_points():
+    # the box of the capacity benchmark: both certify, and the orbit solver
+    # is never lower than the 64-codon optimizer beyond rounding
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        q = 10 ** rng.uniform(-4, -1.5)
+        params = ChannelParams(q, rng.uniform(0.1, 1.0),
+                               max(1, round(10 ** rng.uniform(-2.5, -1.25) / q)))
+        for amino in ORBIT_AMINOS:
+            host = point_mass_host(amino)
+            run, result = engine(host, params), ba_optimize(host, params)
+            assert run.converged and result.converged, (params, amino)
+            info = result.mutual_information
+            assert abs(info - run.mutual_information) <= 1e-9 * info, (params, amino)
+            assert info >= run.mutual_information * (1.0 - 1e-12), (params, amino)
+            assert_orbit_symmetric(amino, result.conditional)
+
+
+def test_orbit_solver_stops_where_the_gap_reaches_its_rounding():
+    # near the kernel's series cut-off (I about 1e-9 here) the D carry up to
+    # 5e-11 relative error, so a gap of 1e-13*I can be out of reach: the run
+    # stops, uncertified, once two Newton points in a row do not halve the
+    # gap, instead of spending max_iter evaluations on rounding
+    for params in (ChannelParams(4.19576955120725e-06, 0.5443022206186786, 3327121),
+                   ChannelParams(8.576146296356208e-08, 1.0533712290196042, 109654410)):
+        for amino in ORBIT_AMINOS:
+            result = ba_optimize(point_mass_host(amino), params, tol=1e-13)
+            assert result.iterations <= 10, (params, amino)
+            assert result.gap_bits <= 1e-10 * result.mutual_information, (params, amino)
+            assert ba_optimize(point_mass_host(amino), params).converged
+
+
+def test_capacity_runs_no_optimizer(monkeypatch):
     runs = []
     blahut_arimoto = cdna._blahut_arimoto
     monkeypatch.setattr(cdna, "_blahut_arimoto",
                         lambda *args: runs.append(1) or blahut_arimoto(*args))
-    result = capacity_c(ChannelParams(1e-3, 0.5, 30))
-    # one iteration for each of the 14 closed forms, 39 for Ile, Leu, Arg, Ser and Stp
-    assert result.iterations == 53 and result.converged
-    assert len(runs) == 5
+    params = ChannelParams(1e-3, 0.5, 30)
     cdna._kimura_channel.cache_clear()
-    ba_optimize(point_mass_host("Ala"), ChannelParams(1e-3, 0.5, 30))
-    assert cdna._kimura_channel.cache_info().misses == 0
+    result = capacity_c(params)
+    assert runs == [] and cdna._kimura_channel.cache_info().misses == 0
+    # one iteration for each of the 14 closed forms, and one per orbit
+    # evaluation of Ile, Leu, Arg, Ser and Stp
+    orbit_evaluations = sum(ba_optimize(point_mass_host(amino), params).iterations
+                            for amino in ("Ile", "Leu", "Arg", "Ser", "Stp"))
+    assert result.iterations == 14 + orbit_evaluations == 34 and result.converged
+    assert runs == [] and cdna._kimura_channel.cache_info().misses == 0
 
 
 def test_certified_start_returns_the_uniform_conditional():
@@ -1161,6 +1342,9 @@ def test_near_point_mass_host_takes_the_general_path(monkeypatch, major, minor):
 @pytest.mark.parametrize("host", [point_mass_host("Ala"), point_mass_host("Ser"),
                                   uniform_codon_host()], ids=["Ala", "Ser", "uniform"])
 def test_ba_validates_its_controls_before_any_start(host, controls):
-    # Ala's closed form needs no optimizer run, so it alone would return a result
-    with pytest.raises(ValueError, match=next(iter(controls))):
-        ba_optimize(host, ChannelParams(1e-3, 0.5, 30), **controls)
+    # Ala's closed form needs no optimizer run, so it alone would return a
+    # result; Ser's point mass takes the orbit solver, the uniform host the
+    # 64-codon optimizer, which checks them itself as well
+    for optimize in (ba_optimize, engine):
+        with pytest.raises(ValueError, match=next(iter(controls))):
+            optimize(host, ChannelParams(1e-3, 0.5, 30), **controls)

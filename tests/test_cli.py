@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dnacap.cli import SweepSpec, UsageError, log_m_grid, main
-from dnacap.genetic_code import AMINO_ACIDS
+from dnacap.genetic_code import AMINO_ACIDS, MULTIPLICITY
 
 DATA = Path(__file__).parent / "data"
 GENE_A = str(DATA / "toy_gene_a.fasta")
@@ -513,6 +513,33 @@ def test_figures_rows_keep_the_information_inequalities(tmp_path, monkeypatch):
     assert len(fixed) == 422 and above_optimum == []
 
 
+def test_figures_point_mass_optima_never_rise_with_m(tmp_path, monkeypatch):
+    # a deeper cascade is the shallower one followed by more stages, so a
+    # point mass's optimum cannot rise with m (data processing; Cover and
+    # Thomas, Thm 2.8.1).  Each ba row lies within tol*I of its optimum, with
+    # no floor, so the slack is tol relative.  Stp at q=1e-2, gamma=0.1 rose
+    # three times (2154 -> 3481, 9085 -> 14678, 61897 -> 100000) while its
+    # 64-codon rows differed by less than their rounding
+    from dnacap import cdna, cli
+
+    rows = []
+    to_csv = cli.rows_to_csv
+    monkeypatch.setattr(cli, "rows_to_csv", lambda r: rows.extend(r) or to_csv(r))
+    cli.run_figures(tmp_path, {"toyA": DATA / "toy_gene_a.fasta"})
+    sweeps = {}
+    for r in rows:
+        if r["host"].startswith("amino:") and r["method"] == "ba":
+            sweeps.setdefault((r["q"], r["gamma"], r["host"]), {})[r["m"]] = r["value_bits"]
+    multi = [a for a in AMINO_ACIDS if MULTIPLICITY[a] > 1]
+    assert {key for key in sweeps if key[:2] in {(1e-2, 1.0), (1e-2, 0.1), (1e-9, 1.0),
+                                                 (1e-9, 0.1)}} == {
+        (q, gamma, f"amino:{a}") for q in (1e-2, 1e-9) for gamma in (1.0, 0.1) for a in multi}
+    rises = [(key, m, deeper) for key, by_m in sweeps.items()
+             for m, deeper in zip(sorted(by_m), sorted(by_m)[1:])
+             if by_m[deeper] > (1.0 + cdna.DEFAULT_TOL) * by_m[m]]
+    assert rises == []
+
+
 def test_figures_builds_each_parameter_set_once_per_file(tmp_path, monkeypatch):
     from dnacap import cdna, cli
 
@@ -531,11 +558,13 @@ def test_figures_builds_each_parameter_set_once_per_file(tmp_path, monkeypatch):
     cdna._kimura_channel.cache_clear()
     written = cli.run_figures(tmp_path, {"toyA": DATA / "toy_gene_a.fasta"})
     counts = dict(zip(written, per_file))
-    assert all(made == distinct for made, distinct in counts.values()), counts
-    expected = {name: 0 if name.startswith("ncdna") else 18 if name.startswith("det_methods")
-                else 25 for name in written}
+    # the point masses of det_aminos build none: 14 closed forms and 5 orbit solvers
+    assert all(made == distinct for name, (made, distinct) in counts.items()
+               if not name.startswith("det_aminos")), counts
+    expected = {name: 0 if name.startswith(("ncdna", "det_aminos"))
+                else 18 if name.startswith("det_methods") else 25 for name in written}
     assert {name: made for name, (made, _) in counts.items()} == expected
-    assert builds() == 243
+    assert builds() == 143
 
 
 def test_figures_bad_fasta_argument(capsys, tmp_path):

@@ -137,10 +137,10 @@ def test_entropy_bits_of_a_bit():
     assert entropy_bits([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
 
 
-def decimal_capacity(q, gamma, m):
-    """2 - H(row) in bits, in 80-digit decimal arithmetic from the eigenvalues."""
+def decimal_capacity(q, gamma, m, digits=80):
+    """2 - H(row) in bits, in decimal arithmetic of ``digits`` digits from the eigenvalues."""
     with localcontext() as ctx:
-        ctx.prec = 80
+        ctx.prec = digits
         q, gamma = Decimal(q), Decimal(gamma)
         lam = (1 - 4 * gamma / 3 * q) ** m
         mu = (1 - 2 * (1 - gamma / 3) * q) ** m
@@ -168,6 +168,25 @@ def test_capacity_below_1e_15_bits_is_returned_as_computed(q, gamma, m):
     value = capacity_nc(ChannelParams(q, gamma, m)).value
     assert 0.0 < value < 1e-15
     assert value == pytest.approx(decimal_capacity(q, gamma, m), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("q,gamma,m", [
+    (1e-2, 0.1, 278256),  # the bundle's row, which read 4*2**-1074
+    (1e-2, 0.1, 270000), (1e-2, 0.1, 275000), (1e-9, 1.0, 2 * 10**11),
+    (1e-2, 0.1, 255000), (1e-2, 1.0, 25000),  # normal, from deviations scaled up first
+])
+def test_capacity_of_squared_tiny_deviations_is_correctly_rounded(q, gamma, m):
+    # lam^m near 1e-161: d**2/2 turned subnormal term by term and kept only
+    # the digits each term held.  The reference cancels some 330 digits
+    value = capacity_nc(ChannelParams(q, gamma, m)).value
+    reference = decimal_capacity(q, gamma, m, digits=800)
+    if reference < 2.2250738585072014e-308:  # subnormal: the nearest double itself
+        assert value == reference > 0.0
+    else:
+        assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+    if m == 278256:
+        assert value == 5 * 2.0**-1074 and decimal_capacity(q, gamma, m, digits=1200) \
+            == pytest.approx(2.45280750867e-323, rel=1e-11)
 
 
 def test_bounds_check_orders_capacities_below_1e_15_bits():

@@ -1061,7 +1061,7 @@ def decimal_point_mass(amino, q, gamma, m, cond=None):
     transition pair).  I is about x**2, so the sum cancels all but that many
     digits and is taken with 2*|log10 x| + 50 of them: with 80 digits it
     reads -7.2e-81 at q=0.01164, gamma=0.1034, m=7183, where x is 2.4e-71
-    and I 2.1e-142.  Below x = 1e-170, I is below 2*x**2 and rounds to 0.0.
+    and I 2.1e-142.  Below x = 1e-200, I is below 2*x**2 and rounds to 0.0.
     """
     q, gamma = Decimal(q), Decimal(gamma)
     codons = SYNONYMS[amino]
@@ -1082,7 +1082,7 @@ def decimal_point_mass(amino, q, gamma, m, cond=None):
         else:
             spread = max(math.prod(abs((1, lam, mu)[kind]) for _, kind in chars)
                          for chars in varying)
-        if spread < Decimal("1e-170"):
+        if spread < Decimal("1e-200"):
             return 0.0, 0.0
         ctx.prec = 50 + 2 * max(0, -spread.adjusted())
         lam, mu = powers()
@@ -1219,6 +1219,9 @@ def assert_orbit_symmetric(amino, conditional):
     # entries that are exactly 0 (gamma = 0, and q = 1 at gamma = 3/2), no
     # mutation (q = 0), and lam = mu = 0, where I is 0
     (0.3, 0.0, 5), (1.0, 1.5, 3), (0.5, 1.5, 2), (0.0, 0.7, 4), (0.75, 1.0, 3),
+    # Stp's rows differ by mu^m = 2e-17 in entries below 1/(2n): p - W from
+    # the probabilities there read I 8% low
+    (0.697, 0.0043, 41),
 ])
 def test_orbit_solver_matches_decimal_reference(q, gamma, m):
     params = ChannelParams(q, gamma, m)
@@ -1226,11 +1229,38 @@ def test_orbit_solver_matches_decimal_reference(q, gamma, m):
         result = ba_optimize(point_mass_host(amino), params)
         assert result.converged and result.gap_bits <= cdna.DEFAULT_TOL * result.mutual_information
         assert_orbit_symmetric(amino, result.conditional)
+        assert result.conditional.min() >= 0.0  # a pinned orbit is exactly 0
         info, top = decimal_point_mass(amino, q, gamma, m, {
             codon: result.conditional[CODON_INDEX[codon]] for codon in SYNONYMS[amino]})
         assert result.mutual_information == pytest.approx(info, rel=1e-10, abs=0.0), amino
         assert result.mutual_information + result.gap_bits == pytest.approx(
             top, rel=1e-10, abs=0.0), amino
+
+
+@pytest.mark.parametrize("q,gamma,m", [
+    (1e-2, 1.0, 27300), (1e-2, 0.1, 270000), (7.214874675282885e-4, 0.8522762128525979, 452488),
+])
+def test_orbit_solver_keeps_the_digits_of_subnormal_optima(q, gamma, m):
+    # I below 2.2e-308: the rows are taken scaled by a power of two and I is
+    # rounded into the subnormal range once.  Summed term by term there, Ser
+    # at the last point spent all 10000 evaluations uncertified
+    params = ChannelParams(q, gamma, m)
+    for amino in ORBIT_AMINOS:
+        result = ba_optimize(point_mass_host(amino), params)
+        info, _ = decimal_point_mass(amino, q, gamma, m, {
+            codon: result.conditional[CODON_INDEX[codon]] for codon in SYNONYMS[amino]})
+        assert result.converged and result.iterations <= 3, amino
+        assert result.mutual_information == pytest.approx(info, rel=1e-12, abs=2.0**-1074)
+        assert 0.0 <= result.mutual_information < 2.2250738585072014e-308
+
+
+def test_orbit_solver_releases_an_orbit_it_emptied():
+    # the first Newton step empties {TCT, TCC}, whose optimal weight is
+    # 0.0067; pinned there for good, the run could not certify
+    result = ba_optimize(point_mass_host("Ser"),
+                         ChannelParams(0.5578282459559125, 0.6486319320891702, 1121))
+    assert result.converged
+    assert (result.conditional[SYNONYM_INDICES[AMINO_INDEX["Ser"]]] > 0.0).all()
 
 
 def test_point_mass_optima_are_nine_eighths_of_uniform_at_depth():

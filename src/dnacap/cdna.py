@@ -40,11 +40,11 @@ pmf, as a sum of non-negative terms ``W(z|u) * phi(p(z)/W(z|u) - 1)`` with
 precision: the probabilities where the entry is small (shallow cascades)
 and the deviations from 1/64 elsewhere (deep cascades, whose rates fall
 far below machine epsilon).  So I keeps 5e-11 relative accuracy at any depth,
-and the closed forms and the noncoding capacity keep theirs, except Stp's deep
-at small gamma, whose rows differ by less than the tables' rounding.  For a
-host other than a point mass, an optimum below 1e-15 bits can be certified
-by the stop rule's floor alone, and its I may read up to 1/9 low; a point
-mass is solved exactly at every depth (below).
+and the closed forms and the noncoding capacity keep theirs.  Two limits
+remain for hosts other than point masses, which are solved exactly at every
+depth (below): Stp's rows deep at small gamma differ by less than the
+tables' rounding, and an optimum below 1e-15 bits can be certified by the
+stop rule's floor alone, so its I may read up to 1/9 low.
 
 The codon channel takes 27 distinct values, one for each triple of
 per-position relations (same base, transition, transversion), so the

@@ -41,10 +41,14 @@ precision: the probabilities where the entry is small (shallow cascades)
 and the deviations from 1/64 elsewhere (deep cascades, whose rates fall
 far below machine epsilon).  So I keeps 5e-11 relative accuracy at any depth,
 and the closed forms and the noncoding capacity keep theirs.  Two limits
-remain for hosts other than point masses, which are solved exactly at every
-depth (below): Stp's rows deep at small gamma differ by less than the
-tables' rounding, and an optimum below 1e-15 bits can be certified by the
-stop rule's floor alone, so its I may read up to 1/9 low.
+remain wherever the exact orbit form (below) does not apply.  Stp's rows
+deep at small gamma differ by less than the tables' rounding, so I at any
+conditional whose Stp block is not even on its orbits (TAG = TGA to the
+bit), point masses included, reads only to about eps*sqrt(I) + eps**2
+bits absolute there (5e-32 bits deep).  And the optimizer's stop rule can
+certify an optimum below 1e-15 bits by its floor alone, so its I may read
+up to 1/9 low.  Point-mass optima, and a point mass read at a conditional
+even on every orbit, are exact at every depth.
 
 The codon channel takes 27 distinct values, one for each triple of
 per-position relations (same base, transition, transversion), so the
@@ -108,7 +112,13 @@ from .mutation_channel import (  # noqa: F401
     codon_matrix,
     codon_matrix_deviations,
 )
-from .ncdna import _divergence_from_uniform, _excess, capacity_nc, entropy_bits
+from .ncdna import (
+    _divergence_from_uniform,
+    _excess,
+    _underflow_shift,
+    capacity_nc,
+    entropy_bits,
+)
 
 _LN2 = math.log(2.0)
 # bits: the floor of the stop rule (``_Ascent._within``) and of no other check
@@ -831,10 +841,16 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
 # achievable rates for the standard genetic code
 
 
+def _point_mass(host) -> int | None:
+    """The index of the one amino a host emits with mass 1.0, or None for any other host."""
+    emitted = np.flatnonzero(host)
+    return int(emitted[0]) if emitted.size == 1 and host[emitted[0]] == 1.0 else None
+
+
 def _evaluate(host, cond, params: ChannelParams) -> RateResult:
-    top = int(host.argmax())
-    code = _orbit_code(top) if host[top] == 1.0 else None
-    if code is not None and np.count_nonzero(host) == 1:
+    amino = _point_mass(host)
+    code = None if amino is None else _orbit_code(amino)
+    if code is not None:
         # a point mass on Ile, Leu, Arg, Ser or Stp with a conditional even on
         # every orbit, as the uniform one, is read in the exact orbit form
         block = cond[code.members]
@@ -857,7 +873,11 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
     does not sum to one for an amino the host emits.  A point mass on Ile,
     Leu, Arg, Ser or Stp whose block is even on every orbit (the uniform
     conditional, or an optimum of :func:`ba_optimize`) is read in the
-    exact orbit form of the optimizer, without the 64x64 tables.
+    exact orbit form of the optimizer, without the 64x64 tables.  Any
+    other conditional is read in the tables, so a Stp block that is not
+    even on its orbits (TAG != TGA, by as little as one ulp) reads I at
+    small gamma only to about eps*sqrt(I) + eps**2 bits absolute, which
+    leaves no digit of I deep in the cascade.
     """
     host = _check_host(host)
     return _evaluate(host, _check_conditional(cond, host), params)
@@ -988,13 +1008,13 @@ class _OrbitTables(NamedTuple):
     """One amino's orbit rows at one parameter set, for :func:`_orbit_point`."""
 
     rows: np.ndarray  # (r, n): W of each representative
-    small: np.ndarray | bool  # where p - W comes from the probabilities, or one bool for all
+    small: np.ndarray  # where p - W comes from the probabilities
+    characters: bool  # whether any entry takes p - W from the characters
     inv: np.ndarray  # the kernel's 1/W and series cut-off (:func:`_reciprocal`)
     series_below: np.ndarray
     means: np.ndarray  # (r, n): each orbit's mean row
     offsets: np.ndarray  # (r, r*n): mean_i - rep_j, from the characters
     pairs: np.ndarray  # (r, r, n): mean_a - mean_b, from the characters
-    positive: bool  # every mean row is positive, and so is p
     # the kept directions of the face of every orbit (:func:`_orbit_directions`):
     # the rows mean_a - mean_0, their largest entries and the orbits a
     directions: np.ndarray
@@ -1016,25 +1036,22 @@ def _orbit_tables(code: _OrbitCode, params: ChannelParams) -> _OrbitTables:
     exact = np.array(powers) @ code.blocks
     # p - W errs by about eps*W from the probabilities, and by at most
     # eps*2*sum|Lambda|/n from the characters: each entry takes the smaller
-    bound = 2.0 * sum(abs(power) * count for power, (_, _, count) in zip(powers, code.monomials)) / n
-    # every row holds every class value, from min(entries)**k to max(entries)**k
-    if max(entries) ** code.positions < bound:
-        small = True
-    elif min(entries) ** code.positions >= bound:
-        small = False
-    else:
-        small = rows < bound
-    # rows within 2**-400 of each other have I below 2**-800, which may turn
-    # subnormal: their differences are scaled to about 2**-200 by a power of
-    # two, and I and every D to about 2**-400; no entry is small there
-    largest = max(map(abs, powers))
-    shift = -math.frexp(largest)[1] - 200 if 0.0 < largest < 2.0**-400 else 0
+    bound = 2.0 * sum(abs(power) * count
+                      for power, (_, _, count) in zip(powers, code.monomials)) / n
+    small = rows < bound
+    # every row holds every class value, so its largest entry is max(entries)**k
+    characters = max(entries) ** code.positions >= bound
+    # rows within 2**-400 of each other have I below 2**-800, and tol*I may
+    # turn subnormal: their differences are scaled to about 2**-200, and I
+    # and every D to about 2**-400; no entry is small there
+    shift = _underflow_shift(powers)
     if shift:
         exact = np.ldexp(exact, shift)
     offsets, pairs = exact.reshape(2, r * r, n)
     pairs = pairs.reshape(r, r, n)
-    return _OrbitTables(rows, small, *_reciprocal(rows), means, offsets.reshape(r, r * n), pairs,
-                        min(entries) > 0.0, *_orbit_directions(pairs[1:, 0], range(1, r)), shift)
+    return _OrbitTables(rows, small, characters, *_reciprocal(rows), means,
+                        offsets.reshape(r, r * n), pairs,
+                        *_orbit_directions(pairs[1:, 0], range(1, r)), shift)
 
 
 def _orbit_directions(rows, targets):
@@ -1046,9 +1063,7 @@ def _orbit_directions(rows, targets):
     scales = np.abs(rows).max(axis=1).tolist()
     floor = _FLAT * max(scales, default=0.0)
     kept = [i for i, scale in enumerate(scales) if scale > floor]
-    if len(kept) < len(scales):
-        rows = rows[kept]
-    return rows, [scales[i] for i in kept], [targets[i] for i in kept]
+    return rows[kept], [scales[i] for i in kept], [targets[i] for i in kept]
 
 
 class _OrbitPoint(NamedTuple):
@@ -1063,16 +1078,15 @@ def _orbit_point(tables: _OrbitTables, weights) -> _OrbitPoint:
     """I and the D of every orbit at the orbit ``weights``, by the divergence kernel.
 
     p - W comes from the probabilities where ``small`` and from the exact
-    differences elsewhere, as sum_i w_i*(mean_i - rep_j).
+    differences elsewhere, as sum_i w_i*(mean_i - rep_j).  Shallow, every
+    entry is small and the exact differences are not formed: in the
+    capacity benchmark's box, where every run is shallow, forming them
+    took a tenth of ``capacity_c``.
     """
     out = weights @ tables.means
-    if tables.small is True:
-        num = out - tables.rows
-    elif tables.small is False:
-        num = (weights @ tables.offsets).reshape(tables.rows.shape)
-    else:
-        num = np.where(tables.small, out - tables.rows,
-                       (weights @ tables.offsets).reshape(tables.rows.shape))
+    num = out - tables.rows
+    if tables.characters:
+        num = np.where(tables.small, num, (weights @ tables.offsets).reshape(num.shape))
     div = _terms(tables.rows, num, tables.inv, tables.series_below).sum(axis=1).tolist()
     info = sum(weight * d for weight, d in zip(weights.tolist(), div)) / _LN2
     return _OrbitPoint(weights, info, div, out, max(div) / _LN2 - info)
@@ -1106,10 +1120,7 @@ def _orbit_newton(tables: _OrbitTables, point: _OrbitPoint):
         rows, scales, targets = _orbit_directions(tables.pairs[face[1:], ref], face[1:])
     if not targets:
         return None
-    if tables.positive:
-        weighted = rows / point.out
-    else:
-        weighted = np.divide(rows, point.out, out=np.zeros_like(rows), where=point.out > 0.0)
+    weighted = np.divide(rows, point.out, out=np.zeros_like(rows), where=point.out > 0.0)
     # in units of each row's scale
     curvature = [[entry / (scale * other) for entry, other in zip(line, scales)]
                  for line, scale in zip((weighted @ rows.T).tolist(), scales)]
@@ -1270,15 +1281,15 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     ``max_iter`` at least 1; both are checked first.
     """
     host = _check_host(host)
-    emitted = np.flatnonzero(host)
-    if emitted.size == 1 and host[emitted[0]] == 1.0:
+    amino = _point_mass(host)
+    if amino is not None:
         _check_stop_rule(tol, max_iter)
-        closed_form = _UNIFORM_OPTIMAL.get(MULTIPLICITIES[emitted[0]])
+        closed_form = _UNIFORM_OPTIMAL.get(MULTIPLICITIES[amino])
         if closed_form is not None:
             # a point mass has entropy 0, and the uniform conditional's gap is 0
             return _rate_result(closed_form(params), uniform_conditional(), 1, True, 0.0,
                                 gap_bits=0.0)
-        code = _orbit_code(int(emitted[0]))
+        code = _orbit_code(amino)
         if code is not None:
             return _orbit_optimum(code, params, tol, max_iter)
     return _blahut_arimoto(_kimura_channel(params), _SYNONYM_SETS, host, tol, max_iter)
@@ -1395,9 +1406,10 @@ def capacity_c(params: ChannelParams, include_stp: bool = True,
     evaluates the optimized rate for each amino acid (the two
     single-codon ones are zero outright, 14 more closed forms, and 5 runs
     on orbit weights, with no run of the 64-codon optimizer and no 64x64
-    tables) and returns the argmax with the full per-amino rate table.  With ``include_stp=False`` the stop symbol, which a real gene
-    can use only once, is excluded from the argmax but still reported in
-    the table.
+    tables) and returns the argmax with the full per-amino rate table.
+    With ``include_stp=False`` the stop symbol, which a real gene can use
+    only once, is excluded from the argmax but still reported in the
+    table.
     ``iterations`` totals the runs, and ``gap_bits`` is their largest gap.
     """
     results = [deterministic_rate(amino, params, "ba", tol, max_iter) for amino in AMINO_ACIDS]

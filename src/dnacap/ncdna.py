@@ -67,6 +67,19 @@ def _excess(entry: float, deviation: float) -> float:
     return 4.0 * entry * log - d
 
 
+def _underflow_shift(values) -> int:
+    """The power of two that takes ``values`` from below 2**-400 to about 2**-200, else 0.
+
+    A sum of squares of values below 2**-400 can turn subnormal and lose its
+    digits term by term.  Scaled by 2**shift, the squares stay normal, and
+    the sum, scaled back once by ``math.ldexp(total, -2*shift)``, is rounded
+    into the subnormal range only once.  Multiplying by a power of two is
+    exact, so the shift moves no digit of a sum that stays normal.
+    """
+    largest = max(map(abs, values))
+    return -200 - math.frexp(largest)[1] if 0.0 < largest < 2.0**-400 else 0
+
+
 def _divergence_from_uniform(params: ChannelParams) -> float:
     """Divergence in bits of a row of the m-stage base matrix from uniform.
 
@@ -75,12 +88,9 @@ def _divergence_from_uniform(params: ChannelParams) -> float:
     it keeps its relative accuracy however small it is.
     """
     entries, deviations = _stage_entries(params)
-    # below 2**-500 the terms, about d**2/2, turn subnormal and lose their
-    # digits: the deviations are scaled to about 2**-60 by a power of two,
-    # where the series reads d**2/2 to rounding, and the sum is scaled back
-    # once, so it is rounded into the subnormal range only once
-    largest = max(map(abs, deviations))
-    shift = -math.frexp(largest)[1] - 60 if 0.0 < largest < 2.0**-500 else 0
+    # the terms are about d**2/2, which the series reads to rounding at any
+    # scale below 2**-200
+    shift = _underflow_shift(deviations)
     if shift:
         deviations = [math.ldexp(d, shift) for d in deviations]
     total = sum(weight * _excess(entry, d)

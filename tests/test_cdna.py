@@ -1286,6 +1286,32 @@ def test_point_mass_optima_are_nine_eighths_of_uniform_at_depth():
     assert tag == tga and tag + tga + taa == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("q,gamma,m", [
+    (1e-2, 0.1, 825), (1e-2, 0.1, 3481), (1e-2, 0.1, 10000), (1e-9, 0.1, 31622776602),
+])
+def test_evaluate_reads_an_uneven_stop_block_in_the_tables(q, gamma, m):
+    # The documented limit: a Stp block with TAG and TGA one ulp apart is not
+    # even on its orbits, so it is read in the 64x64 tables, whose rounding
+    # of p - W moves I by up to about eps*sqrt(I) + eps**2 bits.  At m=825
+    # that is 1.6e-10 of I; deeper, where the rows differ by less than their
+    # rounding, no digit is left.  The even block is read exactly in the
+    # orbit form.
+    params, host = ChannelParams(q, gamma, m), point_mass_host("Stp")
+    eps = np.finfo(float).eps
+    even = uniform_conditional()
+    uneven = even.copy()
+    uneven[CODON_INDEX["TAG"]] = np.nextafter(even[CODON_INDEX["TAG"]], 1.0)
+    uneven[CODON_INDEX["TGA"]] = np.nextafter(even[CODON_INDEX["TGA"]], 0.0)
+    exact, _ = decimal_point_mass("Stp", q, gamma, m)
+    assert evaluate_rate(host, even, params).mutual_information == pytest.approx(
+        exact, rel=1e-10, abs=0.0)
+    info = evaluate_rate(host, uneven, params).mutual_information
+    exact, _ = decimal_point_mass("Stp", q, gamma, m, {
+        codon: uneven[CODON_INDEX[codon]] for codon in SYNONYMS["Stp"]})
+    assert abs(info - exact) <= 1e-10 * exact + eps * math.sqrt(exact) + eps**2
+    assert (abs(info - exact) <= 1e-9 * exact) == (m == 825), (info, exact)
+
+
 def test_orbit_solver_agrees_with_the_engine_on_shallow_points():
     # the box of the capacity benchmark: both certify, and the orbit solver
     # is never lower than the 64-codon optimizer beyond rounding

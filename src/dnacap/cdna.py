@@ -112,13 +112,7 @@ from .mutation_channel import (  # noqa: F401
     codon_matrix,
     codon_matrix_deviations,
 )
-from .ncdna import (
-    _divergence_from_uniform,
-    _excess,
-    _underflow_shift,
-    capacity_nc,
-    entropy_bits,
-)
+from .ncdna import _divergence_from_uniform, _excess, _underflow_shift, capacity_nc, entropy_bits
 
 _LN2 = math.log(2.0)
 # bits: the floor of the stop rule (``_Ascent._within``) and of no other check
@@ -1081,7 +1075,7 @@ def _orbit_point(tables: _OrbitTables, weights) -> _OrbitPoint:
     differences elsewhere, as sum_i w_i*(mean_i - rep_j).  Shallow, every
     entry is small and the exact differences are not formed: in the
     capacity benchmark's box, where every run is shallow, forming them
-    took a tenth of ``capacity_c``.
+    anyway costs about 6% of a ``capacity_c`` call.
     """
     out = weights @ tables.means
     num = out - tables.rows

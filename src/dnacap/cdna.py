@@ -35,7 +35,9 @@ Conventions
 
 One kernel computes every divergence D_u of a channel row from the output
 pmf, as a sum of non-negative terms ``W(z|u) * phi(p(z)/W(z|u) - 1)`` with
-``phi(t) = t - log1p(t)``, so no first-order terms cancel.  Each term takes
+``phi(t) = t - log1p(t)``, so no first-order terms cancel.  It takes the
+direct form for every term in one pass, and forms the series
+t**2/2 - t**3/3 only when some t is under its cut-off.  Each term takes
 ``p(z) - W(z|u)`` from the form of the channel that holds it to full
 precision: the probabilities where the entry is small (shallow cascades)
 and the deviations from 1/64 elsewhere (deep cascades, whose rates fall
@@ -77,6 +79,14 @@ capacity search builds no 64x64 tables and runs no 64-codon optimizer.
 Sums over synonym sets, such as the
 check that every block of a conditional sums to one, are one
 ``np.bincount`` over the codon-to-amino map.
+
+The channel's constants (the powers lam^m and mu^m, the base entries, the
+class values on one, two and three positions, the monomials
+lam^(m*e)*mu^(m*f) and the closed forms of the 2- and 4-fold point masses)
+are derived once per parameter set, each on its first read, in one object
+(:class:`_ChannelConstants`) that the kernel, the closed forms, the orbit
+rows and the linearized conditional share.  Those of the last 32 parameter
+sets are kept, so the 19 point masses of a capacity point derive them once.
 """
 
 from __future__ import annotations
@@ -105,14 +115,15 @@ from .mutation_channel import (  # noqa: F401
     _CODON_CLASSES,
     _RELATION,
     ChannelParams,
-    _codon_class_entries,
+    _by_class,
+    _combine,
     _eigenvalue_powers,
-    _stage_entries,
+    _stage_entries_of,
     base_matrix_power,
     codon_matrix,
     codon_matrix_deviations,
 )
-from .ncdna import _divergence_from_uniform, _excess, _underflow_shift, capacity_nc, entropy_bits
+from .ncdna import _excess, _row_divergence, _underflow_shift, capacity_nc, entropy_bits
 
 _LN2 = math.log(2.0)
 # bits: the floor of the stop rule (``_Ascent._within``) and of no other check
@@ -325,6 +336,8 @@ def _reciprocal(w):
     W*log(1/W) < 1e-147, and the direct form gives it at t = 0.
     """
     zero = w < 1e-150
+    if not np.count_nonzero(zero):
+        return 1.0 / w, np.full(w.shape, _SERIES_BELOW**2)
     return (np.divide(1.0, w, out=np.zeros_like(w), where=~zero),
             np.where(zero, 0.0, _SERIES_BELOW**2))
 
@@ -333,10 +346,104 @@ def _terms(w, num, inv, series_below):
     """The kernel's non-negative terms W*phi(t), with num = p - W and t = num/W.
 
     ``W*phi(t) = (p - W) - W*log1p(t)``, or ``(p - W)*t*(1/2 - t/3)`` from
-    the series; summed over z they are the divergence of W from p.
+    the series where t**2 is under ``series_below``; summed over z they are
+    the divergence of W from p.  The direct form is taken over every entry
+    in one pass, and the series only when some entry needs it, with the
+    same formula per entry, so each term has the bits of the one form it
+    takes.  Where W < 1e-150 both ``inv`` and the cut-off are 0: t is 0,
+    and the direct form gives p - W.
     """
     t = num * inv
-    return np.where(t * t < series_below, num * t * (0.5 - t / 3.0), num - w * np.log1p(t))
+    terms = num - w * np.log1p(t)
+    series = t * t < series_below
+    if np.count_nonzero(series):
+        return np.where(series, num * t * (0.5 - t / 3.0), terms)
+    return terms
+
+
+class _ChannelConstants:
+    """The Kimura channel's constants at one parameter set, each derived on first read.
+
+    ``powers`` holds (lam^m, 1 - lam^m) and (mu^m, 1 - mu^m), ``stage`` the
+    m-stage base entries and their deviations, and ``entries`` those
+    entries clipped to [0, 1].  ``classes[k - 1]`` holds the 3**k values of
+    the channel on k positions, one per tuple of per-position relations,
+    read-only: products of the clipped entries in the order of
+    :func:`mutation_channel._by_class`, so the 27 on three positions are
+    the codon channel's entries bit for bit.  ``monomials[e][f]`` is
+    lam^(m*e) * mu^(m*f) for e, f < 4, the powers of the channel's
+    characters on up to three positions.  ``two_fold`` and ``four_fold``
+    are the I of the point masses in ``_UNIFORM_OPTIMAL``.
+    """
+
+    def __init__(self, params: ChannelParams):
+        self.params = params
+
+    @functools.cached_property
+    def powers(self):
+        return _eigenvalue_powers(self.params)
+
+    @functools.cached_property
+    def stage(self):
+        return _stage_entries_of(self.powers)
+
+    @functools.cached_property
+    def entries(self) -> tuple:
+        return tuple(min(max(entry, 0.0), 1.0) for entry in self.stage[0])
+
+    @functools.cached_property
+    def classes(self) -> tuple:
+        one = np.array(self.entries)
+        two = np.multiply.outer(one, one).ravel()
+        return _read_only((one, two, np.multiply.outer(two, one).ravel()))
+
+    @functools.cached_property
+    def monomials(self) -> tuple:
+        (lam_m, _), (mu_m, _) = self.powers
+        lams, mus = ((1.0, x, x * x, x * x * x) for x in (lam_m, mu_m))
+        return tuple(tuple(lam * mu for mu in mus) for lam in lams)
+
+    @functools.cached_property
+    def two_fold(self) -> float:
+        """I(Z;U) in bits of a 2-fold point mass under the uniform conditional.
+
+        On the pair's two third bases (a transition pair) the output pmf is
+        s = (1 + lam^m)/4, and each row reads s*(1 + t) and s*(1 - t) there,
+        with t = 2*mu^m/(1 + lam^m) taken from mu^m itself, not from a
+        difference of rounded entries; the other two outputs carry nothing.
+        Each row's divergence, and so I, is s*(phi(t) + phi(-t)) nats, with
+        phi(d) = (1 + d)*ln(1 + d) - d the terms of the noncoding capacity
+        and their series below |d| = 1e-2.  Below |t| = 2**-400 the terms,
+        about t**2/2, would turn subnormal and round one by one: t is scaled
+        by a power of two (:func:`ncdna._underflow_shift`) and I scaled back
+        once, so it is rounded into the subnormal range only once.
+        """
+        (lam_m, _), (mu_m, _) = self.powers
+        s = 0.25 * (1.0 + lam_m)
+        if s == 0.0:  # gamma = 3/2, q = 1 and m odd: no output of the pair is reachable
+            return 0.0
+        t = 2.0 * mu_m / (1.0 + lam_m)
+        shift = _underflow_shift((t,))
+        scaled = math.ldexp(t, shift)
+        # at t = 1 (q = 0 or m = 0) the entry 1 - t is 0, and phi(-1) = 1
+        total = _excess(0.25 * (1.0 + t), scaled) + _excess(0.25 * (1.0 - t), -scaled)
+        return math.ldexp(s * total / _LN2, -2 * shift)
+
+    @functools.cached_property
+    def four_fold(self) -> float:
+        """I(Z;U) in bits of a 4-fold point mass: the noncoding capacity of one base."""
+        return _row_divergence(*self.stage)
+
+
+@functools.lru_cache(maxsize=32)
+def _constants(params: ChannelParams) -> _ChannelConstants:
+    """The constants of the channel at ``params``, shared by every reader.
+
+    Those of the last 32 parameter sets are kept, as the kernels of
+    :func:`_kimura_channel` are, in about 3 KiB each once every field is
+    derived.
+    """
+    return _ChannelConstants(params)
 
 
 @functools.lru_cache(maxsize=32)
@@ -344,7 +451,8 @@ def _kimura_channel(params: ChannelParams) -> _Kernel:
     """The kernel of the codon channel at ``params``, shared and read-only.
 
     The codon channel takes one value per class of codon pairs (27 in
-    all), so the kernel's layers are computed on the 27 classes, and its
+    all), so the kernel's layers are computed on the 27 classes, its W
+    read from the parameter set's constants (:func:`_constants`), and its
     rows are gathered through the class table.  The kernels of the last 32
     parameter sets are kept.  One holds 1 KiB of classes, and the full
     tables (five 64x64 float layers and the ``small`` mask, 164 KiB) once a
@@ -355,7 +463,8 @@ def _kimura_channel(params: ChannelParams) -> _Kernel:
     on a cycle longer than ``maxsize``: a sweep over more than 32 m rebuilds
     every point.
     """
-    return _kernel(*_codon_class_entries(params), _CODON_CLASSES)
+    constants = _constants(params)
+    return _kernel(constants.classes[2], _by_class(_combine, constants.stage[1]), _CODON_CLASSES)
 
 
 def _read_only(tables):
@@ -837,8 +946,10 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
 
 def _point_mass(host) -> int | None:
     """The index of the one amino a host emits with mass 1.0, or None for any other host."""
-    emitted = np.flatnonzero(host)
-    return int(emitted[0]) if emitted.size == 1 and host[emitted[0]] == 1.0 else None
+    if np.count_nonzero(host) != 1:
+        return None
+    amino = int(host.argmax())  # the host mass is >= 0
+    return amino if host[amino] == 1.0 else None
 
 
 def _evaluate(host, cond, params: ChannelParams) -> RateResult:
@@ -877,26 +988,6 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
     return _evaluate(host, _check_conditional(cond, host), params)
 
 
-def _transition_pair_information(params: ChannelParams) -> float:
-    """I(Z;U) in bits of a 2-fold point mass under the uniform conditional.
-
-    On the pair's two third bases (a transition pair) the output pmf is
-    s = (1 + lam^m)/4, and each row reads s*(1 + t) and s*(1 - t) there,
-    with t = 2*mu^m/(1 + lam^m) taken from mu^m itself, not from a
-    difference of rounded entries; the other two outputs carry nothing.
-    Each row's divergence, and so I, is s*(phi(t) + phi(-t)) nats, with
-    phi(d) = (1 + d)*ln(1 + d) - d the terms of the noncoding capacity
-    and their series below |d| = 1e-2.
-    """
-    (lam_m, _), (mu_m, _) = _eigenvalue_powers(params)
-    s = 0.25 * (1.0 + lam_m)
-    if s == 0.0:  # gamma = 3/2, q = 1 and m odd: no output of the pair is reachable
-        return 0.0
-    t = 2.0 * mu_m / (1.0 + lam_m)
-    # at t = 1 (q = 0 or m = 0) the entry 1 - t is 0, and phi(-1) = 1
-    return s * (_excess(0.25 * (1.0 + t), t) + _excess(0.25 * (1.0 - t), -t)) / _LN2
-
-
 # I(Z;U) in bits of the point mass of an amino whose uniform conditional is
 # optimal, by the size of its synonym set; its codons share their first two
 # bases, so I is that of the third.  The base channel keeps its law under the
@@ -904,8 +995,10 @@ def _transition_pair_information(params: ChannelParams) -> float:
 # Speed 1993), a 4-fold set is one orbit of it and a 2-fold set (a transition
 # pair) one orbit of the transition swap.  I is concave and invariant under
 # these maps, so the uniform conditional is optimal, every D_u equal there
-# and the gap 0 (Gallager 1968, section 4.5).
-_UNIFORM_OPTIMAL = {2: _transition_pair_information, 4: _divergence_from_uniform}
+# and the gap 0 (Gallager 1968, section 4.5).  Both values depend on the
+# parameter set alone, so each is derived once per set, as a field of its
+# constants (:class:`_ChannelConstants`), and read by all 14 such aminos.
+_UNIFORM_OPTIMAL = {2: "two_fold", 4: "four_fold"}
 
 # The synonym sets of the other five multi-codon aminos split into the orbits
 # of their stabilizers in the channel's symmetry group, of order 3072: at each
@@ -1018,15 +1111,12 @@ class _OrbitTables(NamedTuple):
 
 
 def _orbit_tables(code: _OrbitCode, params: ChannelParams) -> _OrbitTables:
-    (lam_m, _), (mu_m, _) = _eigenvalue_powers(params)
-    entries = [min(max(entry, 0.0), 1.0) for entry in _stage_entries(params)[0]]
-    values = functools.reduce(np.multiply.outer, [np.array(entries)] * code.positions).ravel()
+    """The orbit rows of ``code`` at ``params``, from the class values and powers of its constants."""
+    constants = _constants(params)
     r = code.sizes.size
-    rows, means = (values @ code.gather).reshape(2, r, -1)
+    rows, means = (constants.classes[code.positions - 1] @ code.gather).reshape(2, r, -1)
     n = rows.shape[1]
-    lams = (1.0, lam_m, lam_m * lam_m, lam_m * lam_m * lam_m)
-    mus = (1.0, mu_m, mu_m * mu_m, mu_m * mu_m * mu_m)
-    powers = [lams[e] * mus[f] for e, f, _ in code.monomials]
+    powers = [constants.monomials[e][f] for e, f, _ in code.monomials]
     exact = np.array(powers) @ code.blocks
     # p - W errs by about eps*W from the probabilities, and by at most
     # eps*2*sum|Lambda|/n from the characters: each entry takes the smaller
@@ -1034,7 +1124,7 @@ def _orbit_tables(code: _OrbitCode, params: ChannelParams) -> _OrbitTables:
                       for power, (_, _, count) in zip(powers, code.monomials)) / n
     small = rows < bound
     # every row holds every class value, so its largest entry is max(entries)**k
-    characters = max(entries) ** code.positions >= bound
+    characters = max(constants.entries) ** code.positions >= bound
     # rows within 2**-400 of each other have I below 2**-800, and tol*I may
     # turn subnormal: their differences are scaled to about 2**-200, and I
     # and every D to about 2**-400; no entry is small there
@@ -1057,7 +1147,9 @@ def _orbit_directions(rows, targets):
     scales = np.abs(rows).max(axis=1).tolist()
     floor = _FLAT * max(scales, default=0.0)
     kept = [i for i, scale in enumerate(scales) if scale > floor]
-    return rows[kept], [scales[i] for i in kept], [targets[i] for i in kept]
+    if len(kept) < len(scales):
+        rows = rows[kept]
+    return rows, [scales[i] for i in kept], [targets[i] for i in kept]
 
 
 class _OrbitPoint(NamedTuple):
@@ -1102,7 +1194,7 @@ def _orbit_newton(tables: _OrbitTables, point: _OrbitPoint):
     test).
     """
     weights, div = point.weights, point.div
-    if weights.all():
+    if np.count_nonzero(weights) == weights.size:
         ref, rows, scales, targets = 0, tables.directions, tables.scales, tables.targets
     else:
         free = weights > 0.0
@@ -1114,7 +1206,9 @@ def _orbit_newton(tables: _OrbitTables, point: _OrbitPoint):
         rows, scales, targets = _orbit_directions(tables.pairs[face[1:], ref], face[1:])
     if not targets:
         return None
-    weighted = np.divide(rows, point.out, out=np.zeros_like(rows), where=point.out > 0.0)
+    out = point.out
+    weighted = (rows / out if np.count_nonzero(out) == out.size else
+                np.divide(rows, out, out=np.zeros_like(rows), where=out > 0.0))
     # in units of each row's scale
     curvature = [[entry / (scale * other) for entry, other in zip(line, scales)]
                  for line, scale in zip((weighted @ rows.T).tolist(), scales)]
@@ -1281,8 +1375,8 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
         closed_form = _UNIFORM_OPTIMAL.get(MULTIPLICITIES[amino])
         if closed_form is not None:
             # a point mass has entropy 0, and the uniform conditional's gap is 0
-            return _rate_result(closed_form(params), uniform_conditional(), 1, True, 0.0,
-                                gap_bits=0.0)
+            return _rate_result(getattr(_constants(params), closed_form), uniform_conditional(),
+                                1, True, 0.0, gap_bits=0.0)
         code = _orbit_code(amino)
         if code is not None:
             return _orbit_optimum(code, params, tol, max_iter)
@@ -1352,7 +1446,8 @@ def linearized_conditional(amino: str, params: ChannelParams) -> np.ndarray:
     q < 1/2 is always safe for the exact system.
     """
     idx = SYNONYM_INDICES[_amino_index(amino)]
-    rows = _kimura_channel(params).take(idx).rows
+    # the rows of the kernel, gathered from the class values without it
+    rows = _constants(params).classes[2][_CODON_CLASSES[idx]]
     gram = rows @ rows.T
     if np.linalg.cond(gram) > 1e12:
         raise SingularSystemError(
@@ -1401,6 +1496,9 @@ def capacity_c(params: ChannelParams, include_stp: bool = True,
     single-codon ones are zero outright, 14 more closed forms, and 5 runs
     on orbit weights, with no run of the 64-codon optimizer and no 64x64
     tables) and returns the argmax with the full per-amino rate table.
+    Each amino is a call of :func:`deterministic_rate`; all 19 read the
+    constants of ``params`` (:func:`_constants`), derived once, so the 14
+    closed forms take two values between them, one 2-fold and one 4-fold.
     With ``include_stp=False`` the stop symbol, which a real gene can use
     only once, is excluded from the argmax but still reported in the
     table.

@@ -100,7 +100,12 @@ def _stage_entries(params: ChannelParams):
     when they are small (shallow cascades), the deviations when they are
     close to 1/4 (deep cascades).
     """
-    (lam_m, lam_rest), (mu_m, mu_rest) = _eigenvalue_powers(params)
+    return _stage_entries_of(_eigenvalue_powers(params))
+
+
+def _stage_entries_of(powers):
+    """:func:`_stage_entries` from the eigenvalue powers of :func:`_eigenvalue_powers`."""
+    (lam_m, lam_rest), (mu_m, mu_rest) = powers
     deviations = (2.0 * mu_m + lam_m, lam_m - 2.0 * mu_m, -lam_m)
     entries = (0.25 * (1.0 + deviations[0]), 0.25 * (2.0 * mu_rest - lam_rest),
                0.25 * lam_rest)

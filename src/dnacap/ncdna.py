@@ -87,7 +87,11 @@ def _divergence_from_uniform(params: ChannelParams) -> float:
     of a row sum to zero, and every term is non-negative.  Not clamped, so
     it keeps its relative accuracy however small it is.
     """
-    entries, deviations = _stage_entries(params)
+    return _row_divergence(*_stage_entries(params))
+
+
+def _row_divergence(entries, deviations) -> float:
+    """:func:`_divergence_from_uniform` from the entries and deviations of :func:`_stage_entries`."""
     # the terms are about d**2/2, which the series reads to rounding at any
     # scale below 2**-200
     shift = _underflow_shift(deviations)

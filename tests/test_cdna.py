@@ -845,6 +845,20 @@ def test_linearized_singular_system_raises():
         linearized_conditional("Ser", ChannelParams(0.75, 1.0, 1))
 
 
+def test_linearized_conditional_gathers_its_rows_without_the_kernel():
+    params = ChannelParams(1e-2, 0.1, 30)
+    multi = [amino for amino in AMINO_ACIDS if MULTIPLICITIES[AMINO_INDEX[amino]] > 1]
+    cdna._kimura_channel.cache_clear()
+    solved = {amino: linearized_conditional(amino, params) for amino in multi}
+    assert cdna._kimura_channel.cache_info().misses == 0
+    # the same solve on the kernel's rows gives the same bits
+    kernel = cdna._kimura_channel(params)
+    for amino, pi in solved.items():
+        rows = kernel.take(SYNONYM_INDICES[AMINO_INDEX[amino]]).rows
+        raw = np.clip(np.linalg.solve(rows @ rows.T, np.ones(len(rows))), 0.0, None)
+        assert pi.tobytes() == (raw / raw.sum()).tobytes(), amino
+
+
 # --- capacity search -----------------------------------------------------------
 
 def test_capacity_no_mutation_three_way_tie():
@@ -1043,6 +1057,131 @@ def test_class_tables_match_the_64x64_tables_bit_for_bit():
     assert cdna._Problem(kernel, np.full(64, 1.0 / 64)).tables is kernel.full
 
 
+# --- the divergence kernel and the constants of a parameter set ----------------
+
+def test_kernel_terms_equal_the_formula_of_both_forms_bit_for_bit():
+    def formula(w, num, inv, series_below):
+        t = num * inv
+        return np.where(t * t < series_below, num * t * (0.5 - t / 3.0), num - w * np.log1p(t))
+
+    def reciprocal(w):
+        zero = w < 1e-150
+        return (np.divide(1.0, w, out=np.zeros_like(w), where=~zero),
+                np.where(zero, 0.0, cdna._SERIES_BELOW**2))
+
+    w = np.array([0.25, 1e-3, 0.5, 1e-149, 0.02])
+    # t**2 on either side of the cut-off 1e-10, a few ulps apart
+    near = 1e-5 * (1.0 + np.arange(-4, 5) * np.finfo(float).eps)
+    cases = {
+        "cut-off": (np.full(near.size, 0.25), 0.25 * near),
+        "cut-off, negative": (np.full(near.size, 0.25), -0.25 * near),
+        "below 1e-150": (np.array([1e-160, 1e-151, 0.0, 0.5]), np.array([0.3, 1e-3, 0.2, 1e-7])),
+        "t = -1": (np.array([0.25, 0.5]), np.array([-0.25, 1e-7])),
+        "large t": (np.array([1e-149, 2e-149]), np.array([0.5, 0.25])),
+        "no series entry": (w, np.array([0.1, -1e-4, 0.3, 0.5, 1e-6])),
+        "series only": (w, 1e-7 * w),
+    }
+    masks = []
+    for name, (w, num) in cases.items():
+        assert bits(cdna._reciprocal(w)) == bits(reciprocal(w)), name
+        inv, series_below = reciprocal(w)
+        with np.errstate(divide="ignore"):  # log1p(-1): an infinite term
+            expected = formula(w, num, inv, series_below)
+            terms = cdna._terms(w, num, inv, series_below)
+        assert terms.tobytes() == expected.tobytes(), name
+        assert name != "t = -1" or math.isinf(terms[0])
+        masks.append((num * inv) ** 2 < series_below)
+    # the cases hold entries of the series, entries of the direct form, and
+    # arrays of each kind alone
+    assert masks[0].any() and not masks[0].all()
+    assert not masks[5].any() and masks[6].all()
+
+
+def test_constants_hold_the_channel_class_values_bit_for_bit():
+    rng = np.random.default_rng(22)
+    grid = [ChannelParams(10 ** rng.uniform(-9, 0), rng.uniform(0.0, 1.5),
+                          int(10 ** rng.uniform(0, 12))) for _ in range(20)]
+    grid += [ChannelParams(1.0, 1.5, 5), ChannelParams(0.0, 0.5, 3), ChannelParams(0.3, 0.2, 0)]
+    for params in grid:
+        constants = cdna._ChannelConstants(params)
+        entries, deviations = mutation_channel._stage_entries(params)
+        assert constants.stage == (entries, deviations)
+        # the 27 of three positions are the codon channel's W
+        assert bits(constants.classes[2:]) == bits(mutation_channel._codon_class_entries(params)[:1])
+        base = np.clip(entries, 0.0, 1.0)
+        assert constants.classes[0].tobytes() == base.tobytes()
+        assert constants.classes[1].tobytes() == np.multiply.outer(base, base).ravel().tobytes()
+        (lam_m, _), (mu_m, _) = mutation_channel._eigenvalue_powers(params)
+        assert constants.monomials[2][1] == lam_m * lam_m * mu_m
+        assert constants.four_fold == ncdna._divergence_from_uniform(params)
+        for table in constants.classes:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[1]
+
+
+def test_capacity_point_derives_its_constants_once(monkeypatch):
+    built = []
+
+    class Counted(cdna._ChannelConstants):
+        def __init__(self, params):
+            built.append(params)
+            super().__init__(params)
+
+    monkeypatch.setattr(cdna, "_ChannelConstants", Counted)
+    cdna._constants.cache_clear()
+    params = ChannelParams(1e-3, 0.5, 30)
+    capacity_c(params)
+    assert built == [params]
+    # a kernel and a linearized conditional at the same point share them
+    cdna._kimura_channel.cache_clear()
+    cdna._kimura_channel(params)
+    linearized_conditional("Leu", params)
+    assert built == [params]
+    cdna._constants.cache_clear()
+
+
+def capacity_fingerprint(params, runs):
+    """The per-amino table, totals and every optimizer run of ``capacity_c(params)``."""
+    runs.clear()
+    result = capacity_c(params)
+    floats = np.array([result.rate, result.gap_bits]
+                      + [value for run in runs
+                         for value in (run.mutual_information, run.gap_bits)])
+    return (result.best_amino, result.per_amino.tobytes(), result.iterations, result.converged,
+            floats.tobytes(), [(run.iterations, run.conditional.tobytes()) for run in runs])
+
+
+def test_capacity_repeats_bitwise_in_any_order_and_from_fresh_constants(monkeypatch):
+    rng = np.random.default_rng(23)
+    # shallow and deep points, some past the orbit solver's shift against underflow
+    grid = [ChannelParams(10 ** rng.uniform(-4, -0.5), rng.uniform(0.05, 1.5),
+                          int(10 ** rng.uniform(0, 5))) for _ in range(50)]
+    runs = []
+    optimize = cdna.ba_optimize
+    monkeypatch.setattr(cdna, "ba_optimize",
+                        lambda *args, **kwargs: runs.append(optimize(*args, **kwargs)) or runs[-1])
+    forward = {params: capacity_fingerprint(params, runs) for params in grid}
+    assert len(runs) == 19
+    assert {params: capacity_fingerprint(params, runs) for params in reversed(grid)} == forward
+    for params in grid:
+        cdna._constants.cache_clear()
+        cdna._kimura_channel.cache_clear()
+        assert capacity_fingerprint(params, runs) == forward[params], params
+
+
+def test_a_sweep_longer_than_the_caches_returns_the_values_of_fresh_constants():
+    sweep = [ChannelParams(1e-2, 0.5, m) for m in range(1, 101)]
+    for amino in ("Ser", "Lys"):
+        swept = [fingerprint(deterministic_rate(amino, params)) for params in sweep]
+        again = [fingerprint(deterministic_rate(amino, params)) for params in sweep]
+        assert again == swept, amino
+        for params, expected in zip(sweep, swept):
+            cdna._constants.cache_clear()
+            assert fingerprint(deterministic_rate(amino, params)) == expected, (amino, params)
+    info = cdna._constants.cache_info()
+    assert info.currsize <= info.maxsize == 32
+
+
 # --- closed forms of the point masses whose uniform conditional is optimal -----
 
 UNIFORM_OPTIMAL = [a for a in AMINO_ACIDS if MULTIPLICITIES[AMINO_INDEX[a]] in (2, 4)]
@@ -1144,6 +1283,17 @@ def test_closed_forms_agree_with_a_fresh_optimizer_run():
             info = ba_optimize(host, params).mutual_information
             assert run.converged, (params, amino)
             assert abs(info - run.mutual_information) <= 1e-9 * info + 1e-15, (params, amino)
+
+
+@pytest.mark.parametrize("m", [27400, 27500, 27600])
+def test_two_fold_closed_form_rounds_a_subnormal_value_once(m):
+    # I is near 1e-320 bits: t, near 1e-160, is scaled before the terms
+    # (about t**2/2) are formed, so I is the correctly rounded subnormal
+    params = ChannelParams(1e-2, 1.0, m)
+    for amino in (a for a in UNIFORM_OPTIMAL if MULTIPLICITIES[AMINO_INDEX[a]] == 2):
+        info = ba_optimize(point_mass_host(amino), params).mutual_information
+        assert 0.0 < info < 2.0**-1022
+        assert info == decimal_point_mass_information(amino, 1e-2, 1.0, m), amino
 
 
 # --- the symmetry group of the codon channel and the orbit solver ---------------

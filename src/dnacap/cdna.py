@@ -115,8 +115,7 @@ from .mutation_channel import (  # noqa: F401
     _CODON_CLASSES,
     _RELATION,
     ChannelParams,
-    _by_class,
-    _combine,
+    _class_deviations,
     _eigenvalue_powers,
     _stage_entries_of,
     base_matrix_power,
@@ -368,9 +367,9 @@ class _ChannelConstants:
     m-stage base entries and their deviations, and ``entries`` those
     entries clipped to [0, 1].  ``classes[k - 1]`` holds the 3**k values of
     the channel on k positions, one per tuple of per-position relations,
-    read-only: products of the clipped entries in the order of
-    :func:`mutation_channel._by_class`, so the 27 on three positions are
-    the codon channel's entries bit for bit.  ``monomials[e][f]`` is
+    read-only: products of the clipped entries in the order in which
+    :func:`mutation_channel._kron` multiplies the positions, so the 27 on
+    three positions are the entries of :func:`codon_matrix` bit for bit.  ``monomials[e][f]`` is
     lam^(m*e) * mu^(m*f) for e, f < 4, the powers of the channel's
     characters on up to three positions.  ``two_fold`` and ``four_fold``
     are the I of the point masses in ``_UNIFORM_OPTIMAL``.
@@ -464,7 +463,7 @@ def _kimura_channel(params: ChannelParams) -> _Kernel:
     every point.
     """
     constants = _constants(params)
-    return _kernel(constants.classes[2], _by_class(_combine, constants.stage[1]), _CODON_CLASSES)
+    return _kernel(constants.classes[2], _class_deviations(constants.stage[1]), _CODON_CLASSES)
 
 
 def _read_only(tables):

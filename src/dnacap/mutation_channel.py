@@ -19,8 +19,8 @@ only as a test oracle.  Codons see the threefold Kronecker product of the
 base matrix.  A base pair is in one of three relations (same base,
 transition, transversion), so a codon pair is in one of 27 classes, and
 the 64x64 codon channel takes one value per class: ``_CODON_CLASSES``
-holds the class of every entry, and :func:`_codon_class_entries` the
-values.
+holds the class of every entry, and :func:`_class_deviations` the
+deviations of the classes.
 """
 
 from __future__ import annotations
@@ -169,32 +169,17 @@ _CODON_CLASSES = _kron(np.add, _kron(np.add, 9 * _RELATION, 3 * _RELATION), _REL
 _CODON_CLASSES.flags.writeable = False
 
 
-def _by_class(op, x) -> np.ndarray:
-    """``op(op(x[r1], x[r2]), x[r3])`` for every class 9*r1 + 3*r2 + r3.
+def _class_deviations(deviations) -> np.ndarray:
+    """The deviations w of the codon classes 9*r1 + 3*r2 + r3 from those d of the relations.
 
-    The values of the three relations are combined as :func:`_kron`
-    combines the three positions, so every class value has the bits of the
-    64x64 entries of that class.
+    ``1 + w = (1 + d[r1])*(1 + d[r2])*(1 + d[r3])``, combined as
+    ``x + y + x*y`` without forming ``1 + d``, in the order in which
+    :func:`_kron` combines the three positions, so ``w[_CODON_CLASSES]``
+    has the bits of :func:`codon_matrix_deviations`.
     """
-    x = np.asarray(x)
-    return op(op(x[:, None], x).ravel()[:, None], x).ravel()
-
-
-def _combine(x, y):
-    # (1+x)(1+y) - 1, kept in deviation form
-    return x + y + x * y
-
-
-def _codon_class_entries(params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
-    """W and w of the 27 codon classes, with W = (1 + w)/64.
-
-    ``W[_CODON_CLASSES]`` is ``codon_matrix(base_matrix_power(params))``
-    and ``w[_CODON_CLASSES]`` is ``codon_matrix_deviations(params)``, bit
-    for bit.
-    """
-    entries, deviations = _stage_entries(params)
-    return (_by_class(np.multiply, np.clip(entries, 0.0, 1.0)),
-            _by_class(_combine, deviations))
+    d = np.asarray(deviations)
+    pair = (d[:, None] + d + d[:, None] * d).ravel()
+    return (pair[:, None] + d + pair[:, None] * d).ravel()
 
 
 def codon_matrix_deviations(params: ChannelParams) -> np.ndarray:
@@ -205,7 +190,7 @@ def codon_matrix_deviations(params: ChannelParams) -> np.ndarray:
     machine epsilon relative to 1/64 survive.  The rate computations in
     :mod:`dnacap.cdna` rely on this once ``lam**m`` underflows toward zero.
     """
-    return _codon_class_entries(params)[1][_CODON_CLASSES]
+    return _class_deviations(_stage_entries(params)[1])[_CODON_CLASSES]
 
 
 def gamma_from_ti_tv(epsilon: float) -> float:

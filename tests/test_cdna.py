@@ -1107,7 +1107,8 @@ def test_constants_hold_the_channel_class_values_bit_for_bit():
         entries, deviations = mutation_channel._stage_entries(params)
         assert constants.stage == (entries, deviations)
         # the 27 of three positions are the codon channel's W
-        assert bits(constants.classes[2:]) == bits(mutation_channel._codon_class_entries(params)[:1])
+        matrix = codon_matrix(base_matrix_power(params))
+        assert constants.classes[2][mutation_channel._CODON_CLASSES].tobytes() == matrix.tobytes()
         base = np.clip(entries, 0.0, 1.0)
         assert constants.classes[0].tobytes() == base.tobytes()
         assert constants.classes[1].tobytes() == np.multiply.outer(base, base).ravel().tobytes()

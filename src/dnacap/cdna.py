@@ -335,9 +335,7 @@ def _reciprocal(w):
     W*log(1/W) < 1e-147, and the direct form gives it at t = 0.
     """
     zero = w < 1e-150
-    if not np.count_nonzero(zero):
-        return 1.0 / w, np.full(w.shape, _SERIES_BELOW**2)
-    return (np.divide(1.0, w, out=np.zeros_like(w), where=~zero),
+    return (np.divide(1.0, w, out=np.zeros(w.shape), where=~zero),
             np.where(zero, 0.0, _SERIES_BELOW**2))
 
 
@@ -369,10 +367,11 @@ class _ChannelConstants:
     the channel on k positions, one per tuple of per-position relations,
     read-only: products of the clipped entries in the order in which
     :func:`mutation_channel._kron` multiplies the positions, so the 27 on
-    three positions are the entries of :func:`codon_matrix` bit for bit.  ``monomials[e][f]`` is
-    lam^(m*e) * mu^(m*f) for e, f < 4, the powers of the channel's
-    characters on up to three positions.  ``two_fold`` and ``four_fold``
-    are the I of the point masses in ``_UNIFORM_OPTIMAL``.
+    three positions are the entries of :func:`codon_matrix` bit for bit.
+    ``monomials[e][f]`` is lam^(m*e) * mu^(m*f) for e, f < 4, the powers of
+    the channel's characters on up to three positions.  ``two_fold`` and
+    ``four_fold`` are the I of the point masses that
+    :meth:`uniform_optimal` gives in closed form.
     """
 
     def __init__(self, params: ChannelParams):
@@ -432,6 +431,25 @@ class _ChannelConstants:
     def four_fold(self) -> float:
         """I(Z;U) in bits of a 4-fold point mass: the noncoding capacity of one base."""
         return _row_divergence(*self.stage)
+
+    def uniform_optimal(self, size: int) -> float | None:
+        """I(Z;U) in bits of a point mass on ``size`` synonyms whose uniform conditional is optimal.
+
+        That holds for a 2-fold set (``two_fold``) and a 4-fold set
+        (``four_fold``); for any other size the answer is None.  Their
+        codons share their first two bases, so I is that of the third.  The
+        base channel keeps its law under the Klein group of relabellings
+        that keep transitions (Kimura 1980; Evans and Speed 1993), a 4-fold
+        set is one orbit of it and a 2-fold set (a transition pair) one
+        orbit of the transition swap.  I is concave and invariant under
+        these maps, so the uniform conditional is optimal, every D_u equal
+        there and the gap 0 (Gallager 1968, section 4.5).  Both values
+        depend on the parameter set alone, so each is derived once per set
+        and read by all 14 such aminos.
+        """
+        if size == 2:
+            return self.two_fold
+        return self.four_fold if size == 4 else None
 
 
 @functools.lru_cache(maxsize=32)
@@ -689,7 +707,7 @@ class _Ascent:
         if not slope > 0.0:  # the gap, lost to rounding
             return False
         shift = (mass * direction) @ self.problem.tables.stacked[1]  # the change of p
-        curvature = float(shift**2 @ np.divide(1.0, point.out, out=np.zeros_like(point.out),
+        curvature = float(shift**2 @ np.divide(1.0, point.out, out=np.zeros(point.out.shape),
                                                where=point.out > 0.0))
         alpha = min(1.0, slope / curvature) if curvature > 0.0 else 1.0
         for _ in range(_BACKTRACKS):
@@ -783,7 +801,7 @@ class _Ascent:
         """
         point, mass = self.point, self.problem.mass[face]
         rows = point.num[face] * mass[:, None]
-        weighted = np.divide(rows, point.out, out=np.zeros_like(rows), where=point.out > 0.0)
+        weighted = np.divide(rows, point.out, out=np.zeros(rows.shape), where=point.out > 0.0)
         curvature = weighted @ rows.T  # -H, positive semidefinite: its largest entry is max|H|
         scale = curvature.max()
         if not scale > 0.0:
@@ -859,7 +877,7 @@ def _minimum_norm_step(model, free, step, sums):
     known = step.copy()
     known[free] = sums[groups] / size
     factor = model.rows * np.divide(1.0, np.sqrt(model.out * model.scale),
-                                    out=np.zeros_like(model.out), where=model.out > 0.0)
+                                    out=np.zeros(model.out.shape), where=model.out > 0.0)
     reduced = project @ factor[free]  # B', one row per free input
     v, sigma, ut = np.linalg.svd(reduced, full_matrices=False)
     keep = sigma > sigma[0] * math.sqrt(max(reduced.shape) * np.finfo(float).eps)
@@ -987,19 +1005,8 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
     return _evaluate(host, _check_conditional(cond, host), params)
 
 
-# I(Z;U) in bits of the point mass of an amino whose uniform conditional is
-# optimal, by the size of its synonym set; its codons share their first two
-# bases, so I is that of the third.  The base channel keeps its law under the
-# Klein group of relabellings that keep transitions (Kimura 1980; Evans and
-# Speed 1993), a 4-fold set is one orbit of it and a 2-fold set (a transition
-# pair) one orbit of the transition swap.  I is concave and invariant under
-# these maps, so the uniform conditional is optimal, every D_u equal there
-# and the gap 0 (Gallager 1968, section 4.5).  Both values depend on the
-# parameter set alone, so each is derived once per set, as a field of its
-# constants (:class:`_ChannelConstants`), and read by all 14 such aminos.
-_UNIFORM_OPTIMAL = {2: "two_fold", 4: "four_fold"}
-
-# The synonym sets of the other five multi-codon aminos split into the orbits
+# The synonym sets of the five multi-codon aminos that are neither 2- nor
+# 4-fold (:meth:`_ChannelConstants.uniform_optimal`) split into the orbits
 # of their stabilizers in the channel's symmetry group, of order 3072: at each
 # position the 8 relabellings that keep {A, G} and {C, T}, and the 6
 # permutations of the positions.  The optimum is constant on each orbit
@@ -1110,7 +1117,7 @@ class _OrbitTables(NamedTuple):
 
 
 def _orbit_tables(code: _OrbitCode, params: ChannelParams) -> _OrbitTables:
-    """The orbit rows of ``code`` at ``params``, from the class values and powers of its constants."""
+    """The orbit rows of ``code`` at ``params``, from its constants' class values and powers."""
     constants = _constants(params)
     r = code.sizes.size
     rows, means = (constants.classes[code.positions - 1] @ code.gather).reshape(2, r, -1)
@@ -1146,9 +1153,7 @@ def _orbit_directions(rows, targets):
     scales = np.abs(rows).max(axis=1).tolist()
     floor = _FLAT * max(scales, default=0.0)
     kept = [i for i, scale in enumerate(scales) if scale > floor]
-    if len(kept) < len(scales):
-        rows = rows[kept]
-    return rows, [scales[i] for i in kept], [targets[i] for i in kept]
+    return rows[kept], [scales[i] for i in kept], [targets[i] for i in kept]
 
 
 class _OrbitPoint(NamedTuple):
@@ -1205,9 +1210,7 @@ def _orbit_newton(tables: _OrbitTables, point: _OrbitPoint):
         rows, scales, targets = _orbit_directions(tables.pairs[face[1:], ref], face[1:])
     if not targets:
         return None
-    out = point.out
-    weighted = (rows / out if np.count_nonzero(out) == out.size else
-                np.divide(rows, out, out=np.zeros_like(rows), where=out > 0.0))
+    weighted = np.divide(rows, point.out, out=np.zeros(rows.shape), where=point.out > 0.0)
     # in units of each row's scale
     curvature = [[entry / (scale * other) for entry, other in zip(line, scales)]
                  for line, scale in zip((weighted @ rows.T).tolist(), scales)]
@@ -1371,11 +1374,10 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     amino = _point_mass(host)
     if amino is not None:
         _check_stop_rule(tol, max_iter)
-        closed_form = _UNIFORM_OPTIMAL.get(MULTIPLICITIES[amino])
+        closed_form = _constants(params).uniform_optimal(MULTIPLICITIES[amino])
         if closed_form is not None:
             # a point mass has entropy 0, and the uniform conditional's gap is 0
-            return _rate_result(getattr(_constants(params), closed_form), uniform_conditional(),
-                                1, True, 0.0, gap_bits=0.0)
+            return _rate_result(closed_form, uniform_conditional(), 1, True, 0.0, gap_bits=0.0)
         code = _orbit_code(amino)
         if code is not None:
             return _orbit_optimum(code, params, tol, max_iter)

@@ -1064,11 +1064,6 @@ def test_kernel_terms_equal_the_formula_of_both_forms_bit_for_bit():
         t = num * inv
         return np.where(t * t < series_below, num * t * (0.5 - t / 3.0), num - w * np.log1p(t))
 
-    def reciprocal(w):
-        zero = w < 1e-150
-        return (np.divide(1.0, w, out=np.zeros_like(w), where=~zero),
-                np.where(zero, 0.0, cdna._SERIES_BELOW**2))
-
     w = np.array([0.25, 1e-3, 0.5, 1e-149, 0.02])
     # t**2 on either side of the cut-off 1e-10, a few ulps apart
     near = 1e-5 * (1.0 + np.arange(-4, 5) * np.finfo(float).eps)
@@ -1083,8 +1078,7 @@ def test_kernel_terms_equal_the_formula_of_both_forms_bit_for_bit():
     }
     masks = []
     for name, (w, num) in cases.items():
-        assert bits(cdna._reciprocal(w)) == bits(reciprocal(w)), name
-        inv, series_below = reciprocal(w)
+        inv, series_below = cdna._reciprocal(w)
         with np.errstate(divide="ignore"):  # log1p(-1): an infinite term
             expected = formula(w, num, inv, series_below)
             terms = cdna._terms(w, num, inv, series_below)
@@ -1173,12 +1167,21 @@ def test_capacity_repeats_bitwise_in_any_order_and_from_fresh_constants(monkeypa
 def test_a_sweep_longer_than_the_caches_returns_the_values_of_fresh_constants():
     sweep = [ChannelParams(1e-2, 0.5, m) for m in range(1, 101)]
     for amino in ("Ser", "Lys"):
-        swept = [fingerprint(deterministic_rate(amino, params)) for params in sweep]
+        results = [deterministic_rate(amino, params) for params in sweep]
+        swept = [fingerprint(result) for result in results]
         again = [fingerprint(deterministic_rate(amino, params)) for params in sweep]
         assert again == swept, amino
         for params, expected in zip(sweep, swept):
             cdna._constants.cache_clear()
             assert fingerprint(deterministic_rate(amino, params)) == expected, (amino, params)
+        # and against the decimal reference, which reads no cached constant:
+        # I at the returned conditional, and I + gap its largest D_u
+        for params, result in zip(sweep, results):
+            info, top = decimal_point_mass(amino, params.q, params.gamma, params.m, {
+                codon: result.conditional[CODON_INDEX[codon]] for codon in SYNONYMS[amino]})
+            assert result.mutual_information == pytest.approx(info, rel=1e-12, abs=0.0), (amino, params)
+            assert result.mutual_information + result.gap_bits == pytest.approx(
+                top, rel=1e-12, abs=0.0), (amino, params)
     info = cdna._constants.cache_info()
     assert info.currsize <= info.maxsize == 32
 

@@ -63,7 +63,8 @@ rules: a host that can emit every input reads the tables of all 64 rows,
 which are gathered once per parameter set on first need and kept with its
 kernel (164 KiB, at most about 5 MiB in all), and any other host, as a
 point mass, gathers its rows from the classes.  The point
-masses of 14 aminos need no tables: their synonym sets are orbits of the
+masses of 16 aminos need no tables: Met and Trp have one codon, which
+carries nothing, and the synonym sets of 14 more are orbits of the
 channel's symmetries (the 4-fold sets, and the 2-fold transition pairs at
 the third base), so the uniform conditional is optimal and I has a closed
 form in lam^m and mu^m.  The synonym sets of Ile, Leu, Arg, Ser and Stp
@@ -191,8 +192,12 @@ def uniform_codon_host() -> np.ndarray:
 
 def point_mass_host(amino: str) -> np.ndarray:
     """Host pmf concentrated on a single amino acid."""
+    return _point_mass_at(_amino_index(amino))
+
+
+def _point_mass_at(index: int) -> np.ndarray:
     host = np.zeros(len(AMINO_ACIDS))
-    host[_amino_index(amino)] = 1.0
+    host[index] = 1.0
     return host
 
 
@@ -217,11 +222,36 @@ def _nonnegative(values, name: str) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def _check_host(host, size=21, name="host pmf") -> np.ndarray:
-    """``host`` as a pmf of ``size`` entries, clipped at zero; ``name`` heads each error."""
+def _checked_host(host, size=21, name="host pmf") -> tuple[np.ndarray, int | None]:
+    """``host`` as a pmf of ``size`` entries, and the index of its one entry if it is a point mass.
+
+    The checks run in this order: the shape, then the point-mass test
+    (:func:`_point_mass`), which proves a valid pmf by itself, then, for
+    any other host, the pmf check (:func:`_check_pmf`) and the point-mass
+    test on what its clip leaves.  ``name`` heads each error.
+    """
     host = np.asarray(host, dtype=float)
     if host.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {host.shape}")
+    index = _point_mass(host)
+    if index is None:
+        # the clip can leave a point mass, as of 1.0 beside -1e-13
+        host = _check_pmf(host, name)
+        index = _point_mass(host)
+    return host, index
+
+
+def _check_host(host, size=21, name="host pmf") -> np.ndarray:
+    """``host`` as a pmf of ``size`` entries, clipped at zero; ``name`` heads each error.
+
+    The checks run in this order: the shape, then the point-mass test,
+    then, for any other host, the pmf check (:func:`_checked_host`).
+    """
+    return _checked_host(host, size, name)[0]
+
+
+def _check_pmf(host, name) -> np.ndarray:
+    """``host``, of the right shape, as a pmf clipped at zero; ``name`` heads each error."""
     # a valid pmf, as every host the package builds, needs no clip: NaN
     # fails min >= 0 and an infinite entry one of the two tests
     if host.min() >= 0.0 and abs(host.sum() - 1.0) <= 1e-9:
@@ -435,21 +465,24 @@ class _ChannelConstants:
     def uniform_optimal(self, size: int) -> float | None:
         """I(Z;U) in bits of a point mass on ``size`` synonyms whose uniform conditional is optimal.
 
-        That holds for a 2-fold set (``two_fold``) and a 4-fold set
-        (``four_fold``); for any other size the answer is None.  Their
-        codons share their first two bases, so I is that of the third.  The
-        base channel keeps its law under the Klein group of relabellings
-        that keep transitions (Kimura 1980; Evans and Speed 1993), a 4-fold
-        set is one orbit of it and a 2-fold set (a transition pair) one
-        orbit of the transition swap.  I is concave and invariant under
-        these maps, so the uniform conditional is optimal, every D_u equal
-        there and the gap 0 (Gallager 1968, section 4.5).  Both values
-        depend on the parameter set alone, so each is derived once per set
-        and read by all 14 such aminos.
+        That holds for a single codon (Met, Trp), its own orbit, which
+        carries nothing (0.0), a 2-fold set (``two_fold``) and a 4-fold set
+        (``four_fold``); for any other size the answer is None.  The 2- and
+        4-fold codons share their first two bases, so I is that of the
+        third.  The base channel keeps its law under the Klein group of
+        relabellings that keep transitions (Kimura 1980; Evans and Speed
+        1993), a 4-fold set is one orbit of it and a 2-fold set (a
+        transition pair) one orbit of the transition swap.  I is concave and
+        invariant under these maps, so the uniform conditional is optimal,
+        every D_u equal there and the gap 0 (Gallager 1968, section 4.5).
+        Both values depend on the parameter set alone, so each is derived
+        once per set and read by all 14 such aminos.
         """
         if size == 2:
             return self.two_fold
-        return self.four_fold if size == 4 else None
+        if size == 4:
+            return self.four_fold
+        return 0.0 if size == 1 else None
 
 
 @functools.lru_cache(maxsize=32)
@@ -962,15 +995,20 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
 
 
 def _point_mass(host) -> int | None:
-    """The index of the one amino a host emits with mass 1.0, or None for any other host."""
+    """The index of a host's one nonzero entry if it is exactly 1.0, or None for any other host.
+
+    Such a host is a valid pmf, so the test needs no other check before
+    it.  A single nonzero entry that is negative or NaN is not the largest
+    one that ``argmax`` finds, or is NaN, and fails the comparison.
+    """
     if np.count_nonzero(host) != 1:
         return None
-    amino = int(host.argmax())  # the host mass is >= 0
-    return amino if host[amino] == 1.0 else None
+    index = int(host.argmax())
+    return index if host[index] == 1.0 else None
 
 
-def _evaluate(host, cond, params: ChannelParams) -> RateResult:
-    amino = _point_mass(host)
+def _evaluate(host, amino, cond, params: ChannelParams) -> RateResult:
+    """The rate at ``cond`` of a checked host, whose point mass, if any, is ``amino``."""
     code = None if amino is None else _orbit_code(amino)
     if code is not None:
         # a point mass on Ile, Leu, Arg, Ser or Stp with a conditional even on
@@ -992,7 +1030,10 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
 
     No optimization is performed; the conditional is used as supplied.
     A non-finite or negative entry in either raises, as does a block that
-    does not sum to one for an amino the host emits.  A point mass on Ile,
+    does not sum to one for an amino the host emits.  The host is checked
+    first: its shape, then the point-mass test (one entry of exactly 1.0,
+    which proves a valid pmf), then, for any other host, the pmf check;
+    the conditional after it.  A point mass on Ile,
     Leu, Arg, Ser or Stp whose block is even on every orbit (the uniform
     conditional, or an optimum of :func:`ba_optimize`) is read in the
     exact orbit form of the optimizer, without the 64x64 tables.  Any
@@ -1001,8 +1042,8 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
     small gamma only to about eps*sqrt(I) + eps**2 bits absolute, which
     leaves no digit of I deep in the cascade.
     """
-    host = _check_host(host)
-    return _evaluate(host, _check_conditional(cond, host), params)
+    host, amino = _checked_host(host)
+    return _evaluate(host, amino, _check_conditional(cond, host), params)
 
 
 # The synonym sets of the five multi-codon aminos that are neither 2- nor
@@ -1357,10 +1398,13 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     and ``gap_bits`` rather than an exception.  Aminos the host never
     emits keep their uniform conditional.
 
-    A point-mass host (one amino of mass 1.0, as in every run of
-    :func:`capacity_c`) on a 4-fold or a 2-fold amino builds no channel:
-    its uniform conditional is optimal, and the run returns I in closed
-    form with one iteration, converged, a gap of 0 and the uniform
+    The host is checked first: its shape, then the point-mass test (one
+    amino of mass exactly 1.0, which proves a valid pmf by itself), then,
+    for any other host, the pmf check.  A point-mass host (as in every run
+    of :func:`capacity_c`) on a 4-fold, a 2-fold or a single-codon amino
+    builds no channel: its uniform conditional is optimal, and the run
+    returns I in closed form (0 for Met and Trp) with one iteration,
+    converged, a gap of 0 and the uniform
     conditional.  A point mass on Ile, Leu, Arg, Ser or Stp builds no 64x64
     channel either: the optimum is even on each orbit of its synonym set
     (``_ORBITS``), so the run maximizes I over one or two orbit weights
@@ -1368,13 +1412,12 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     at the uniform conditional; it stops once ``max_orbit D - I <= tol*I``,
     with no floor, and returns the conditional whose I it reports, equal on
     the codons of each orbit.  ``tol`` must be finite and above zero, and
-    ``max_iter`` at least 1; both are checked first.
+    ``max_iter`` at least 1; both are checked after the host, before any run.
     """
-    host = _check_host(host)
-    amino = _point_mass(host)
+    host, amino = _checked_host(host)
     if amino is not None:
         _check_stop_rule(tol, max_iter)
-        closed_form = _constants(params).uniform_optimal(MULTIPLICITIES[amino])
+        closed_form = _constants(params).uniform_optimal(len(SYNONYM_INDICES[amino]))
         if closed_form is not None:
             # a point mass has entropy 0, and the uniform conditional's gap is 0
             return _rate_result(closed_form, uniform_conditional(), 1, True, 0.0, gap_bits=0.0)
@@ -1406,9 +1449,11 @@ def uniform_conditional_rate(host, params: ChannelParams) -> RateResult:
     """Rate with the uniform conditional p(u|x') = 1/|synonyms(x')|.
 
     A good, cheap approximation to the optimized rate: exact at q=0 and
-    for the uniform-codon host, and close elsewhere.
+    for the uniform-codon host, and close elsewhere.  The host is checked
+    as by :func:`evaluate_rate`; the conditional, built here, is not.
     """
-    return evaluate_rate(host, uniform_conditional(), params)
+    host, amino = _checked_host(host)
+    return _evaluate(host, amino, uniform_conditional(), params)
 
 
 def steganographic_rate(host_codon_usage, host, params: ChannelParams) -> RateResult:
@@ -1433,7 +1478,7 @@ def steganographic_rate(host_codon_usage, host, params: ChannelParams) -> RateRe
         )
     # unreachable blocks are filled uniformly, to keep them valid pmfs
     usage = np.where(blocks[AMINO_OF_CODON] <= 0.0, _SYNONYM_SETS.start, usage)
-    return _evaluate(host, _nonnegative(usage, "codon usage"), params)
+    return _evaluate(host, _point_mass(host), _nonnegative(usage, "codon usage"), params)
 
 
 def linearized_conditional(amino: str, params: ChannelParams) -> np.ndarray:
@@ -1471,14 +1516,17 @@ def deterministic_rate(amino: str, params: ChannelParams, method: str = "ba",
     (:func:`ba_optimize`: a closed form for 14 aminos, the orbit weights
     for Ile, Leu, Arg, Ser and Stp), ``"uniform"`` spreads evenly,
     ``"linearized"`` uses the closed-form approximation.  Single-codon
-    aminos (Met, Trp) can only carry rate zero and return immediately.
+    aminos (Met, Trp) can only carry rate zero and return immediately,
+    with a gap of 0 for ``"ba"`` and none (None) for the two evaluations.
     """
     ai = _amino_index(amino)
     if method not in ("ba", "uniform", "linearized"):
         raise ValueError(f"unknown method {method!r}; expected ba, uniform or linearized")
-    host = point_mass_host(amino)
-    if MULTIPLICITIES[ai] == 1:  # exact: a single input carries nothing
-        return _rate_result(0.0, uniform_conditional(), 0, True, 0.0, gap_bits=0.0)
+    if len(SYNONYM_INDICES[ai]) == 1:  # exact: a single input carries nothing
+        # an optimum's gap is 0; an evaluation has none
+        return _rate_result(0.0, uniform_conditional(), 0, True, 0.0,
+                            gap_bits=0.0 if method == "ba" else None)
+    host = _point_mass_at(ai)
     if method == "ba":
         return ba_optimize(host, params, tol=tol, max_iter=max_iter)
     if method == "uniform":

@@ -235,6 +235,71 @@ def test_host_check_clips_rounding_below_zero_only():
     assert np.array_equal(cdna._check_host(list(valid)), valid)
 
 
+# the calls that check a host pmf, the point-mass test first
+_HOST_CALLS = {
+    "ba_optimize": lambda host: ba_optimize(host, _PARAMS),
+    "evaluate_rate": lambda host: evaluate_rate(host, uniform_conditional(), _PARAMS),
+    "uniform_conditional_rate": lambda host: uniform_conditional_rate(host, _PARAMS),
+}
+
+
+@pytest.fixture
+def pmf_checks(monkeypatch):
+    """The hosts that reach the general pmf check (``cdna._check_pmf``), in order."""
+    checked = []
+    check = cdna._check_pmf
+    monkeypatch.setattr(cdna, "_check_pmf",
+                        lambda host, name: checked.append(host) or check(host, name))
+    return checked
+
+
+@pytest.mark.parametrize("call", _HOST_CALLS.values(), ids=_HOST_CALLS.keys())
+@pytest.mark.parametrize("host, message", [
+    (np.zeros(20), "host pmf must have shape (21,), got (20,)"),
+    (np.zeros((21, 1)), "host pmf must have shape (21,), got (21, 1)"),
+    (_host_with({"Ser": math.nan}), "host pmf has non-finite entries"),
+    (_host_with({"Ser": math.inf}), "host pmf has non-finite entries"),
+    (_host_with({"Ala": -1e-3}), "host pmf has negative entries"),
+    (_host_with({"Ser": 0.5, "Ala": math.nan}), "host pmf has non-finite entries"),
+], ids=["shape-20", "shape-21x1", "nan", "inf", "one-beside-negative", "half-beside-nan"])
+def test_invalid_hosts_raise_past_the_point_mass_test(call, host, message):
+    # a lone NaN or infinity is one nonzero entry that is not 1.0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(host)
+
+
+@pytest.mark.parametrize("call", _HOST_CALLS.values(), ids=_HOST_CALLS.keys())
+def test_host_one_ulp_above_a_point_mass_takes_the_pmf_check(call, pmf_checks):
+    # within 1e-9 of a pmf, so accepted, but no point mass
+    call(_host_with({"Ser": 1.0 + 2.0**-52}))
+    assert len(pmf_checks) == 1
+
+
+@pytest.mark.parametrize("call", _HOST_CALLS.values(), ids=_HOST_CALLS.keys())
+@pytest.mark.parametrize("host, checks", [
+    (np.where(point_mass_host("Ser") == 0.0, -0.0, 1.0), 0),
+    ([int(amino == "Ser") for amino in AMINO_ACIDS], 0),
+    # rounding below zero is clipped, which leaves the point mass
+    (_host_with({"Ala": -1e-13}), 1),
+], ids=["negative-zeros", "list-of-ints", "clipped-to-a-point-mass"])
+def test_point_mass_hosts_are_read_as_point_masses(call, host, checks, pmf_checks):
+    result = call(host)
+    assert len(pmf_checks) == checks
+    expected = call(point_mass_host("Ser"))
+    assert result.mutual_information == expected.mutual_information
+    assert result.iterations == expected.iterations
+    assert np.array_equal(result.conditional, expected.conditional)
+
+
+def test_capacity_point_runs_no_pmf_check(monkeypatch, pmf_checks):
+    runs = []
+    optimize = cdna.ba_optimize
+    monkeypatch.setattr(cdna, "ba_optimize",
+                        lambda *args, **kwargs: runs.append(1) or optimize(*args, **kwargs))
+    capacity_c(ChannelParams(1e-3, 0.5, 30))
+    assert len(runs) == 19 and pmf_checks == []
+
+
 def test_linearized_rate_builds_the_channel_once():
     cdna._kimura_channel.cache_clear()
     deterministic_rate("Ser", ChannelParams(1e-2, 0.1, 30), "linearized")
@@ -739,9 +804,11 @@ def test_deterministic_single_codon_aminos_are_zero():
             for method in ("ba", "uniform", "linearized"):
                 result = deterministic_rate(amino, params, method)
                 assert result.rate == 0.0 and result.iterations == 0
+                # an optimum's gap is 0; an evaluation has none
+                assert result.gap_bits == (0.0 if method == "ba" else None)
 
 
-@pytest.mark.parametrize("amino", ["Ser", "Lys", "Ile"])
+@pytest.mark.parametrize("amino", ["Ser", "Lys", "Ile", "Met", "Trp"])
 def test_deterministic_uniform_method_is_the_uniform_conditional_rate(amino):
     params = ChannelParams(1e-3, 0.5, 30)
     result = deterministic_rate(amino, params, "uniform")
@@ -1513,6 +1580,27 @@ def test_capacity_runs_no_optimizer(monkeypatch):
                             for amino in ("Ile", "Leu", "Arg", "Ser", "Stp"))
     assert result.iterations == 14 + orbit_evaluations == 34 and result.converged
     assert runs == [] and cdna._kimura_channel.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("amino", ["Met", "Trp"])
+def test_single_codon_point_mass_builds_no_kernel(amino, monkeypatch):
+    params = ChannelParams(1e-3, 0.5, 30)
+    expected = engine(point_mass_host(amino), params)
+    runs = []
+    blahut_arimoto = cdna._blahut_arimoto
+    monkeypatch.setattr(cdna, "_blahut_arimoto",
+                        lambda *args: runs.append(1) or blahut_arimoto(*args))
+    cdna._kimura_channel.cache_clear()
+    result = ba_optimize(point_mass_host(amino), params)
+    assert runs == [] and cdna._kimura_channel.cache_info().misses == 0
+    # what the 64-codon optimizer returns, bit for bit
+    assert result.mutual_information == expected.mutual_information == 0.0
+    assert result.rate == expected.rate == 0.0
+    assert result.iterations == expected.iterations == 1
+    assert result.converged and expected.converged
+    assert result.gap_bits == expected.gap_bits == 0.0
+    assert np.array_equal(result.conditional, expected.conditional)
+    assert np.array_equal(result.conditional, uniform_conditional())
 
 
 def test_certified_start_returns_the_uniform_conditional():

@@ -41,7 +41,8 @@ def entropy_bits(pmf: np.ndarray) -> float:
     """Shannon entropy in bits with 0*log(0) = 0."""
     p = np.asarray(pmf, dtype=float)
     mask = p > 0.0
-    return float(-(p[mask] * np.log2(p[mask])).sum())
+    # 0.0 - sum, not -sum: a point mass's sum is 0.0, and its entropy is +0.0
+    return 0.0 - float((p[mask] * np.log2(p[mask])).sum())
 
 
 def row_entropy(params: ChannelParams) -> float:

@@ -19,8 +19,11 @@ character, to name the line and column of the first offending character.
 All records of a file are framed in one uint8 array, codons as rows of
 three base codes, and counted with one ``np.bincount``; the N codons and
 stop codons are found once and counted per record, and only the records
-with something to report are visited to log it.  The amino pmf and the
-codon usage sum the synonym sets of the 64 counts with one more
+with something to report are visited.  Their warnings go out as one
+record of the ``dnacap.sequences`` logger per call, its message one line
+per warning in record order, so the default handler prints one line per
+warning while a custom formatter prefixes only the first.  The amino pmf
+and the codon usage sum the synonym sets of the 64 counts with one more
 ``np.bincount``.
 """
 
@@ -194,10 +197,11 @@ def _frame_codes(records: list[bytes], frame: int, headers=None) -> np.ndarray:
     front end made the codes: one byte per base, A/C/T/G as 0-3 and N as
     4.  Returns ``25*i1 + 5*i2 + i3`` (uint8) for the codes of every codon
     framed, record after record, N codons included (``_HAS_N`` marks them).
-    Logs, per record and in order, the trailing bases and the N codons
-    dropped and, given the headers, the stop codons before the final kept
-    codon.  The first record with fewer than three usable bases raises
-    after the warnings of the records before it.
+    Warns, per record and in order, of the trailing bases and the N codons
+    dropped and, given the headers, of the stop codons before the final
+    kept codon: one line each, all in one log record, and no record when
+    nothing warns.  The first record with fewer than three usable bases
+    raises after the one record holding the warnings of those before it.
     """
     _check_frame(frame)
     usable = np.fromiter(map(len, records), dtype=np.intp, count=len(records)) - frame
@@ -226,15 +230,18 @@ def _frame_codes(records: list[bytes], frame: int, headers=None) -> np.ndarray:
         early = np.bincount(stop_record[ends[stop_record] - 1 - stop_at > n_after],
                             minlength=short)
 
+    # one log record per call, however many lines: each logging call looks
+    # up its caller, builds a LogRecord and writes to its handlers
+    lines = []
     for r in np.flatnonzero(trailing | dropped | early).tolist():
         if trailing[r]:
-            logger.warning("dropping %d trailing base(s) beyond the last codon", int(trailing[r]))
+            lines.append(f"dropping {trailing[r]} trailing base(s) beyond the last codon")
         if dropped[r]:
-            logger.warning("dropped %d codon(s) containing N", int(dropped[r]))
+            lines.append(f"dropped {dropped[r]} codon(s) containing N")
         if early[r]:
-            logger.warning(
-                "record %r: %d stop codon(s) before the final codon", headers[r], int(early[r])
-            )
+            lines.append(f"record {headers[r]!r}: {early[r]} stop codon(s) before the final codon")
+    if lines:
+        logger.warning("\n".join(lines))
     if short < len(records):
         raise ValueError(
             f"fewer than 3 usable bases after frame {frame} ({max(usable[short], 0)} left)"
@@ -247,8 +254,9 @@ def frame_codons(seq, frame: int = 0) -> list[str]:
 
     Skips ``frame`` leading bases and chunks the rest into triplets; the
     1-2 trailing leftover bases and the codons containing N are dropped
-    (logged).  Fewer than three usable bases is an error, and so is a
-    codon holding anything but A/C/G/T/N (a raw string is not cleaned).
+    and logged, as one warning record with a line for each.  Fewer than
+    three usable bases is an error, and so is a codon holding anything
+    but A/C/G/T/N (a raw string is not cleaned).
     """
     bases = seq.bases if isinstance(seq, RawSequence) else str(seq)
     _check_frame(frame)
@@ -275,9 +283,11 @@ def ingest_fasta(text: str, frame: int = 0) -> CodonCounts:
     Counting is additive, so the result does not depend on record order.
     Stop codons anywhere before a record's final codon are counted like
     any other codon but logged, since a real gene ends at its single stop.
+    A call logs at most one warning record, one line per warning in
+    record order, before any error a short record raises.
     Canonical text goes straight from bytes to base codes; the rest,
     including every text that raises, goes through :func:`parse_fasta`.
-    The counts, the log records and the errors are the same either way.
+    The counts, the log record and the errors are the same either way.
     """
     read = _canonical_records(text, frame)
     if read is None:

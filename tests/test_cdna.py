@@ -100,6 +100,18 @@ def test_evaluate_rate_single_codon_host_is_zero():
         assert result.host_entropy == 0.0
 
 
+def test_point_mass_host_entropy_is_positive_zero():
+    # evaluations and optimizer runs alike: +0.0, never -0.0
+    params = ChannelParams(1e-2, 0.1, 10)
+    for amino in ("Met", "Ala", "Ser"):
+        host = point_mass_host(amino)
+        for result in (evaluate_rate(host, uniform_conditional(), params),
+                       uniform_conditional_rate(host, params),
+                       steganographic_rate(uniform_conditional(), host, params),
+                       ba_optimize(host, params)):
+            assert math.copysign(1.0, result.host_entropy) == 1.0
+
+
 def test_evaluate_rate_catastrophic_point(gene_a):
     host, _ = gene_a
     params = ChannelParams(0.75, 1.0, 2)

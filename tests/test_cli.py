@@ -5,6 +5,8 @@ import os
 import re
 import shutil
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +437,30 @@ def test_ingest_frame_shift(capsys, tmp_path):
     # only a single codon survives the shift
     payload_lines = [l for l in out.splitlines() if l.endswith(",1")]
     assert len(payload_lines) == 2  # one codon row + one pmf row (Ile,1)
+
+
+def test_ingest_stderr_has_one_line_per_warning(tmp_path):
+    # a file's warnings are one log record; under the default handler stderr
+    # still gets one line per warning, in record order, from either front end
+    # (a CR-only copy is read by the general parser)
+    text = ">a stops\nTAAGCATGAGGC\n>b\nACGNNNTTTA\n>c\nGGCAAT\n>d late\nTAGACGNTTTGA\n"
+    expected = ("record 'a stops': 2 stop codon(s) before the final codon\n"
+                "dropping 1 trailing base(s) beyond the last codon\n"
+                "dropped 1 codon(s) containing N\n"
+                "dropped 1 codon(s) containing N\n"
+                "record 'd late': 1 stop codon(s) before the final codon\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    outputs = []
+    for name, copy in (("lf.fa", text), ("cr.fa", text.replace("\n", "\r"))):
+        path = tmp_path / name
+        path.write_bytes(copy.encode("ascii"))
+        done = subprocess.run([sys.executable, "-m", "dnacap.cli", "ingest", str(path)],
+                              cwd=root, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == expected.encode("ascii")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # --- figures --------------------------------------------------------------------

@@ -209,6 +209,25 @@ def test_ingest_warns_on_early_stop_codons(caplog):
     assert "stop codon" in caplog.text
 
 
+def test_one_warning_record_per_call(caplog):
+    warned = ">a\nTAAGCATGAGGC\n>b\nACGNNNTTTA\n"
+    lines = ["record 'a': 2 stop codon(s) before the final codon",
+             "dropping 1 trailing base(s) beyond the last codon",
+             "dropped 1 codon(s) containing N"]
+    clean = (DATA / "toy_gene_a.fasta").read_text()
+    with caplog.at_level(logging.WARNING, logger="dnacap.sequences"):
+        assert _outcome(caplog, ingest_fasta, warned)[2] == [
+            ("dnacap.sequences", logging.WARNING, "\n".join(lines))]
+        assert _outcome(caplog, frame_codons, "ACGNNNTTTA")[2] == [
+            ("dnacap.sequences", logging.WARNING, "\n".join(lines[1:]))]
+        assert _outcome(caplog, ingest_fasta, clean)[2] == []
+        assert _outcome(caplog, frame_codons, parse_fasta(clean)[0])[2] == []
+        # a short record raises after one record with the lines of those before it
+        error, logged = _outcome(caplog, ingest_fasta, warned + ">c\nAC\n>d\nACGNNN\n")[1:]
+        assert error == (ValueError, "fewer than 3 usable bases after frame 0 (2 left)")
+        assert logged == [("dnacap.sequences", logging.WARNING, "\n".join(lines))]
+
+
 # --- serialization ---------------------------------------------------------------
 
 def test_counts_json_canonical_order():
@@ -242,8 +261,9 @@ def test_counts_addition():
 # --- equivalence with the per-character reference ---------------------------------
 #
 # The loops below are the reference the vectorised reader must reproduce:
-# the same counts, the same log records in the same order and the same
-# errors, with their exact line and column.
+# the same counts, the same log record (one per call, holding every
+# record's warning lines in order) and the same errors, with their exact
+# line and column.
 
 _REF_ALLOWED = set("ACGTUN")
 _REF_LOGGER = logging.getLogger("dnacap.sequences")
@@ -285,7 +305,8 @@ def reference_parse_fasta(text):
     return records
 
 
-def reference_frame_codons(bases, frame=0):
+def reference_record_codons(bases, frame, lines):
+    """The codons of one record; appends its warning lines to ``lines``."""
     if frame not in (0, 1, 2):
         raise ValueError(f"frame must be 0, 1 or 2, got {frame}")
     usable = bases[frame:]
@@ -293,7 +314,7 @@ def reference_frame_codons(bases, frame=0):
         raise ValueError(f"fewer than 3 usable bases after frame {frame} ({len(usable)} left)")
     trailing = len(usable) % 3
     if trailing:
-        _REF_LOGGER.warning("dropping %d trailing base(s) beyond the last codon", trailing)
+        lines.append("dropping %d trailing base(s) beyond the last codon" % trailing)
     codons = []
     dropped_n = 0
     for i in range(0, len(usable) - 2, 3):
@@ -303,7 +324,20 @@ def reference_frame_codons(bases, frame=0):
             continue
         codons.append(codon)
     if dropped_n:
-        _REF_LOGGER.warning("dropped %d codon(s) containing N", dropped_n)
+        lines.append("dropped %d codon(s) containing N" % dropped_n)
+    return codons
+
+
+def reference_log(lines):
+    """One warning record per call, its lines in record order; none without lines."""
+    if lines:
+        _REF_LOGGER.warning("\n".join(lines))
+
+
+def reference_frame_codons(bases, frame=0):
+    lines = []
+    codons = reference_record_codons(bases, frame, lines)
+    reference_log(lines)
     return codons
 
 
@@ -312,14 +346,19 @@ def reference_ingest_fasta(text, frame=0):
     if not records:
         raise FastaError("no sequences found")
     counts = np.zeros(64, dtype=np.int64)
-    for record in records:
-        codons = reference_frame_codons(record.bases, frame=frame)
-        early_stops = sum(c in ("TAA", "TAG", "TGA") for c in codons[:-1])
-        if early_stops:
-            _REF_LOGGER.warning("record %r: %d stop codon(s) before the final codon",
-                                record.header, early_stops)
-        for codon in codons:
-            counts[CODONS.index(codon)] += 1
+    lines = []
+    try:
+        for record in records:
+            codons = reference_record_codons(record.bases, frame, lines)
+            early_stops = sum(c in ("TAA", "TAG", "TGA") for c in codons[:-1])
+            if early_stops:
+                lines.append("record %r: %d stop codon(s) before the final codon"
+                             % (record.header, early_stops))
+            for codon in codons:
+                counts[CODONS.index(codon)] += 1
+    finally:
+        # a short record raises after the lines of the records before it
+        reference_log(lines)
     return counts
 
 

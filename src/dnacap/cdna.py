@@ -55,14 +55,15 @@ even on every orbit, are exact at every depth.
 The codon channel takes 27 distinct values, one for each triple of
 per-position relations (same base, transition, transversion), so the
 kernel's tables are built once per parameter set on those 27 classes and
-read through a class table of the 64x64 entries.  The kernels of the last
-32 parameter sets are kept, so sweeps that revisit an m-grid once per host
-and method build each parameter set once.  Each evaluation or optimizer
-run selects the rows of the inputs its host can emit, by one of two
-rules: a host that can emit every input reads the tables of all 64 rows,
+read through a class table of the 64x64 entries.  Each evaluation or
+optimizer run selects the rows of the inputs of positive mass, by one of
+two rules: an input pmf on every codon reads the tables of all 64 rows,
 which are gathered once per parameter set on first need and kept with its
-kernel (164 KiB, at most about 5 MiB in all), and any other host, as a
-point mass, gathers its rows from the classes.  The point
+kernel (164 KiB), and any other gathers its rows from the classes.  Those
+others come from a conditional with zero entries or a host that cannot
+emit every codon: a gene's host that lacks some aminos, or a point mass
+that no exact form below reads, as at the ``linearized`` conditionals of
+:func:`deterministic_rate`, which are not even on their orbits.  The point
 masses of 16 aminos need no tables: Met and Trp have one codon, which
 carries nothing, and the synonym sets of 14 more are orbits of the
 channel's symmetries (the 4-fold sets, and the 2-fold transition pairs at
@@ -83,11 +84,13 @@ check that every block of a conditional sums to one, are one
 
 The channel's constants (the powers lam^m and mu^m, the base entries, the
 class values on one, two and three positions, the monomials
-lam^(m*e)*mu^(m*f) and the closed forms of the 2- and 4-fold point masses)
-are derived once per parameter set, each on its first read, in one object
-(:class:`_ChannelConstants`) that the kernel, the closed forms, the orbit
-rows and the linearized conditional share.  Those of the last 32 parameter
-sets are kept, so the 19 point masses of a capacity point derive them once.
+lam^(m*e)*mu^(m*f), the closed forms of the 2- and 4-fold point masses and
+the kernel) are derived once per parameter set, each on its first read, in
+one object (:class:`_ChannelConstants`) that the optimizer, the closed
+forms, the orbit rows and the linearized conditional share.  One cache
+keeps those of the last 32 parameter sets, kernels included, so the 19
+point masses of a capacity point derive them once, and sweeps that revisit
+an m-grid once per host and method build each kernel once.
 """
 
 from __future__ import annotations
@@ -336,8 +339,9 @@ class _Kernel:
     def take(self, inputs) -> _Tables:
         """The tables of the rows ``inputs``, increasing input indices.
 
-        All rows are the full tables as they are; any other selection, as
-        the synonym set of a point mass, is gathered from the classes.
+        All rows are the full tables as they are; any other selection (the
+        inputs that a host which cannot emit every one, or a conditional
+        with zero entries, leaves) is gathered from the classes.
         """
         if inputs.size == self.table.shape[0]:
             return self.full
@@ -401,7 +405,9 @@ class _ChannelConstants:
     ``monomials[e][f]`` is lam^(m*e) * mu^(m*f) for e, f < 4, the powers of
     the channel's characters on up to three positions.  ``two_fold`` and
     ``four_fold`` are the I of the point masses that
-    :meth:`uniform_optimal` gives in closed form.
+    :meth:`uniform_optimal` gives in closed form, and ``kernel`` is the
+    divergence kernel of the 64x64 channel, which lives and is evicted
+    with the rest (:func:`_constants`).
     """
 
     def __init__(self, params: ChannelParams):
@@ -462,6 +468,16 @@ class _ChannelConstants:
         """I(Z;U) in bits of a 4-fold point mass: the noncoding capacity of one base."""
         return _row_divergence(*self.stage)
 
+    @functools.cached_property
+    def kernel(self) -> _Kernel:
+        """The divergence kernel of the codon channel, read-only.
+
+        The codon channel takes one value per class of codon pairs (27 in
+        all), so the kernel's layers are computed on the 27 ``classes[2]``
+        and its rows are gathered through the class table.
+        """
+        return _kernel(self.classes[2], _class_deviations(self.stage[1]), _CODON_CLASSES)
+
     def uniform_optimal(self, size: int) -> float | None:
         """I(Z;U) in bits of a point mass on ``size`` synonyms whose uniform conditional is optimal.
 
@@ -489,32 +505,18 @@ class _ChannelConstants:
 def _constants(params: ChannelParams) -> _ChannelConstants:
     """The constants of the channel at ``params``, shared by every reader.
 
-    Those of the last 32 parameter sets are kept, as the kernels of
-    :func:`_kimura_channel` are, in about 3 KiB each once every field is
-    derived.
+    This is the one cache of per-parameter-set state, kernels included:
+    those of the last 32 parameter sets are kept, and a kernel leaves with
+    its constants.  One holds about 3 KiB once every field but the kernel
+    is derived, 1 KiB more for the kernel's classes, and its full tables
+    (164 KiB) once a host that can emit every input has needed them, so
+    at most about 5 MiB in all.  Sweeps revisit one m-grid per host and
+    method, and 32 covers the largest grid of the figures bundle (25 m),
+    so each of its parameter sets is derived once.  A least-recently-used
+    cache hits nothing on a cycle longer than ``maxsize``: a sweep over
+    more than 32 m derives every point anew.
     """
     return _ChannelConstants(params)
-
-
-@functools.lru_cache(maxsize=32)
-def _kimura_channel(params: ChannelParams) -> _Kernel:
-    """The kernel of the codon channel at ``params``, shared and read-only.
-
-    The codon channel takes one value per class of codon pairs (27 in
-    all), so the kernel's layers are computed on the 27 classes, its W
-    read from the parameter set's constants (:func:`_constants`), and its
-    rows are gathered through the class table.  The kernels of the last 32
-    parameter sets are kept.  One holds 1 KiB of classes, and the full
-    tables (five 64x64 float layers and the ``small`` mask, 164 KiB) once a
-    host that can emit every input has needed them, so at most about 5 MiB
-    in all.  Sweeps revisit one m-grid per host and method, and 32
-    covers the largest grid of the figures bundle (25 m), so each of its
-    parameter sets is built once.  A least-recently-used cache hits nothing
-    on a cycle longer than ``maxsize``: a sweep over more than 32 m rebuilds
-    every point.
-    """
-    constants = _constants(params)
-    return _kernel(constants.classes[2], _class_deviations(constants.stage[1]), _CODON_CLASSES)
 
 
 def _read_only(tables):
@@ -615,41 +617,28 @@ class _Ascent:
     (:meth:`_Problem.gain`), and I is the last value read plus the gains
     accepted since.  The inputs of positive conditional are free; one at
     zero stays there until :meth:`newton` releases it or
-    :meth:`toward_best` moves mass to it.
+    :meth:`toward_best` moves mass to it.  Sums and maxima over the groups
+    take one path whatever their number, through ``members`` and ``dense``.
     """
 
     def __init__(self, problem: _Problem, partition: _Partition, host_mass, tol, max_iter):
-        self.problem, self.partition = problem, partition
+        self.problem = problem
         self.tol, self.max_iter = tol, max_iter
         self.emitted = np.flatnonzero(host_mass)  # the host mass is >= 0
         self.group_mass = host_mass[self.emitted]
-        # a point-mass host (as in the capacity search) has one group: plain
-        # sums and maxima, and none of the group tables below is built
-        self.single = self.emitted.size == 1
+        # the members of each emitted group, as positions in the support
+        self.members = np.searchsorted(problem.support, partition.members[self.emitted])
+        # the group of every supported input, numbered 0..k-1
+        self.dense = np.empty(problem.support.size, dtype=np.intp)
+        self.dense[self.members] = np.arange(self.emitted.size)[:, None]
         self.iterations = 1
         self.point = problem.information(partition.start[problem.support])
         self.info = self.point.info
         self.top, self.gap = self._bound(self.point, self.info)
 
-    @functools.cached_property
-    def members(self):
-        """The members of each emitted group, as positions in the support."""
-        return np.searchsorted(self.problem.support, self.partition.members[self.emitted])
-
-    @functools.cached_property
-    def dense(self):
-        """The group of every supported input, numbered 0..k-1."""
-        dense = np.empty(self.problem.support.size, dtype=np.intp)
-        dense[self.members] = np.arange(self.emitted.size)[:, None]
-        return dense
-
     def _bound(self, point, info):
         """Each group's largest D (nats), and the duality gap (bits) of ``point`` at ``info``."""
-        div = point.div
-        if self.single:
-            top = div.max(keepdims=True)
-            return top, float(top[0]) * self.group_mass[0] / _LN2 - info
-        top = div[self.members].max(axis=1)
+        top = point.div[self.members].max(axis=1)
         return top, float(self.group_mass @ top) / _LN2 - info
 
     def certified(self) -> bool:
@@ -661,7 +650,7 @@ class _Ascent:
 
     def _normalized(self, cond):
         """``cond`` scaled to sum to one over every group."""
-        return cond / (cond.sum() if self.single else np.bincount(self.dense, cond)[self.dense])
+        return cond / np.bincount(self.dense, cond)[self.dense]
 
     def group_max(self, div, free):
         """max_{u in g, free} D_u for every group g, in nats."""
@@ -718,8 +707,7 @@ class _Ascent:
         :meth:`_advance` alone enforces the budget.
         """
         point = self.point
-        largest = self.top[0] if self.single else self.top.max()
-        scaled = point.cond * np.exp(point.div - largest)
+        scaled = point.cond * np.exp(point.div - self.top.max())
         return self._advance(self._normalized(scaled), trusted)
 
     def toward_best(self) -> bool:
@@ -732,8 +720,7 @@ class _Ascent:
         :meth:`_advance` alone enforces the budget.
         """
         point, mass = self.point, self.problem.mass
-        best = (np.argmax(point.div, keepdims=True) if self.single else
-                self.members[np.arange(self.emitted.size), point.div[self.members].argmax(axis=1)])
+        best = self.members[np.arange(self.emitted.size), point.div[self.members].argmax(axis=1)]
         direction = -point.cond
         direction[best] += 1.0
         slope = float((mass * direction) @ (point.div - self.top[self.dense]))
@@ -1020,7 +1007,7 @@ def _evaluate(host, amino, cond, params: ChannelParams) -> RateResult:
             info = math.ldexp(_orbit_point(tables, weights).info, -2 * tables.shift)
             return _rate_result(info, cond, 0, True, entropy_bits(host))
     # I(Z;U) depends on the input pmf alone: each input weighs its mass
-    problem = _Problem(_kimura_channel(params), host[AMINO_OF_CODON] * cond)
+    problem = _Problem(_constants(params).kernel, host[AMINO_OF_CODON] * cond)
     info = problem.information(np.ones(len(problem.support))).info
     return _rate_result(info, cond, 0, True, entropy_bits(host))
 
@@ -1411,8 +1398,11 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     (:func:`_orbit_optimum`).  Its iterations are evaluations, the first
     at the uniform conditional; it stops once ``max_orbit D - I <= tol*I``,
     with no floor, and returns the conditional whose I it reports, equal on
-    the codons of each orbit.  ``tol`` must be finite and above zero, and
-    ``max_iter`` at least 1; both are checked after the host, before any run.
+    the codons of each orbit.  So only a host that emits two aminos or
+    more runs the 64-codon optimizer, on the kernel kept with the
+    parameter set's constants (:func:`_constants`).  ``tol`` must be
+    finite and above zero, and ``max_iter`` at least 1; both are checked
+    after the host, before any run.
     """
     host, amino = _checked_host(host)
     if amino is not None:
@@ -1421,10 +1411,9 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
         if closed_form is not None:
             # a point mass has entropy 0, and the uniform conditional's gap is 0
             return _rate_result(closed_form, uniform_conditional(), 1, True, 0.0, gap_bits=0.0)
-        code = _orbit_code(amino)
-        if code is not None:
-            return _orbit_optimum(code, params, tol, max_iter)
-    return _blahut_arimoto(_kimura_channel(params), _SYNONYM_SETS, host, tol, max_iter)
+        # every other amino (Ile, Leu, Arg, Ser, Stp) has its orbits in ``_ORBITS``
+        return _orbit_optimum(_orbit_code(amino), params, tol, max_iter)
+    return _blahut_arimoto(_constants(params).kernel, _SYNONYM_SETS, host, tol, max_iter)
 
 
 def rate_q0(host) -> float:

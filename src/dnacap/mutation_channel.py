@@ -60,12 +60,14 @@ class Eigenpair(NamedTuple):
     mu: float
 
 
+def _decrements(params: ChannelParams) -> tuple[float, float]:
+    """``1 - lam`` and ``1 - mu``: (4*gamma/3)*q and 2*(1 - gamma/3)*q."""
+    return (4.0 * params.gamma / 3.0) * params.q, 2.0 * (1.0 - params.gamma / 3.0) * params.q
+
+
 def eigenvalues(params: ChannelParams) -> Eigenpair:
     """The two non-unit eigenvalues of the single-stage matrix."""
-    return Eigenpair(
-        lam=1.0 - (4.0 * params.gamma / 3.0) * params.q,
-        mu=1.0 - 2.0 * (1.0 - params.gamma / 3.0) * params.q,
-    )
+    return Eigenpair(*(1.0 - a for a in _decrements(params)))
 
 
 def _power_and_rest(a: float, m: int) -> tuple[float, float]:
@@ -88,8 +90,7 @@ def _power_and_rest(a: float, m: int) -> tuple[float, float]:
 
 def _eigenvalue_powers(params: ChannelParams):
     """``(lam**m, 1 - lam**m)`` and ``(mu**m, 1 - mu**m)`` by :func:`_power_and_rest`."""
-    return (_power_and_rest((4.0 * params.gamma / 3.0) * params.q, params.m),
-            _power_and_rest(2.0 * (1.0 - params.gamma / 3.0) * params.q, params.m))
+    return tuple(_power_and_rest(a, params.m) for a in _decrements(params))
 
 
 def _stage_entries(params: ChannelParams):

@@ -66,9 +66,22 @@ def gene_b_host():
 
 # --- helpers and pmf constructors -------------------------------------------
 
+def kimura_kernel(params):
+    """The codon channel's kernel, kept with the constants of ``params``."""
+    return cdna._constants(params).kernel
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """One entry for every kernel built from here on."""
+    builds, build = [], cdna._kernel
+    monkeypatch.setattr(cdna, "_kernel", lambda *args: builds.append(1) or build(*args))
+    return builds
+
+
 def engine(host, params, tol=cdna.DEFAULT_TOL, max_iter=cdna.DEFAULT_MAX_ITER):
     """The 64-codon optimizer on ``host``; ba_optimize solves point masses without it."""
-    return cdna._blahut_arimoto(cdna._kimura_channel(params), cdna._SYNONYM_SETS, host,
+    return cdna._blahut_arimoto(kimura_kernel(params), cdna._SYNONYM_SETS, host,
                                 tol, max_iter)
 
 
@@ -312,10 +325,10 @@ def test_capacity_point_runs_no_pmf_check(monkeypatch, pmf_checks):
     assert len(runs) == 19 and pmf_checks == []
 
 
-def test_linearized_rate_builds_the_channel_once():
-    cdna._kimura_channel.cache_clear()
+def test_linearized_rate_builds_the_channel_once(kernel_builds):
+    cdna._constants.cache_clear()
     deterministic_rate("Ser", ChannelParams(1e-2, 0.1, 30), "linearized")
-    assert cdna._kimura_channel.cache_info().misses == 1
+    assert len(kernel_builds) == 1
 
 
 def test_steganographic_rate_checks_the_host_once(gene_a, monkeypatch):
@@ -927,11 +940,11 @@ def test_linearized_singular_system_raises():
 def test_linearized_conditional_gathers_its_rows_without_the_kernel():
     params = ChannelParams(1e-2, 0.1, 30)
     multi = [amino for amino in AMINO_ACIDS if MULTIPLICITIES[AMINO_INDEX[amino]] > 1]
-    cdna._kimura_channel.cache_clear()
+    cdna._constants.cache_clear()
     solved = {amino: linearized_conditional(amino, params) for amino in multi}
-    assert cdna._kimura_channel.cache_info().misses == 0
+    assert "kernel" not in vars(cdna._constants(params))
     # the same solve on the kernel's rows gives the same bits
-    kernel = cdna._kimura_channel(params)
+    kernel = kimura_kernel(params)
     for amino, pi in solved.items():
         rows = kernel.take(SYNONYM_INDICES[AMINO_INDEX[amino]]).rows
         raw = np.clip(np.linalg.solve(rows @ rows.T, np.ones(len(rows))), 0.0, None)
@@ -1040,6 +1053,61 @@ def test_ba_partitioned_zero_mass_group_keeps_uniform_conditional():
     assert result.iterations == alone.iterations == 21
 
 
+def plain_divergences(channel, p):
+    """D_u in nats of every row of a channel with no zero entry from the output pmf."""
+    return (channel * np.log(channel / (p @ channel))).sum(axis=1)
+
+
+def plain_blahut_arimoto(channel, tol):
+    """Blahut-Arimoto on one group of every input, from uniform: I and gap in bits.
+
+    It stops once max_u D_u - I <= tol*I, with sums and maxima as written.
+    """
+    p = np.full(channel.shape[0], 1.0 / channel.shape[0])
+    for _ in range(100_000):
+        div = plain_divergences(channel, p)
+        info, top = p @ div / math.log(2.0), div.max() / math.log(2.0)
+        if top - info <= tol * info:
+            return info, top - info
+        p *= np.exp(div - div.max())
+        p /= p.sum()
+    raise AssertionError("the plain loop did not certify")
+
+
+def test_one_group_of_many_inputs_matches_a_plain_blahut_arimoto_loop():
+    # one group of 8 to 19 inputs: the engine normalizes it by np.bincount,
+    # where the plain loop's np.sum adds pairwise
+    rng = np.random.default_rng(29)
+    stepped = 0
+    for _ in range(100):
+        n = int(rng.integers(8, 20))
+        channel = 0.7 * np.eye(n) + 0.3 * rng.dirichlet(np.ones(n), size=n)
+        result = ba_partitioned(channel, [np.arange(n)], np.array([1.0]))
+        info, gap = plain_blahut_arimoto(channel, 1e-12)
+        assert result.converged and result.gap_bits <= cdna.DEFAULT_TOL * result.mutual_information
+        # each run's I is within its gap of the capacity
+        slack = 8 * np.finfo(float).eps * info
+        assert abs(result.mutual_information - info) <= max(result.gap_bits, gap) + slack, n
+        # and the run's I and gap are those of its conditional
+        div = plain_divergences(channel, result.conditional) / math.log(2.0)
+        own = pytest.approx(result.conditional @ div, rel=1e-13, abs=0.0)
+        assert result.mutual_information == own, n
+        top = pytest.approx(div.max(), rel=1e-13, abs=0.0)
+        assert result.mutual_information + result.gap_bits == top, n
+        assert result.conditional.sum() == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        stepped += result.iterations > 1
+    assert stepped == 100  # none is certified at the uniform start
+    # the n-ary symmetric channel: uniform is optimal, C = log2 n - H(row)
+    for n in range(8, 20):
+        row = np.full(n, 0.1 / (n - 1))
+        row[0] = 0.9
+        channel = np.array([np.roll(row, u) for u in range(n)])
+        result = ba_partitioned(channel, [np.arange(n)], np.array([1.0]))
+        capacity = math.log2(n) + float(row @ np.log2(row))
+        assert result.converged and result.iterations == 1
+        assert result.mutual_information == pytest.approx(capacity, rel=1e-14, abs=0.0), n
+
+
 # --- cached channel tables -----------------------------------------------------
 
 def fingerprint(result):
@@ -1049,7 +1117,7 @@ def fingerprint(result):
 
 
 def test_cached_channel_tables_are_read_only():
-    kernel = cdna._kimura_channel(ChannelParams(1e-2, 0.5, 7))
+    kernel = kimura_kernel(ChannelParams(1e-2, 0.5, 7))
     for table in (kernel.classes, kernel.small, kernel.table, *kernel.full):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[1]
@@ -1076,15 +1144,28 @@ def test_interleaved_calls_over_two_channels_repeat_bitwise(gene_a):
     for rebuild in (False, True):
         for key in reversed(grid):
             if rebuild:
-                cdna._kimura_channel.cache_clear()
+                cdna._constants.cache_clear()
             assert fingerprint(calls[key[0]](hosts[key[1]], key[2])) == expected[key], key
+
+
+def test_a_kernel_is_evicted_with_its_constants(kernel_builds):
+    cdna._constants.cache_clear()
+    params = ChannelParams(1e-2, 0.5, 7)
+    kernel = kimura_kernel(params)
+    for m in range(100, 131):  # 31 other parameter sets: it stays
+        cdna._constants(ChannelParams(1e-2, 0.5, m))
+    assert kimura_kernel(params) is kernel and len(kernel_builds) == 1
+    for m in range(100, 132):  # 32 others: it leaves with its constants
+        cdna._constants(ChannelParams(1e-2, 0.5, m))
+    assert "kernel" not in vars(cdna._constants(params))
+    assert kimura_kernel(params) is not kernel and len(kernel_builds) == 2
 
 
 def test_channel_cache_stays_bounded_over_a_long_sweep():
     host = point_mass_host("Ser")
     for m in range(1, 101):
         uniform_conditional_rate(host, ChannelParams(1e-2, 0.5, m))
-    info = cdna._kimura_channel.cache_info()
+    info = cdna._constants.cache_info()
     assert info.currsize <= info.maxsize
 
 
@@ -1119,19 +1200,19 @@ def test_class_tables_match_the_64x64_tables_bit_for_bit():
         matrix = codon_matrix(base_matrix_power(params))
         entries = np.arange(matrix.size).reshape(matrix.shape)  # each entry its own class
         reference = cdna._kernel(matrix.ravel(), deviations.ravel(), entries).full
-        kernel = cdna._kimura_channel(params)
+        kernel = kimura_kernel(params)
         assert bits(kernel.full) == bits(reference), params
         # the rows of every point mass, and of hosts of 7, 22 and all 64 inputs
         for idx in (*SYNONYM_INDICES, np.arange(7), np.arange(0, 64, 3), np.arange(64)):
             selected = [np.take(table, idx, axis=-2) for table in reference]
             assert bits(kernel.take(idx)) == bits(selected), (params, idx)
-    assert (cdna._kimura_channel(ChannelParams(1.0, 1.5, 5)).full.rows == 0.0).any()
+    assert (kimura_kernel(ChannelParams(1.0, 1.5, 5)).full.rows == 0.0).any()
     # a host of every input reads the kept full tables themselves; the point
     # masses of the capacity search never gather them
     params = ChannelParams(1e-2, 0.5, 7)
-    cdna._kimura_channel.cache_clear()
+    cdna._constants.cache_clear()
     capacity_c(params)
-    kernel = cdna._kimura_channel(params)
+    kernel = kimura_kernel(params)
     assert "full" not in vars(kernel)
     assert cdna._Problem(kernel, np.full(64, 1.0 / 64)).tables is kernel.full
 
@@ -1207,8 +1288,7 @@ def test_capacity_point_derives_its_constants_once(monkeypatch):
     capacity_c(params)
     assert built == [params]
     # a kernel and a linearized conditional at the same point share them
-    cdna._kimura_channel.cache_clear()
-    cdna._kimura_channel(params)
+    kimura_kernel(params)
     linearized_conditional("Leu", params)
     assert built == [params]
     cdna._constants.cache_clear()
@@ -1239,7 +1319,6 @@ def test_capacity_repeats_bitwise_in_any_order_and_from_fresh_constants(monkeypa
     assert {params: capacity_fingerprint(params, runs) for params in reversed(grid)} == forward
     for params in grid:
         cdna._constants.cache_clear()
-        cdna._kimura_channel.cache_clear()
         assert capacity_fingerprint(params, runs) == forward[params], params
 
 
@@ -1361,7 +1440,7 @@ def test_closed_forms_agree_with_a_fresh_optimizer_run():
         params = ChannelParams(q, gamma, m)
         for amino in UNIFORM_OPTIMAL:
             host = point_mass_host(amino)
-            run = cdna._blahut_arimoto(cdna._kimura_channel(params), cdna._SYNONYM_SETS, host,
+            run = cdna._blahut_arimoto(kimura_kernel(params), cdna._SYNONYM_SETS, host,
                                        cdna.DEFAULT_TOL, cdna.DEFAULT_MAX_ITER)
             info = ba_optimize(host, params).mutual_information
             assert run.converged, (params, amino)
@@ -1577,34 +1656,35 @@ def test_orbit_solver_stops_where_the_gap_reaches_its_rounding():
             assert ba_optimize(point_mass_host(amino), params).converged
 
 
-def test_capacity_runs_no_optimizer(monkeypatch):
+def test_capacity_runs_no_optimizer(monkeypatch, kernel_builds):
     runs = []
     blahut_arimoto = cdna._blahut_arimoto
     monkeypatch.setattr(cdna, "_blahut_arimoto",
                         lambda *args: runs.append(1) or blahut_arimoto(*args))
     params = ChannelParams(1e-3, 0.5, 30)
-    cdna._kimura_channel.cache_clear()
+    cdna._constants.cache_clear()
     result = capacity_c(params)
-    assert runs == [] and cdna._kimura_channel.cache_info().misses == 0
+    assert runs == [] and kernel_builds == []
     # one iteration for each of the 14 closed forms, and one per orbit
     # evaluation of Ile, Leu, Arg, Ser and Stp
     orbit_evaluations = sum(ba_optimize(point_mass_host(amino), params).iterations
                             for amino in ("Ile", "Leu", "Arg", "Ser", "Stp"))
     assert result.iterations == 14 + orbit_evaluations == 34 and result.converged
-    assert runs == [] and cdna._kimura_channel.cache_info().misses == 0
+    assert runs == [] and kernel_builds == []
 
 
 @pytest.mark.parametrize("amino", ["Met", "Trp"])
-def test_single_codon_point_mass_builds_no_kernel(amino, monkeypatch):
+def test_single_codon_point_mass_builds_no_kernel(amino, monkeypatch, kernel_builds):
     params = ChannelParams(1e-3, 0.5, 30)
     expected = engine(point_mass_host(amino), params)
     runs = []
     blahut_arimoto = cdna._blahut_arimoto
     monkeypatch.setattr(cdna, "_blahut_arimoto",
                         lambda *args: runs.append(1) or blahut_arimoto(*args))
-    cdna._kimura_channel.cache_clear()
+    cdna._constants.cache_clear()
+    kernel_builds.clear()
     result = ba_optimize(point_mass_host(amino), params)
-    assert runs == [] and cdna._kimura_channel.cache_info().misses == 0
+    assert runs == [] and kernel_builds == []
     # what the 64-codon optimizer returns, bit for bit
     assert result.mutual_information == expected.mutual_information == 0.0
     assert result.rate == expected.rate == 0.0

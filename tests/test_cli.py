@@ -569,8 +569,12 @@ def test_figures_point_mass_optima_never_rise_with_m(tmp_path, monkeypatch):
 def test_figures_builds_each_parameter_set_once_per_file(tmp_path, monkeypatch):
     from dnacap import cdna, cli
 
+    made = []  # one entry for every kernel built
+    build = cdna._kernel
+    monkeypatch.setattr(cdna, "_kernel", lambda *args: made.append(1) or build(*args))
+
     def builds():
-        return cdna._kimura_channel.cache_info().misses
+        return len(made)
 
     per_file = []  # (builds made for the file, its distinct coding (q, gamma, m))
     to_csv = cli.rows_to_csv
@@ -581,7 +585,7 @@ def test_figures_builds_each_parameter_set_once_per_file(tmp_path, monkeypatch):
         return to_csv(rows)
 
     monkeypatch.setattr(cli, "rows_to_csv", recording_to_csv)
-    cdna._kimura_channel.cache_clear()
+    cdna._constants.cache_clear()
     written = cli.run_figures(tmp_path, {"toyA": DATA / "toy_gene_a.fasta"})
     counts = dict(zip(written, per_file))
     # the point masses of det_aminos build none: 14 closed forms and 5 orbit solvers

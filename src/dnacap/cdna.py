@@ -509,7 +509,7 @@ def _constants(params: ChannelParams) -> _ChannelConstants:
     those of the last 32 parameter sets are kept, and a kernel leaves with
     its constants.  One holds about 3 KiB once every field but the kernel
     is derived, 1 KiB more for the kernel's classes, and its full tables
-    (164 KiB) once a host that can emit every input has needed them, so
+    (164 KiB) once an input pmf on every codon has needed them, so
     at most about 5 MiB in all.  Sweeps revisit one m-grid per host and
     method, and 32 covers the largest grid of the figures bundle (25 m),
     so each of its parameter sets is derived once.  A least-recently-used

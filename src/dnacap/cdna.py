@@ -47,10 +47,12 @@ remain wherever the exact orbit form (below) does not apply.  Stp's rows
 deep at small gamma differ by less than the tables' rounding, so I at any
 conditional whose Stp block is not even on its orbits (TAG = TGA to the
 bit), point masses included, reads only to about eps*sqrt(I) + eps**2
-bits absolute there (5e-32 bits deep).  And the optimizer's stop rule can
-certify an optimum below 1e-15 bits by its floor alone, so its I may read
-up to 1/9 low.  Point-mass optima, and a point mass read at a conditional
-even on every orbit, are exact at every depth.
+bits absolute there (5e-32 bits deep).  And the optimizer's certificate
+bounds the shortfall of I below the optimum by tol*I + 1e-15 bits, so an
+optimum below 1e-15 bits can certify by the floor alone, at its uniform
+start: the gene hosts of the figure bundle read up to 4.2% low there,
+where the certificate allows up to 13%.  Point-mass optima, and a point
+mass read at a conditional even on every orbit, are exact at every depth.
 
 The codon channel takes 27 distinct values, one for each triple of
 per-position relations (same base, transition, transversion), so the
@@ -112,20 +114,18 @@ from .genetic_code import (
     SYNONYM_INDICES,
     synonym_sums,
 )
-# base_matrix_power, codon_matrix and codon_matrix_deviations build the
-# same channel as a 4x4 and two 64x64 matrices; the kernel needs none of
-# them, but benchmarks/spans.py wraps them here by name
-from .mutation_channel import (  # noqa: F401
+from .mutation_channel import (
     _CODON_CLASSES,
     _RELATION,
     ChannelParams,
     _class_deviations,
     _eigenvalue_powers,
-    _stage_entries_of,
-    base_matrix_power,
-    codon_matrix,
-    codon_matrix_deviations,
+    _stage_entries,
 )
+# base_matrix_power, codon_matrix and codon_matrix_deviations build the
+# same channel as a 4x4 and two 64x64 matrices; the kernel needs none of
+# them, but benchmarks/spans.py wraps them here by name
+from .mutation_channel import base_matrix_power, codon_matrix, codon_matrix_deviations  # noqa: F401
 from .ncdna import _excess, _row_divergence, _underflow_shift, capacity_nc, entropy_bits
 
 _LN2 = math.log(2.0)
@@ -195,12 +195,8 @@ def uniform_codon_host() -> np.ndarray:
 
 def point_mass_host(amino: str) -> np.ndarray:
     """Host pmf concentrated on a single amino acid."""
-    return _point_mass_at(_amino_index(amino))
-
-
-def _point_mass_at(index: int) -> np.ndarray:
     host = np.zeros(len(AMINO_ACIDS))
-    host[index] = 1.0
+    host[_amino_index(amino)] = 1.0
     return host
 
 
@@ -242,15 +238,6 @@ def _checked_host(host, size=21, name="host pmf") -> tuple[np.ndarray, int | Non
         host = _check_pmf(host, name)
         index = _point_mass(host)
     return host, index
-
-
-def _check_host(host, size=21, name="host pmf") -> np.ndarray:
-    """``host`` as a pmf of ``size`` entries, clipped at zero; ``name`` heads each error.
-
-    The checks run in this order: the shape, then the point-mass test,
-    then, for any other host, the pmf check (:func:`_checked_host`).
-    """
-    return _checked_host(host, size, name)[0]
 
 
 def _check_pmf(host, name) -> np.ndarray:
@@ -419,7 +406,7 @@ class _ChannelConstants:
 
     @functools.cached_property
     def stage(self):
-        return _stage_entries_of(self.powers)
+        return _stage_entries(self.params)
 
     @functools.cached_property
     def entries(self) -> tuple:
@@ -748,7 +735,7 @@ class _Ascent:
         with the pinned moves held fixed, until it is feasible (Bertsekas
         1982); those rounds are solves only, and the point costs one
         evaluation.  When it does not raise I, the unprojected step is taken
-        as far as the first input it blocks (a ratio test), for one more
+        as far as the first input it blocks (:func:`_ratio_step`), for one more
         evaluation: a direction gets at most two trials, and is not
         backtracked, since :meth:`toward_best` raises I wherever the run
         is not certified.  :meth:`_advance` alone enforces the budget.
@@ -784,15 +771,8 @@ class _Ascent:
                 trial[face] = at + move  # a pinned input is at - at, exactly zero
                 if self._advance(self._normalized(trial)):
                     return True
-        # ratio test: the largest step, up to 1, that keeps every input >= 0
-        shrink = np.flatnonzero(step < 0.0)
-        ratios = at[shrink] / -step[shrink]
-        limit = ratios.min() if ratios.size else np.inf
-        moved = np.maximum(at + min(1.0, limit) * step, 0.0)
-        if limit <= 1.0:  # the blocking inputs leave the face exactly
-            moved[shrink[ratios == limit]] = 0.0
         trial = cond.copy()
-        trial[face] = moved
+        trial[face] = _ratio_step(at, step)
         return self._advance(self._normalized(trial))
 
     def _projected(self, model, at, pinned, step):
@@ -907,6 +887,21 @@ def _minimum_norm_step(model, free, step, sums):
     return known
 
 
+def _ratio_step(at, step) -> np.ndarray:
+    """``at + t*step`` for the largest t, up to 1, that keeps every entry >= 0 (a ratio test).
+
+    The entries that block the step at t <= 1 are set to exactly zero, so
+    they leave the face.
+    """
+    shrink = np.flatnonzero(step < 0.0)
+    ratios = at[shrink] / -step[shrink]
+    limit = ratios.min() if ratios.size else np.inf
+    moved = np.maximum(at + min(1.0, limit) * step, 0.0)
+    if limit <= 1.0:
+        moved[shrink[ratios == limit]] = 0.0
+    return moved
+
+
 def _check_stop_rule(tol, max_iter) -> None:
     if not 0.0 < tol < math.inf:  # NaN fails this too
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -969,7 +964,7 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
         raise ValueError(
             f"groups must be non-empty and hold every input of 0..{channel.shape[0] - 1} once"
         )
-    mass = _check_host(host_mass, len(members), "host mass")
+    mass, _ = _checked_host(host_mass, len(members), "host mass")
     entries = channel.ravel()  # every entry is a class of its own
     kernel = _kernel(entries, channel.shape[1] * entries - 1.0,
                      np.arange(entries.size).reshape(channel.shape))
@@ -1222,8 +1217,8 @@ def _orbit_newton(tables: _OrbitTables, point: _OrbitPoint):
     once the face is nearly optimal, as in :meth:`_Ascent.newton`; a
     direction whose step would take its orbit below zero is pinned there
     and the other solved again (Bertsekas 1982); where the reference would
-    fall below zero the step is cut at the first orbit it empties (a ratio
-    test).
+    fall below zero the step is cut at the first orbit it empties
+    (:func:`_ratio_step`).
     """
     weights, div = point.weights, point.div
     if np.count_nonzero(weights) == weights.size:
@@ -1255,12 +1250,8 @@ def _orbit_newton(tables: _OrbitTables, point: _OrbitPoint):
     trial[ref] -= sum(moves)
     if not all(map(math.isfinite, trial)):
         return None
-    if trial[ref] < 0.0:  # ratio test
-        move = np.array(trial) - weights
-        shrink = np.flatnonzero(move < 0.0)
-        ratios = weights[shrink] / -move[shrink]
-        trial = np.maximum(weights + ratios.min() * move, 0.0)
-        trial[shrink[ratios == ratios.min()]] = 0.0
+    if trial[ref] < 0.0:
+        trial = _ratio_step(weights, np.array(trial) - weights)
         return trial / trial.sum()
     total = sum(trial)
     return np.array([weight / total for weight in trial])
@@ -1418,7 +1409,7 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
 
 def rate_q0(host) -> float:
     """Mutation-free rate: E[log2 |synonyms(X')|] bits/codon."""
-    host = _check_host(host)
+    host, _ = _checked_host(host)
     return float((host * np.log2(MULTIPLICITIES)).sum())
 
 
@@ -1454,7 +1445,7 @@ def steganographic_rate(host_codon_usage, host, params: ChannelParams) -> RateRe
     the usage came from different sequences, and raises, as does a
     non-finite or negative entry.  Each input is checked once.
     """
-    host = _check_host(host)
+    host, amino = _checked_host(host)
     usage = np.asarray(host_codon_usage, dtype=float)
     if usage.shape != (64,):
         raise ValueError(f"codon usage must have shape (64,), got {usage.shape}")
@@ -1467,7 +1458,7 @@ def steganographic_rate(host_codon_usage, host, params: ChannelParams) -> RateRe
         )
     # unreachable blocks are filled uniformly, to keep them valid pmfs
     usage = np.where(blocks[AMINO_OF_CODON] <= 0.0, _SYNONYM_SETS.start, usage)
-    return _evaluate(host, _point_mass(host), _nonnegative(usage, "codon usage"), params)
+    return _evaluate(host, amino, _nonnegative(usage, "codon usage"), params)
 
 
 def linearized_conditional(amino: str, params: ChannelParams) -> np.ndarray:
@@ -1515,7 +1506,7 @@ def deterministic_rate(amino: str, params: ChannelParams, method: str = "ba",
         # an optimum's gap is 0; an evaluation has none
         return _rate_result(0.0, uniform_conditional(), 0, True, 0.0,
                             gap_bits=0.0 if method == "ba" else None)
-    host = _point_mass_at(ai)
+    host = point_mass_host(amino)
     if method == "ba":
         return ba_optimize(host, params, tol=tol, max_iter=max_iter)
     if method == "uniform":

@@ -101,12 +101,7 @@ def _stage_entries(params: ChannelParams):
     when they are small (shallow cascades), the deviations when they are
     close to 1/4 (deep cascades).
     """
-    return _stage_entries_of(_eigenvalue_powers(params))
-
-
-def _stage_entries_of(powers):
-    """:func:`_stage_entries` from the eigenvalue powers of :func:`_eigenvalue_powers`."""
-    (lam_m, lam_rest), (mu_m, mu_rest) = powers
+    (lam_m, lam_rest), (mu_m, mu_rest) = _eigenvalue_powers(params)
     deviations = (2.0 * mu_m + lam_m, lam_m - 2.0 * mu_m, -lam_m)
     entries = (0.25 * (1.0 + deviations[0]), 0.25 * (2.0 * mu_rest - lam_rest),
                0.25 * lam_rest)
@@ -188,8 +183,10 @@ def codon_matrix_deviations(params: ChannelParams) -> np.ndarray:
 
     The deviations are combined multiplicatively, (1+w) = (1+d1)(1+d2)(1+d3),
     without ever forming ``1 + d`` explicitly, so deviations far below
-    machine epsilon relative to 1/64 survive.  The rate computations in
-    :mod:`dnacap.cdna` rely on this once ``lam**m`` underflows toward zero.
+    machine epsilon relative to 1/64 survive.  This is the public 64x64
+    form of the 27 class deviations (:func:`_class_deviations`), equal to
+    them bit for bit; the rate computations in :mod:`dnacap.cdna` read the
+    classes through their kernel and never build this matrix.
     """
     return _class_deviations(_stage_entries(params)[1])[_CODON_CLASSES]
 

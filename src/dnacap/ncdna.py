@@ -81,18 +81,14 @@ def _underflow_shift(values) -> int:
     return -200 - math.frexp(largest)[1] if 0.0 < largest < 2.0**-400 else 0
 
 
-def _divergence_from_uniform(params: ChannelParams) -> float:
+def _row_divergence(entries, deviations) -> float:
     """Divergence in bits of a row of the m-stage base matrix from uniform.
 
-    ``sum_z ((1 + d_z)*ln(1 + d_z) - d_z) / (4*ln 2)``: the deviations d_z
-    of a row sum to zero, and every term is non-negative.  Not clamped, so
-    it keeps its relative accuracy however small it is.
+    ``sum_z ((1 + d_z)*ln(1 + d_z) - d_z) / (4*ln 2)`` over the row's
+    entries and deviations as :func:`_stage_entries` returns them: the
+    deviations d_z of a row sum to zero, and every term is non-negative.
+    Not clamped, so it keeps its relative accuracy however small it is.
     """
-    return _row_divergence(*_stage_entries(params))
-
-
-def _row_divergence(entries, deviations) -> float:
-    """:func:`_divergence_from_uniform` from the entries and deviations of :func:`_stage_entries`."""
     # the terms are about d**2/2, which the series reads to rounding at any
     # scale below 2**-200
     shift = _underflow_shift(deviations)
@@ -106,13 +102,13 @@ def _row_divergence(entries, deviations) -> float:
 def capacity_nc(params: ChannelParams) -> CapacityResult:
     """Capacity in bits/base of embedding in a freely writable host.
 
-    Equals ``2 - row_entropy(params)``, computed as
-    :func:`_divergence_from_uniform`: never clamped, it keeps about 5e-14
+    Equals ``2 - row_entropy(params)``, computed as the row's divergence
+    from uniform (:func:`_row_divergence`): never clamped, it keeps about 5e-14
     relative accuracy down to 2.2e-308 bits/base, where doubles turn
     subnormal; below that the sum is rounded once into the subnormal range,
     so it holds only the digits a subnormal has.
     """
-    return CapacityResult(value=_divergence_from_uniform(params), params=params)
+    return CapacityResult(value=_row_divergence(*_stage_entries(params)), params=params)
 
 
 def capacity_nc_gamma0(q: float, m: int) -> float:

@@ -247,17 +247,17 @@ def _host_with(entries):
 ])
 def test_host_check_rejects_what_is_no_pmf(entries, message):
     with pytest.raises(ValueError, match=message):
-        cdna._check_host(_host_with(entries))
+        cdna._checked_host(_host_with(entries))
 
 
 def test_host_check_clips_rounding_below_zero_only():
     valid = uniform_codon_host()
-    assert np.array_equal(cdna._check_host(valid), valid)
+    assert np.array_equal(cdna._checked_host(valid)[0], valid)
     # an entry down to -1e-12 is rounding: it reads as zero
-    checked = cdna._check_host(_host_with({"Ala": -1e-13}))
+    checked = cdna._checked_host(_host_with({"Ala": -1e-13}))[0]
     assert checked[AMINO_INDEX["Ala"]] == 0.0
     assert np.array_equal(checked, point_mass_host("Ser"))
-    assert np.array_equal(cdna._check_host(list(valid)), valid)
+    assert np.array_equal(cdna._checked_host(list(valid))[0], valid)
 
 
 # the calls that check a host pmf, the point-mass test first
@@ -332,12 +332,18 @@ def test_linearized_rate_builds_the_channel_once(kernel_builds):
 
 
 def test_steganographic_rate_checks_the_host_once(gene_a, monkeypatch):
+    checks, tests = [], []
+    check, test = cdna._checked_host, cdna._point_mass
+    monkeypatch.setattr(cdna, "_checked_host", lambda *args: checks.append(1) or check(*args))
+    monkeypatch.setattr(cdna, "_point_mass", lambda pmf: tests.append(1) or test(pmf))
     host, usage = gene_a
-    checks = []
-    check = cdna._check_host
-    monkeypatch.setattr(cdna, "_check_host", lambda pmf: checks.append(1) or check(pmf))
     steganographic_rate(usage, host, ChannelParams(1e-3, 0.1, 10))
     assert len(checks) == 1
+    # a point mass passes the point-mass test once, in the host check
+    checks.clear()
+    tests.clear()
+    steganographic_rate(uniform_conditional(), point_mass_host("Ser"), ChannelParams(1e-3, 0.1, 10))
+    assert len(checks) == 1 and len(tests) == 1
 
 
 def decimal_ser_information(q, gamma, m):
@@ -1161,14 +1167,6 @@ def test_a_kernel_is_evicted_with_its_constants(kernel_builds):
     assert kimura_kernel(params) is not kernel and len(kernel_builds) == 2
 
 
-def test_channel_cache_stays_bounded_over_a_long_sweep():
-    host = point_mass_host("Ser")
-    for m in range(1, 101):
-        uniform_conditional_rate(host, ChannelParams(1e-2, 0.5, m))
-    info = cdna._constants.cache_info()
-    assert info.currsize <= info.maxsize
-
-
 def kronecker_deviations(params):
     """The 64x64 codon deviations as threefold Kronecker combines of the 4x4 ones."""
     _, deviations = mutation_channel._stage_entries(params)
@@ -1268,7 +1266,7 @@ def test_constants_hold_the_channel_class_values_bit_for_bit():
         assert constants.classes[1].tobytes() == np.multiply.outer(base, base).ravel().tobytes()
         (lam_m, _), (mu_m, _) = mutation_channel._eigenvalue_powers(params)
         assert constants.monomials[2][1] == lam_m * lam_m * mu_m
-        assert constants.four_fold == ncdna._divergence_from_uniform(params)
+        assert constants.four_fold == ncdna.capacity_nc(params).value
         for table in constants.classes:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = table[1]
@@ -1700,7 +1698,7 @@ def test_certified_start_returns_the_uniform_conditional():
     result = ba_optimize(point_mass_host("Ala"), params)
     assert result.iterations == 1 and result.converged
     # the 4-fold closed form, bit for bit
-    assert result.mutual_information == ncdna._divergence_from_uniform(params)
+    assert result.mutual_information == ncdna.capacity_nc(params).value
     assert result.gap_bits == 0.0
     assert np.array_equal(result.conditional, uniform_conditional())
     result.conditional[:] = -1.0  # callers own what they get back

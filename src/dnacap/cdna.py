@@ -74,24 +74,31 @@ form in lam^m and mu^m.  The synonym sets of Ile, Leu, Arg, Ser and Stp
 split into two or three orbits of their stabilizers in the channel's
 symmetry group (of order 3072), the optimum is even on every orbit, and
 their point masses are maximized over one or two orbit weights by Newton
-steps solved by hand, certified by max D - I <= tol*I with no floor.  One
-row per orbit, on the outputs of the positions where the synonyms differ,
-takes p - W from the probabilities where the entry is small and from the
-channel's characters elsewhere, products of 1, lam^m and mu^m with exact
-integer coefficients, so Stp's rows stay distinct at any depth.  So the
-capacity search builds no 64x64 tables and runs no 64-codon optimizer.
+steps in closed form, certified by sum_j w_j*(max D - D_j) <= tol*I with
+no floor.  One row per orbit, on the outputs of the positions where the
+synonyms differ, takes p - W from the probabilities where the entry is
+small and from the channel's characters elsewhere, products of 1, lam^m
+and mu^m with exact integer coefficients, so Stp's rows stay distinct at
+any depth.  The five are solved together, as one stack padded to 3 orbits
+and 64 outputs, once per parameter set and stop rule; each amino's sums
+stay in its own padded row, so its bits do not depend on the stack.  So
+the capacity search builds no 64x64 tables, runs no 64-codon optimizer
+and makes one stacked solve, and a lone orbit point mass pays for the
+whole stack.
 Sums over synonym sets, such as the
 check that every block of a conditional sums to one, are one
 ``np.bincount`` over the codon-to-amino map.
 
 The channel's constants (the powers lam^m and mu^m, the base entries, the
 class values on one, two and three positions, the monomials
-lam^(m*e)*mu^(m*f), the closed forms of the 2- and 4-fold point masses and
-the kernel) are derived once per parameter set, each on its first read, in
-one object (:class:`_ChannelConstants`) that the optimizer, the closed
-forms, the orbit rows and the linearized conditional share.  One cache
-keeps those of the last 32 parameter sets, kernels included, so the 19
-point masses of a capacity point derive them once, and sweeps that revisit
+lam^(m*e)*mu^(m*f), the closed forms of the 2- and 4-fold point masses,
+the kernel and the optima of the five orbit point masses under each stop
+rule) are derived once per parameter set, each on its first read, in one
+object (:class:`_ChannelConstants`) that the optimizer, the closed forms,
+the orbit rows and the linearized conditional share.  One cache keeps
+those of the last 32 parameter sets, kernels and orbit optima included,
+and evicts them together, so the 19 point masses of a capacity point
+derive them once and solve the orbit stack once, and sweeps that revisit
 an m-grid once per host and method build each kernel once.
 """
 
@@ -165,9 +172,8 @@ class RateResult:
     upper bound on the distance of ``mutual_information`` to the optimum,
     and ``converged`` means certified: the gap is at most ``tol`` times
     the information, plus 1e-15 bits on the 64-codon optimizer (a point
-    mass is certified with no floor).  At a certified optimum the gap can
-    read a few ulps of I below zero, from rounding.  An evaluation has no
-    gap (None).
+    mass is certified with no floor).  The gap is a sum of non-negative
+    terms, so it is never below zero.  An evaluation has no gap (None).
     """
 
     rate: float
@@ -393,12 +399,15 @@ class _ChannelConstants:
     the channel's characters on up to three positions.  ``two_fold`` and
     ``four_fold`` are the I of the point masses that
     :meth:`uniform_optimal` gives in closed form, and ``kernel`` is the
-    divergence kernel of the 64x64 channel, which lives and is evicted
-    with the rest (:func:`_constants`).
+    divergence kernel of the 64x64 channel.  :meth:`orbit_optima` holds
+    the optima of the five orbit point masses (Ile, Leu, Arg, Ser, Stp),
+    solved together once per stop rule.  Kernel and optima live and are
+    evicted with the rest (:func:`_constants`).
     """
 
     def __init__(self, params: ChannelParams):
         self.params = params
+        self._optima = {}
 
     @functools.cached_property
     def powers(self):
@@ -465,6 +474,17 @@ class _ChannelConstants:
         """
         return _kernel(self.classes[2], _class_deviations(self.stage[1]), _CODON_CLASSES)
 
+    def orbit_optima(self, tol, max_iter) -> tuple:
+        """The optima of the five orbit point masses under one stop rule (:func:`_orbit_optima`).
+
+        They are solved together on the first read of each (``tol``,
+        ``max_iter``) and kept, read-only, with the rest of the constants.
+        """
+        key = (tol, max_iter)
+        if key not in self._optima:
+            self._optima[key] = _orbit_optima(self, tol, max_iter)
+        return self._optima[key]
+
     def uniform_optimal(self, size: int) -> float | None:
         """I(Z;U) in bits of a point mass on ``size`` synonyms whose uniform conditional is optimal.
 
@@ -492,12 +512,14 @@ class _ChannelConstants:
 def _constants(params: ChannelParams) -> _ChannelConstants:
     """The constants of the channel at ``params``, shared by every reader.
 
-    This is the one cache of per-parameter-set state, kernels included:
-    those of the last 32 parameter sets are kept, and a kernel leaves with
-    its constants.  One holds about 3 KiB once every field but the kernel
-    is derived, 1 KiB more for the kernel's classes, and its full tables
-    (164 KiB) once an input pmf on every codon has needed them, so
-    at most about 5 MiB in all.  Sweeps revisit one m-grid per host and
+    This is the one cache of per-parameter-set state, kernels and orbit
+    optima included: those of the last 32 parameter sets are kept, and a
+    kernel and the five orbit optima leave with their constants.  One holds
+    about 3 KiB once every field but the kernel is derived, about 4 KiB
+    for the five orbit optima of each stop rule asked for (the stack's
+    tables are dropped after each solve), 1 KiB more for the kernel's
+    classes, and its full tables (164 KiB) once an input pmf on every codon
+    has needed them, so at most about 5 MiB in all.  Sweeps revisit one m-grid per host and
     method, and 32 covers the largest grid of the figures bundle (25 m),
     so each of its parameter sets is derived once.  A least-recently-used
     cache hits nothing on a cycle longer than ``maxsize``: a sweep over
@@ -621,12 +643,18 @@ class _Ascent:
         self.iterations = 1
         self.point = problem.information(partition.start[problem.support])
         self.info = self.point.info
-        self.top, self.gap = self._bound(self.point, self.info)
+        self.top, self.gap = self._bound(self.point)
 
-    def _bound(self, point, info):
-        """Each group's largest D (nats), and the duality gap (bits) of ``point`` at ``info``."""
+    def _bound(self, point):
+        """Each group's largest D (nats), and the duality gap (bits) of ``point``.
+
+        The gap ``sum_u P(u)*(max_{v in g(u)} D_v - D_u)/ln 2`` is taken term
+        by term: every term is at least 0, and no values of size I cancel,
+        so it is never below zero.
+        """
         top = point.div[self.members].max(axis=1)
-        return top, float(self.group_mass @ top) / _LN2 - info
+        p_in = self.problem.mass * point.cond
+        return top, float(p_in @ (top[self.dense] - point.div)) / _LN2
 
     def certified(self) -> bool:
         return self._within(self.gap, self.info)
@@ -675,7 +703,7 @@ class _Ascent:
         elif rise > _DECISIVE * abs(self.info):
             info = trial.info
         elif rise >= -_DECISIVE * abs(self.info) and self._within(
-                self._bound(trial, trial.info)[1], trial.info):
+                self._bound(trial)[1], trial.info):
             info = max(self.info, trial.info)  # certified, and no fall the values can show
         else:
             rise = self.problem.gain(self.point, self.top[self.dense], cond)
@@ -683,7 +711,7 @@ class _Ascent:
                 return False
             info = self.info + rise
         self.point, self.info = trial, info
-        self.top, self.gap = self._bound(trial, info)
+        self.top, self.gap = self._bound(trial)
         return True
 
     def ba_step(self, trusted=False) -> bool:
@@ -991,15 +1019,18 @@ def _point_mass(host) -> int | None:
 
 def _evaluate(host, amino, cond, params: ChannelParams) -> RateResult:
     """The rate at ``cond`` of a checked host, whose point mass, if any, is ``amino``."""
-    code = None if amino is None else _orbit_code(amino)
-    if code is not None:
+    slot = _ORBIT_SLOT.get(amino)
+    if slot is not None:
         # a point mass on Ile, Leu, Arg, Ser or Stp with a conditional even on
-        # every orbit, as the uniform one, is read in the exact orbit form
-        block = cond[code.members]
-        weights = np.bincount(code.orbit_of, block)
-        if np.array_equal(block, (weights / code.sizes)[code.orbit_of]):
-            tables = _orbit_tables(code, params)
-            info = math.ldexp(_orbit_point(tables, weights).info, -2 * tables.shift)
+        # every orbit, as the uniform one, is read in the exact orbit form,
+        # on a stack of that amino alone
+        code = _orbit_code()
+        block, orbit_of, sizes = cond[code.members[slot]], code.orbit_of[slot], code.sizes[slot]
+        weights = np.bincount(orbit_of, block, minlength=_STACK_ORBITS)
+        if np.array_equal(block, (weights[:sizes.size] / sizes)[orbit_of]):
+            tables = _orbit_tables(_constants(params), [slot])
+            info = math.ldexp(float(_orbit_point(tables, weights[None]).info[0]),
+                              -2 * int(tables.shift[0]))
             return _rate_result(info, cond, 0, True, entropy_bits(host))
     # I(Z;U) depends on the input pmf alone: each input weighs its mass
     problem = _Problem(_constants(params).kernel, host[AMINO_OF_CODON] * cond)
@@ -1042,303 +1073,415 @@ _ORBITS = {
     "Ser": (("TCA", "TCG"), ("TCT", "TCC"), ("AGT", "AGC")),
     "Stp": (("TAG", "TGA"), ("TAA",)),
 }
+# the place of each of those aminos in the stack of the orbit solver
+_ORBIT_SLOT = {AMINO_INDEX[amino]: slot for slot, amino in enumerate(_ORBITS)}
 # the characters of the base channel on A, C, T, G: trivial, the eigenvalue
 # lam (purines against pyrimidines) and twice mu (Evans and Speed 1993)
 _CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]])
 # a direction of orbit weights whose difference row is at most this share of
 # the largest one moves I by less than its rounding
 _FLAT = np.finfo(float).eps
+# every stacked amino is padded to this many orbits and outputs
+_STACK_ORBITS, _STACK_OUTPUTS = 3, 64
+
+
+def _faces():
+    """The orbits of every face of the orbit Newton step, and its number of directions.
+
+    A face is the set of free orbits, read as the bits 1, 2 and 4.  Its
+    reference is its first orbit, and its other orbits are the targets of
+    the two direction slots; a slot without a target holds an orbit off
+    the face, so the three are distinct.
+    """
+    orbits, counts = [], []
+    for face in range(8):
+        on = [j for j in range(3) if face >> j & 1] or [0]
+        orbits.append(on + [j for j in range(3) if j not in on])
+        counts.append(len(on) - 1)
+    return _read_only((np.array(orbits), np.array(counts)))
+
+
+# per face: its reference and target orbits, and how many targets it has
+_FACE_ORBITS, _FACE_COUNT = _faces()
+_FACE_BITS = np.array([1, 2, 4])
 
 
 class _OrbitCode(NamedTuple):
-    """The constants of one amino's orbits, on the k positions where its synonyms differ.
+    """The orbit constants of the five aminos of ``_ORBITS``, stacked in its order.
 
-    Outputs are numbered like codons on those positions (n = 4**k).  Every
-    orbit has a representative, its first codon, and a mean row, the mean
-    of its first and last codons (that of the orbit).  ``gather`` reads the
-    representative rows and then the mean rows off the 3**k class values.
-    ``blocks`` holds the differences mean_i - rep_j (r*r rows, i major),
-    then mean_a - mean_b, as integer multiples of 1/n: one block per
-    monomial lam^(m*e) * mu^(m*f), the sum over its characters chi of the
-    exact coefficient differences (0, +-1 or +-2) times chi.
+    Each amino's outputs are numbered like codons on the k positions where
+    its synonyms differ (n = 4**k).  Every amino is padded to 3 orbits and
+    64 outputs: a padded orbit repeats the first in every table, with
+    weight 0 (``valid`` is False there), and a padded output is 0 in every
+    row.  The 4 outputs of Ile lie 8 apart, so that numpy's pairwise sum
+    over 64 entries adds them one after the other, as it adds 4, and every
+    sum over an amino's outputs has the bits of its sum over its own n.
+    Every orbit has a representative, its first codon, and a mean row, the
+    mean of its first and last codons (that of the orbit).  ``ends`` holds
+    the first and the last codon's entries as indices into the class values
+    on 1, 2 and 3 positions, followed by a 0 for padding.  ``pairs`` holds
+    mean_a - mean_b and ``offsets`` mean_i - rep_j at [i, j] as integer
+    multiples of 1/n: one block per monomial lam^(m*e) * mu^(m*f), the sum
+    over its characters chi of the exact coefficient differences (0, +-1
+    or +-2) times chi.
     """
 
-    members: np.ndarray  # the codons of every orbit, in orbit order
-    orbit_of: np.ndarray  # the orbit of each of them
-    sizes: np.ndarray  # codons per orbit
-    start: np.ndarray  # the uniform conditional's orbit weights
-    gather: np.ndarray  # (3**k, 2*r*n)
-    blocks: np.ndarray  # (monomials, 2*r*r*n)
-    monomials: tuple  # (e, f, characters) of every block
-    positions: int  # k
+    members: tuple  # per amino: the codons of every orbit, in orbit order
+    orbit_of: tuple  # per amino: the orbit of each of them
+    sizes: tuple  # per amino: codons per orbit
+    valid: np.ndarray  # (5, 3)
+    start: np.ndarray  # (5, 3): the uniform conditional's orbit weights
+    ends: np.ndarray  # (2, 5, 3, 64)
+    pairs: np.ndarray  # (5, blocks, 3*3*64)
+    offsets: np.ndarray  # (5, blocks, 3*3*64)
+    monomials: np.ndarray  # (5, blocks): 4*e + f, or 16 (a 0) on padding
+    counts: np.ndarray  # (5, blocks): characters per block, 0 on padding
+    positions: np.ndarray  # (5,): k
+    outputs: np.ndarray  # (5,): n
 
 
-@functools.cache
-def _orbit_code(amino: int) -> _OrbitCode | None:
-    """The orbit constants of the amino of index ``amino``, or None outside ``_ORBITS``.
-
-    Built on first use and kept: the five take about 1 ms to build, which
-    would double the module's import time.
-    """
-    orbits = _ORBITS.get(AMINO_ACIDS[amino])
-    if orbits is None:
-        return None
+def _orbit_part(orbits):
+    """One amino's entries of :class:`_OrbitCode`, its blocks unpadded."""
     codons = [codon for orbit in orbits for codon in orbit]
     positions = [i for i in range(3) if len({codon[i] for codon in codons}) > 1]
     k, r = len(positions), len(orbits)
     place = 4 ** np.arange(k - 1, -1, -1)
     digits = np.arange(4**k)[:, None] // place % 4  # the base, or character, at each position
+    spots = np.arange(4**k) * (8 if k == 1 else 1)  # the place of each output among the 64
+    slots = np.arange(_STACK_ORBITS) % r  # the orbit in each slot, the first on padding
     bases = np.array([[BASE_INDEX[codon[i]] for i in positions] for codon in codons])
     sizes = np.array([len(orbit) for orbit in orbits])
-    lasts = np.cumsum(sizes) - 1
-    firsts = lasts + 1 - sizes
-    # the class 3**(k-1)*r_1 + ... + r_k of (codon, z) for every codon and output z
+    lasts = (np.cumsum(sizes) - 1)[slots]
+    firsts = lasts + 1 - sizes[slots]
+    # the class 3**(k-1)*r_1 + ... + r_k of (codon, z) for every codon and
+    # output z, as an index into the class values on 1, 2 and 3 positions
     classes = (_RELATION[bases[:, None, :], digits] * 3 ** np.arange(k - 1, -1, -1)).sum(-1)
-    gather = np.zeros((3**k, 2, r, 4**k))
-    outputs = np.arange(4**k)
-    for orbit, (first, last) in enumerate(zip(firsts, lasts)):
-        gather[classes[first], 0, orbit, outputs] = 1.0
-        gather[classes[first], 1, orbit, outputs] += 0.5
-        gather[classes[last], 1, orbit, outputs] += 0.5
+    index = np.full((2, _STACK_ORBITS, _STACK_OUTPUTS), 39)
+    index[..., spots] = np.stack([classes[firsts], classes[lasts]]) + (3**k - 3) // 2
     characters = functools.reduce(np.kron, [_CHARACTERS] * k)  # chi at z, both numbered like codons
     at = characters[:, bases @ place]  # chi(u) for every character and codon
     means, reps = 0.5 * (at[:, firsts] + at[:, lasts]), at[:, firsts]
-    differences = np.concatenate([(means[:, :, None] - reps[:, None, :]).reshape(-1, r * r),
-                                  (means[:, :, None] - means[:, None, :]).reshape(-1, r * r)],
-                                 axis=1)  # (characters, 2*r*r)
+    differences = np.stack([means[:, :, None] - means[:, None, :],
+                            means[:, :, None] - reps[:, None, :]], axis=1)  # (characters, 2, 3, 3)
     # the monomial 4*e + f of each character that differs on the synonyms
-    used = differences.any(axis=1)
+    used = differences.reshape(len(characters), -1).any(axis=1)
     monomial = (4 * (digits == 1).sum(axis=1) + (digits >= 2).sum(axis=1))[used]
     keys, counts = np.unique(monomial, return_counts=True)
-    terms = differences[used, :, None] * characters[used, None, :]  # (characters, 2*r*r, n)
-    blocks = (monomial == keys[:, None]) @ terms.reshape(len(monomial), -1) / 4.0**k
-    code = _OrbitCode(np.array([CODON_INDEX[codon] for codon in codons]),
-                      np.repeat(np.arange(r), sizes), sizes.astype(float), sizes / sizes.sum(),
-                      gather.reshape(3**k, -1), blocks,
-                      tuple(zip((keys // 4).tolist(), (keys % 4).tolist(), counts.tolist())), k)
-    _read_only(code[:6])  # every array
+    terms = differences[used, ..., None] * characters[used, None, None, None, :]
+    blocks = np.zeros((len(keys), 2, _STACK_ORBITS, _STACK_ORBITS, _STACK_OUTPUTS))
+    blocks[..., spots] = ((monomial == keys[:, None]).astype(float)
+                          @ terms.reshape(len(monomial), -1)).reshape(-1, 2, 3, 3, 4**k) / 4.0**k
+    start = np.zeros(_STACK_ORBITS)
+    start[:r] = sizes / sizes.sum()
+    return (np.array([CODON_INDEX[codon] for codon in codons]), np.repeat(np.arange(r), sizes),
+            sizes.astype(float), np.arange(_STACK_ORBITS) < r, start, index, blocks, keys, counts,
+            k, 4**k)
+
+
+@functools.cache
+def _orbit_code() -> _OrbitCode:
+    """The stacked orbit constants, built on first use and kept.
+
+    The build takes about 2 ms, paid by the first orbit solve or
+    evaluation of a process rather than at import.  Each amino's blocks
+    are padded with zero blocks of monomial 16 to the most any amino has
+    (9, for Ser).
+    """
+    parts = list(zip(*(_orbit_part(orbits) for orbits in _ORBITS.values())))
+    blocks, keys, counts = parts[6:9]
+    width = max(len(key) for key in keys)
+    padded = np.zeros((len(blocks), width, *blocks[0].shape[1:]))
+    monomials = np.full((len(blocks), width), 16)
+    characters = np.zeros((len(blocks), width))
+    for slot, (block, key, count) in enumerate(zip(blocks, keys, counts)):
+        padded[slot, :len(key)] = block
+        monomials[slot, :len(key)] = key
+        characters[slot, :len(key)] = count
+    pairs, offsets = padded.reshape(len(blocks), width, 2, -1).transpose(2, 0, 1, 3)
+    code = _OrbitCode(parts[0], parts[1], parts[2], *map(np.array, parts[3:5]),
+                      np.array(parts[5]).transpose(1, 0, 2, 3).copy(), pairs.copy(),
+                      offsets.copy(), monomials, characters, *map(np.array, parts[9:]))
+    _read_only((*code.members, *code.orbit_of, *code.sizes, *code[3:]))
     return code
 
 
 class _OrbitTables(NamedTuple):
-    """One amino's orbit rows at one parameter set, for :func:`_orbit_point`."""
+    """A stack of orbit aminos' rows at one parameter set, for :func:`_orbit_point`."""
 
-    rows: np.ndarray  # (r, n): W of each representative
+    valid: np.ndarray  # (a, 3): the orbits each amino has
+    rows: np.ndarray  # (a, 3, 64): W of each representative
     small: np.ndarray  # where p - W comes from the probabilities
     characters: bool  # whether any entry takes p - W from the characters
     inv: np.ndarray  # the kernel's 1/W and series cut-off (:func:`_reciprocal`)
     series_below: np.ndarray
-    means: np.ndarray  # (r, n): each orbit's mean row
-    offsets: np.ndarray  # (r, r*n): mean_i - rep_j, from the characters
-    pairs: np.ndarray  # (r, r, n): mean_a - mean_b, from the characters
-    # the kept directions of the face of every orbit (:func:`_orbit_directions`):
-    # the rows mean_a - mean_0, their largest entries and the orbits a
-    directions: np.ndarray
-    scales: list
-    targets: list
-    shift: int  # the differences are scaled by 2**shift, I and D by 2**(2*shift)
+    means: np.ndarray  # (a, 3, 64): each orbit's mean row
+    offsets: np.ndarray | None  # (a, 3, 3*64): mean_i - rep_j, from the characters
+    pairs: np.ndarray  # (a, 3, 3, 64): mean_a - mean_b, from the characters
+    shift: list  # per amino: the differences are scaled by 2**shift, I and D by 2**(2*shift)
 
 
-def _orbit_tables(code: _OrbitCode, params: ChannelParams) -> _OrbitTables:
-    """The orbit rows of ``code`` at ``params``, from its constants' class values and powers."""
-    constants = _constants(params)
-    r = code.sizes.size
-    rows, means = (constants.classes[code.positions - 1] @ code.gather).reshape(2, r, -1)
-    n = rows.shape[1]
-    powers = [constants.monomials[e][f] for e, f, _ in code.monomials]
-    exact = np.array(powers) @ code.blocks
+def _orbit_tables(constants: _ChannelConstants, select=slice(None)) -> _OrbitTables:
+    """The orbit rows of the aminos ``select`` of the stack, from the class values and powers.
+
+    Every entry of an amino is computed from that amino's own constants
+    alone, so its tables hold the same bits whichever aminos share the stack.
+    """
+    code = _orbit_code()
+    ends = np.concatenate((*constants.classes, [0.0]))[code.ends[:, select]]
+    rows, means = ends[0], (0.5 * ends).sum(axis=0)
+    powers = np.append(constants.monomials, 0.0)[code.monomials[select]]
+    sizes = np.abs(powers)
     # p - W errs by about eps*W from the probabilities, and by at most
     # eps*2*sum|Lambda|/n from the characters: each entry takes the smaller
-    bound = 2.0 * sum(abs(power) * count
-                      for power, (_, _, count) in zip(powers, code.monomials)) / n
-    small = rows < bound
+    bound = 2.0 * np.cumsum(sizes * code.counts[select], axis=1)[:, -1] / code.outputs[select]
     # every row holds every class value, so its largest entry is max(entries)**k
-    characters = max(constants.entries) ** code.positions >= bound
+    top = max(constants.entries)
+    characters = [top**k >= b for k, b in zip(code.positions[select].tolist(), bound.tolist())]
+    small = rows < bound[:, None, None]
+    if not all(characters):
+        small |= ~np.array(characters)[:, None, None]
     # rows within 2**-400 of each other have I below 2**-800, and tol*I may
     # turn subnormal: their differences are scaled to about 2**-200, and I
     # and every D to about 2**-400; no entry is small there
-    shift = _underflow_shift(powers)
-    if shift:
-        exact = np.ldexp(exact, shift)
-    offsets, pairs = exact.reshape(2, r * r, n)
-    pairs = pairs.reshape(r, r, n)
-    return _OrbitTables(rows, small, characters, *_reciprocal(rows), means,
-                        offsets.reshape(r, r * n), pairs,
-                        *_orbit_directions(pairs[1:, 0], range(1, r)), shift)
+    shift = [_underflow_shift((largest,)) for largest in sizes.max(axis=1).tolist()]
 
+    def exact(blocks):
+        differences = np.matmul(powers[:, None, :], blocks[select])[:, 0]
+        return np.ldexp(differences, np.array(shift)[:, None]) if any(shift) else differences
 
-def _orbit_directions(rows, targets):
-    """The ``rows`` that neither underflow nor are flat to rounding, their scales and ``targets``.
-
-    A row's scale is its largest entry; one whose scale is at most
-    ``_FLAT`` times the largest moves I by less than its rounding.
-    """
-    scales = np.abs(rows).max(axis=1).tolist()
-    floor = _FLAT * max(scales, default=0.0)
-    kept = [i for i, scale in enumerate(scales) if scale > floor]
-    return rows[kept], [scales[i] for i in kept], [targets[i] for i in kept]
+    pairs = exact(code.pairs).reshape(len(rows), _STACK_ORBITS, _STACK_ORBITS, -1)
+    offsets = exact(code.offsets).reshape(len(rows), _STACK_ORBITS, -1) if any(characters) \
+        else None
+    return _OrbitTables(code.valid[select], rows, small, offsets is not None, *_reciprocal(rows),
+                        means, offsets, pairs, shift)
 
 
 class _OrbitPoint(NamedTuple):
-    weights: np.ndarray
-    info: float  # I in bits
-    div: list  # D of each representative, in nats
-    out: np.ndarray  # p on the outputs
-    gap: float  # max D - I, in bits
+    """One evaluation of every amino of a stack, at its orbit weights."""
+
+    weights: np.ndarray  # (a, 3)
+    div: np.ndarray  # (a, 3): D of each representative, in nats
+    out: np.ndarray  # (a, 64): p on the outputs
+    info: list  # per amino: I in bits
+    top: list  # per amino: max D, in nats
+    gap: list  # per amino: sum_j w_j*(max D - D_j), in bits
 
 
 def _orbit_point(tables: _OrbitTables, weights) -> _OrbitPoint:
-    """I and the D of every orbit at the orbit ``weights``, by the divergence kernel.
+    """I, the D of every orbit and the gap at the orbit ``weights``, by the divergence kernel.
 
     p - W comes from the probabilities where ``small`` and from the exact
     differences elsewhere, as sum_i w_i*(mean_i - rep_j).  Shallow, every
     entry is small and the exact differences are not formed: in the
     capacity benchmark's box, where every run is shallow, forming them
-    anyway costs about 6% of a ``capacity_c`` call.
+    anyway costs about 6% of a ``capacity_c`` call.  Each sum over outputs
+    runs inside one amino's padded row, whose padding adds exact zeros.
+    The gap is taken term by term, each term non-negative, so it is never
+    below zero.
     """
-    out = weights @ tables.means
+    out = np.matmul(weights[:, None, :], tables.means)
     num = out - tables.rows
     if tables.characters:
-        num = np.where(tables.small, num, (weights @ tables.offsets).reshape(num.shape))
-    div = _terms(tables.rows, num, tables.inv, tables.series_below).sum(axis=1).tolist()
-    info = sum(weight * d for weight, d in zip(weights.tolist(), div)) / _LN2
-    return _OrbitPoint(weights, info, div, out, max(div) / _LN2 - info)
+        num = np.where(tables.small, num,
+                       np.matmul(weights[:, None, :], tables.offsets).reshape(num.shape))
+    div = _terms(tables.rows, num, tables.inv, tables.series_below).sum(axis=2)
+    info, top, gap = [], [], []
+    # a padded orbit has weight 0 and repeats the first orbit's D
+    for (w0, w1, w2), (d0, d1, d2) in zip(weights.tolist(), div.tolist()):
+        high = max(d0, d1, d2)
+        info.append((w0 * d0 + w1 * d1 + w2 * d2) / _LN2)
+        top.append(high)
+        gap.append((w0 * (high - d0) + w1 * (high - d1) + w2 * (high - d2)) / _LN2)
+    return _OrbitPoint(weights, div, out[:, 0], info, top, gap)
 
 
-def _orbit_newton(tables: _OrbitTables, point: _OrbitPoint):
-    """The Newton point of I in the orbit weights, on the face of positive weight, or None.
+class _OrbitFaces(NamedTuple):
+    """The Newton directions of one face (:func:`_faces`) of every amino of a stack.
 
-    Each direction moves weight from the face's first orbit (the reference)
-    to one other; it is scaled by its own exact difference row
-    mean_a - mean_ref and dropped where that row underflows or is flat to
-    rounding (:func:`_orbit_directions`).  The gradient is D_a - D_ref and
-    -H the Gram matrix of the rows under 1/p, solved by hand on one or two
-    coordinates.  Off the hot path: an orbit at zero weight is released
-    once the face is nearly optimal, as in :meth:`_Ascent.newton`; a
-    direction whose step would take its orbit below zero is pinned there
-    and the other solved again (Bertsekas 1982); where the reference would
-    fall below zero the step is cut at the first orbit it empties
-    (:func:`_ratio_step`).
+    Slot s holds the row mean_t - mean_ref of its target t.  It is kept
+    unless it has no target, or its scale (its largest entry) is at most
+    ``_FLAT`` times the largest of the face, flat to rounding or
+    underflowed.
+    """
+
+    rows: np.ndarray  # (a, 2, 64)
+    ref: list  # per amino: the reference orbit
+    kept: list  # per amino: (slot, target, scale) of every kept slot
+
+
+def _orbit_faces(tables: _OrbitTables, face) -> _OrbitFaces:
+    """The directions of the faces ``face`` of the aminos of ``tables``."""
+    orbits = _FACE_ORBITS[face]
+    rows = tables.pairs[np.arange(len(face))[:, None], orbits[:, 1:], orbits[:, :1]]
+    kept = []
+    for (_, *targets), count, scales in zip(orbits.tolist(), _FACE_COUNT[face].tolist(),
+                                            np.abs(rows).max(axis=2).tolist()):
+        floor = _FLAT * max(scales[:count], default=0.0)
+        kept.append([(slot, targets[slot], scales[slot]) for slot in range(count)
+                     if scales[slot] > floor])
+    return _OrbitFaces(rows, orbits[:, 0].tolist(), kept)
+
+
+def _orbit_newton(tables: _OrbitTables, faces: _OrbitFaces, point: _OrbitPoint, running):
+    """The Newton points of I in the orbit weights of the aminos ``running``.
+
+    ``faces`` holds the directions of the faces of every orbit, used while
+    every weight is positive.  Each direction moves weight from the face's
+    first orbit (the reference) to one other, scaled by its own exact
+    difference row (:class:`_OrbitFaces`).  The gradient is D_t - D_ref
+    and -H the Gram matrix of the rows under 1/p, formed for every amino
+    at once and solved in closed form on one or two coordinates
+    (:func:`_orbit_moves`).  An orbit at zero weight is released once the
+    face is nearly optimal, as in :meth:`_Ascent.newton`; where the
+    reference would fall below zero the step is cut at the first orbit it
+    empties (:func:`_ratio_step`).  It returns the weights with each Newton
+    point in place, and the aminos that have one: not an amino whose face
+    keeps no direction, whose system is singular or whose point is not
+    finite.
     """
     weights, div = point.weights, point.div
-    if np.count_nonzero(weights) == weights.size:
-        ref, rows, scales, targets = 0, tables.directions, tables.scales, tables.targets
-    else:
-        free = weights > 0.0
-        face_top = max(d for d, on in zip(div, free) if on)
-        if face_top / _LN2 - point.info <= 0.5 * point.gap:
-            free |= np.array(div) > face_top
-        face = np.flatnonzero(free).tolist()
-        ref = face[0]
-        rows, scales, targets = _orbit_directions(tables.pairs[face[1:], ref], face[1:])
-    if not targets:
-        return None
-    weighted = np.divide(rows, point.out, out=np.zeros(rows.shape), where=point.out > 0.0)
+    free = weights > 0.0
+    if (free != tables.valid).any():
+        # an orbit at zero weight is released once the face is nearly
+        # optimal: the face's own gap is at most half the total
+        face_top = np.where(free, div, -np.inf).max(axis=1)
+        release = face_top / _LN2 - np.array(point.info) <= 0.5 * np.array(point.gap)
+        free |= release[:, None] & (div > face_top[:, None]) & tables.valid
+        faces = _orbit_faces(tables, free @ _FACE_BITS)
+    rows = faces.rows
+    weighted = np.divide(rows, point.out[:, None, :], out=np.zeros(rows.shape),
+                         where=point.out[:, None, :] > 0.0)
+    grams = np.matmul(weighted, rows.transpose(0, 2, 1)).tolist()
+    trials, divs, moved = weights.tolist(), div.tolist(), []
+    for lane in running:
+        kept, ref, d, trial = faces.kept[lane], faces.ref[lane], divs[lane], list(trials[lane])
+        moves = kept and _orbit_moves(grams[lane], kept, [(d[t] - d[ref]) / s for _, t, s in kept],
+                                      [trial[t] for _, t, _ in kept])
+        if not moves:
+            continue
+        for (_, t, _), move in zip(kept, moves):
+            trial[t] += move
+        trial[ref] -= sum(moves)
+        if not all(map(math.isfinite, trial)):
+            continue
+        if trial[ref] < 0.0:
+            trial = _ratio_step(weights[lane], np.array(trial) - weights[lane]).tolist()
+        total = sum(trial)
+        trials[lane] = [weight / total for weight in trial]
+        moved.append(lane)
+    return np.array(trials), moved
+
+
+def _orbit_moves(gram, kept, grad, at):
+    """The Newton moves of the one or two ``kept`` directions, or None when -H is singular.
+
+    ``gram`` holds the Gram matrix of the face's rows under 1/p, ``grad``
+    the gradient in units of each row's scale and ``at`` the weights of
+    the target orbits; -H in those units is solved in closed form on one
+    or two coordinates.  A direction whose move would take its orbit below
+    zero is pinned there; with two directions and one pinned, the other is
+    solved again with the pinned move held fixed, and pinned too if it
+    then falls below zero (Bertsekas 1982).
+    """
+    if len(kept) == 1:
+        (slot, _, scale), = kept
+        det = gram[slot][slot] / (scale * scale)
+        if not det > 0.0:
+            return None
+        move = grad[0] / det / scale
+        return [-at[0] if at[0] + move < 0.0 else move]
+    (_, _, s0), (_, _, s1) = kept
+    (g00, g01), (g10, g11) = gram
     # in units of each row's scale
-    curvature = [[entry / (scale * other) for entry, other in zip(line, scales)]
-                 for line, scale in zip((weighted @ rows.T).tolist(), scales)]
-    grad = [(div[a] - div[ref]) / scale for a, scale in zip(targets, scales)]
-    step = _solve_by_hand(curvature, grad)
-    if step is None:
-        return None
-    trial = weights.tolist()
-    moves = [move / scale for move, scale in zip(step, scales)]
-    if any(trial[a] + move < 0.0 for a, move in zip(targets, moves)):
-        moves = _pinned_moves(curvature, grad, scales, [trial[a] for a in targets], moves)
-    for a, move in zip(targets, moves):
-        trial[a] += move
-    trial[ref] -= sum(moves)
-    if not all(map(math.isfinite, trial)):
-        return None
-    if trial[ref] < 0.0:
-        trial = _ratio_step(weights, np.array(trial) - weights)
-        return trial / trial.sum()
-    total = sum(trial)
-    return np.array([weight / total for weight in trial])
-
-
-def _pinned_moves(curvature, grad, scales, at, moves):
-    """The Newton moves with every orbit they take below zero pinned there.
-
-    ``at`` holds the weights of the directions' orbits.  A pinned orbit
-    gives up its weight; with two directions and one pinned, the other is
-    solved again with the pinned move held fixed, until no orbit falls
-    below zero (Bertsekas 1982).
-    """
-    pinned = [False] * len(moves)
-    while any(weight + move < 0.0 for weight, move in zip(at, moves)):
-        pinned = [pin or weight + move < 0.0 for weight, move, pin in zip(at, moves, pinned)]
-        moves = [-weight if pin else move for weight, move, pin in zip(at, moves, pinned)]
-        if not all(pinned):  # two directions, one pinned: solve again for the other
-            other, held = pinned.index(False), pinned.index(True)
-            moves[other] = (grad[other] - curvature[other][held] * moves[held] * scales[held]) \
-                / curvature[other][other] / scales[other]
-    return moves
-
-
-def _orbit_rise(tables: _OrbitTables, point: _OrbitPoint, candidate: _OrbitPoint, tol) -> bool:
-    """Whether ``candidate`` raises I over ``point``, as :meth:`_Ascent._advance` judges a trial.
-
-    A rise of more than ``_DECISIVE*I`` is read off the two values, and a
-    certified candidate within that band is taken; otherwise the exact gain
-    ``sum_j dw_j*D_j - KL(p' || p)`` decides, with p' - p from the exact
-    pair rows.
-    """
-    rise = candidate.info - point.info
-    if rise > _DECISIVE * point.info:
-        return True
-    if rise >= -_DECISIVE * point.info and candidate.gap <= tol * candidate.info:
-        return True
-    move = candidate.weights - point.weights
-    change = move @ tables.pairs[:, 0]  # p' - p, as sum_j dw_j*(mean_j - mean_0)
-    kl = _terms(candidate.out, -change, *_reciprocal(candidate.out)).sum()
-    return float(move @ (np.array(point.div) - max(point.div)) - kl) > 0.0
-
-
-def _solve_by_hand(curvature, grad):
-    """x with curvature @ x = grad on one or two coordinates (lists), or None when singular."""
-    if len(grad) == 1:
-        det = curvature[0][0]
-        return [grad[0] / det] if det > 0.0 else None
-    (a, b), (_, d) = curvature
+    a, b, c, d = g00 / (s0 * s0), g01 / (s0 * s1), g10 / (s1 * s0), g11 / (s1 * s1)
     det = a * d - b * b
     if not det > 1e-12 * a * d:
         return None
-    return [(grad[0] * d - grad[1] * b) / det, (grad[1] * a - grad[0] * b) / det]
+    m0, m1 = (grad[0] * d - grad[1] * b) / det / s0, (grad[1] * a - grad[0] * b) / det / s1
+    low0, low1 = at[0] + m0 < 0.0, at[1] + m1 < 0.0
+    if low0 and low1:
+        return [-at[0], -at[1]]
+    if low0:
+        m0 = -at[0]
+        m1 = (grad[1] - c * m0 * s0) / d / s1
+        return [m0, -at[1] if at[1] + m1 < 0.0 else m1]
+    if low1:
+        m1 = -at[1]
+        m0 = (grad[0] - b * m1 * s1) / a / s0
+        return [-at[0] if at[0] + m0 < 0.0 else m0, m1]
+    return [m0, m1]
 
 
-def _orbit_optimum(code: _OrbitCode, params: ChannelParams, tol, max_iter) -> RateResult:
-    """Maximize I of a point mass over its orbit weights until max_orbit D - I <= tol*I.
+def _orbit_gains(point: _OrbitPoint, candidate: _OrbitPoint, tables: _OrbitTables) -> list:
+    """The exact gain ``sum_j dw_j*D_j - KL(p' || p)`` of each ``candidate`` over ``point``.
 
-    There is no floor: a run whose I and gap both underflow to 0 certifies
-    at 0.  Every evaluation is one iteration, the first at the uniform
-    conditional, and each later one a Newton point (:func:`_orbit_newton`),
-    taken if it raises I (:func:`_orbit_rise`).  The run ends uncertified
-    after ``max_iter`` evaluations, at a Newton point that does not raise
-    I, or after two points in a row that do not halve the gap: Newton
-    steps converge quadratically, so there the D differ by their rounding
-    (as below about 1e-12*I near the kernel's series cut-off).  The
-    returned conditional is the point whose I and gap are reported, spread
-    evenly over each orbit.
+    p' - p comes from the exact pair rows, as sum_j dw_j*(mean_j - mean_0).
     """
-    tables = _orbit_tables(code, params)
+    move = candidate.weights - point.weights
+    change = np.matmul(move[:, None, :], tables.pairs[:, :, 0])[:, 0]
+    kl = _terms(candidate.out, -change, *_reciprocal(candidate.out)).sum(axis=1)
+    return [float(np.dot(dw, d - top)) - value for dw, d, top, value
+            in zip(move, point.div, point.top, kl.tolist())]
+
+
+def _orbit_optima(constants: _ChannelConstants, tol, max_iter) -> tuple:
+    """Maximize I of the five orbit point masses over their orbit weights, as one stack.
+
+    Each amino stops once its gap sum_j w_j*(max D - D_j) <= tol*I, with no
+    floor: a run whose I and gap both underflow to 0 certifies at 0.  Every
+    evaluation is one iteration, the first at the uniform conditional, and
+    each later one a Newton point (:func:`_orbit_newton`), taken if it
+    raises I as :meth:`_Ascent._advance` judges a trial: a rise of more
+    than ``_DECISIVE*I`` is read off the two values, a certified point
+    within that band is taken, and otherwise the exact gain decides
+    (:func:`_orbit_gains`).  An amino's run ends uncertified after
+    ``max_iter`` evaluations, where it has no Newton point or its Newton
+    point does not raise I, or after two points in a row that do not halve
+    the gap: Newton steps converge quadratically, so there the D differ by
+    their rounding (as below about 1e-12*I near the kernel's series
+    cut-off).  Each round evaluates and steps all five at once, and an
+    amino whose run has ended is evaluated at its own point again; the
+    rounds go on while any run does.  The returned conditionals are the
+    points whose I and gap are reported, spread evenly over each orbit, one
+    read-only result per amino in ``_ORBITS`` order.
+    """
+    code = _orbit_code()
+    tables = _orbit_tables(constants)
+    faces = _orbit_faces(tables, tables.valid @ _FACE_BITS)  # every orbit free
     point = _orbit_point(tables, code.start)
-    iterations, stalls = 1, 0
-    while point.gap > tol * point.info and iterations < max_iter and stalls < 2:
-        trial = _orbit_newton(tables, point)
-        if trial is None:
-            break
-        iterations += 1
-        candidate = _orbit_point(tables, trial)
-        if not _orbit_rise(tables, point, candidate, tol):
-            break
-        stalls = stalls + 1 if candidate.gap > 0.5 * point.gap else 0
+    lanes = range(len(point.info))
+    iterations, stalls, ended = [1] * len(lanes), [0] * len(lanes), [False] * len(lanes)
+    while running := [lane for lane in lanes if not ended[lane] and stalls[lane] < 2
+                      and iterations[lane] < max_iter
+                      and point.gap[lane] > tol * point.info[lane]]:
+        trials, moved = _orbit_newton(tables, faces, point, running)
+        candidate = _orbit_point(tables, trials)
+        gains = None
+        for lane in running:
+            if lane not in moved:
+                ended[lane] = True
+                continue
+            iterations[lane] += 1
+            info, new_info, new_gap = point.info[lane], candidate.info[lane], candidate.gap[lane]
+            rise, decisive = new_info - info, _DECISIVE * info
+            if not (rise > decisive or rise >= -decisive and new_gap <= tol * new_info):
+                gains = _orbit_gains(point, candidate, tables) if gains is None else gains
+                if not gains[lane] > 0.0:  # it keeps its point
+                    ended[lane] = True
+                    for new, old in zip(candidate, point):
+                        new[lane] = old[lane]
+                    continue
+            stalls[lane] = stalls[lane] + 1 if new_gap > 0.5 * point.gap[lane] else 0
         point = candidate
-    cond = _SYNONYM_SETS.start.copy()
-    cond[code.members] = (point.weights / code.sizes)[code.orbit_of]
-    return _rate_result(math.ldexp(point.info, -2 * tables.shift), cond, iterations,
-                        point.gap <= tol * point.info, 0.0,
-                        gap_bits=math.ldexp(point.gap, -2 * tables.shift))
+    results = []
+    for slot, (info, gap, shift) in enumerate(zip(point.info, point.gap, tables.shift)):
+        cond = _SYNONYM_SETS.start.copy()
+        cond[code.members[slot]] = (point.weights[slot, :len(code.sizes[slot])]
+                                    / code.sizes[slot])[code.orbit_of[slot]]
+        cond.flags.writeable = False
+        results.append(_rate_result(math.ldexp(info, -2 * shift), cond, iterations[slot],
+                                    gap <= tol * info, 0.0, gap_bits=math.ldexp(gap, -2 * shift)))
+    return tuple(results)
 
 
 def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
@@ -1385,11 +1528,17 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     converged, a gap of 0 and the uniform
     conditional.  A point mass on Ile, Leu, Arg, Ser or Stp builds no 64x64
     channel either: the optimum is even on each orbit of its synonym set
-    (``_ORBITS``), so the run maximizes I over one or two orbit weights
-    (:func:`_orbit_optimum`).  Its iterations are evaluations, the first
-    at the uniform conditional; it stops once ``max_orbit D - I <= tol*I``,
-    with no floor, and returns the conditional whose I it reports, equal on
-    the codons of each orbit.  So only a host that emits two aminos or
+    (``_ORBITS``), so the run maximizes I over one or two orbit weights.
+    Its iterations are evaluations, the first at the uniform conditional;
+    it stops once ``sum_j w_j*(max D - D_j) <= tol*I``, with no floor, and
+    returns the conditional whose I it reports, equal on the codons of each
+    orbit.  The five are solved together as one stack (:func:`_orbit_optima`)
+    on the first such call for a parameter set, ``tol`` and ``max_iter``;
+    the five results are kept with the parameter set's constants and
+    evicted with them (:meth:`_ChannelConstants.orbit_optima`), and every
+    call returns a copy, its conditional the caller's own.  So a lone
+    orbit point mass pays for the whole stack, and the other four are then
+    read for free.  So only a host that emits two aminos or
     more runs the 64-codon optimizer, on the kernel kept with the
     parameter set's constants (:func:`_constants`).  ``tol`` must be
     finite and above zero, and ``max_iter`` at least 1; both are checked
@@ -1398,12 +1547,15 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     host, amino = _checked_host(host)
     if amino is not None:
         _check_stop_rule(tol, max_iter)
-        closed_form = _constants(params).uniform_optimal(len(SYNONYM_INDICES[amino]))
+        constants = _constants(params)
+        closed_form = constants.uniform_optimal(len(SYNONYM_INDICES[amino]))
         if closed_form is not None:
             # a point mass has entropy 0, and the uniform conditional's gap is 0
             return _rate_result(closed_form, uniform_conditional(), 1, True, 0.0, gap_bits=0.0)
         # every other amino (Ile, Leu, Arg, Ser, Stp) has its orbits in ``_ORBITS``
-        return _orbit_optimum(_orbit_code(amino), params, tol, max_iter)
+        result = constants.orbit_optima(tol, max_iter)[_ORBIT_SLOT[amino]]
+        return _rate_result(result.mutual_information, result.conditional.copy(),
+                            result.iterations, result.converged, 0.0, gap_bits=result.gap_bits)
     return _blahut_arimoto(_constants(params).kernel, _SYNONYM_SETS, host, tol, max_iter)
 
 
@@ -1522,12 +1674,15 @@ def capacity_c(params: ChannelParams, include_stp: bool = True,
 
     The capacity-achieving host pmf is deterministic, so the search
     evaluates the optimized rate for each amino acid (the two
-    single-codon ones are zero outright, 14 more closed forms, and 5 runs
-    on orbit weights, with no run of the 64-codon optimizer and no 64x64
-    tables) and returns the argmax with the full per-amino rate table.
+    single-codon ones are zero outright, 14 more closed forms, and the
+    five orbit point masses on their orbit weights, with no run of the
+    64-codon optimizer and no 64x64 tables) and returns the argmax with
+    the full per-amino rate table.
     Each amino is a call of :func:`deterministic_rate`; all 19 read the
     constants of ``params`` (:func:`_constants`), derived once, so the 14
-    closed forms take two values between them, one 2-fold and one 4-fold.
+    closed forms take two values between them, one 2-fold and one 4-fold,
+    and the five orbit point masses one stacked solve, which the first of
+    them runs and the other four read.
     With ``include_stp=False`` the stop symbol, which a real gene can use
     only once, is excluded from the argmax but still reported in the
     table.

@@ -1318,6 +1318,59 @@ def test_capacity_repeats_bitwise_in_any_order_and_from_fresh_constants(monkeypa
     for params in grid:
         cdna._constants.cache_clear()
         assert capacity_fingerprint(params, runs) == forward[params], params
+    # the five orbit point masses are solved as one stack: whichever of them
+    # is asked first, from fresh constants, each gets the bits of its run
+    # in capacity_c (run_of: its place among the 19)
+    run_of = {amino: [a for a in AMINO_ACIDS if len(SYNONYMS[a]) > 1].index(amino)
+              for amino in ORBIT_AMINOS}
+    for params in grid:
+        floats = np.frombuffer(forward[params][4])
+        for first in range(len(ORBIT_AMINOS)):
+            cdna._constants.cache_clear()
+            for amino in ORBIT_AMINOS[first:] + ORBIT_AMINOS[:first]:
+                result, k = optimize(point_mass_host(amino), params), run_of[amino]
+                assert (result.iterations, result.conditional.tobytes()) == forward[params][5][k]
+                assert np.array([result.mutual_information, result.gap_bits]).tobytes() \
+                    == floats[2 + 2 * k:4 + 2 * k].tobytes(), (params, amino, first)
+
+
+def test_capacity_solves_the_orbit_stack_once_per_stop_rule(monkeypatch):
+    solves = []
+    optima = cdna._orbit_optima
+    monkeypatch.setattr(cdna, "_orbit_optima",
+                        lambda *args: solves.append(args[1:]) or optima(*args))
+    params = ChannelParams(1e-3, 0.5, 30)
+    cdna._constants.cache_clear()
+    result = capacity_c(params)
+    assert solves == [(cdna.DEFAULT_TOL, cdna.DEFAULT_MAX_ITER)]
+    # a second call reads the kept results, for every orbit amino
+    for amino in ORBIT_AMINOS:
+        again = ba_optimize(point_mass_host(amino), params)
+        assert again.rate == result.per_amino[AMINO_INDEX[amino]]
+    assert len(solves) == 1
+    # another stop rule is another stack, solved once
+    for amino in ORBIT_AMINOS:
+        ba_optimize(point_mass_host(amino), params, tol=1e-12)
+    ba_optimize(point_mass_host("Leu"), params, tol=1e-12, max_iter=3)
+    assert solves[1:] == [(1e-12, cdna.DEFAULT_MAX_ITER), (1e-12, 3)]
+    # the results leave with their constants
+    cdna._constants.cache_clear()
+    ba_optimize(point_mass_host("Ser"), params)
+    assert len(solves) == 4
+
+
+def test_a_returned_orbit_conditional_is_the_callers_own():
+    params = ChannelParams(1e-2, 0.5, 30)
+    cdna._constants.cache_clear()
+    first = ba_optimize(point_mass_host("Leu"), params)
+    expected = first.conditional.copy()
+    first.conditional[:] = -1.0
+    for result in (ba_optimize(point_mass_host("Leu"), params),
+                   deterministic_rate("Leu", params)):
+        assert np.array_equal(result.conditional, expected)
+        assert result.conditional.flags.writeable
+        assert result.mutual_information == first.mutual_information
+    assert capacity_c(params).per_amino[AMINO_INDEX["Leu"]] == first.rate
 
 
 def test_a_sweep_longer_than_the_caches_returns_the_values_of_fresh_constants():
@@ -1571,6 +1624,40 @@ def test_orbit_solver_releases_an_orbit_it_emptied():
                          ChannelParams(0.5578282459559125, 0.6486319320891702, 1121))
     assert result.converged
     assert (result.conditional[SYNONYM_INDICES[AMINO_INDEX["Ser"]]] > 0.0).all()
+
+
+@pytest.mark.parametrize("q,gamma,m,rare", [
+    # Ser's first Newton step empties {TCT, TCC}, which it must release
+    # (I underflows to 0 for all but Stp there)
+    (0.5578282459559125, 0.6486319320891702, 1121, "Ser"),
+    # a Newton step of Arg pins the orbit its optimum leaves empty
+    (0.39122819049566204, 0.7751102739320455, 168, "Arg"),
+    # Stp's rows lie within 2**-400 of each other and are taken scaled
+    (0.013131485924767532, 0.0060488624030573535, 13043, "Stp"),
+])
+def test_the_orbit_stack_keeps_each_amino_on_its_own_path(q, gamma, m, rare):
+    # one amino on a rare path, the other four on the common one: each
+    # against the decimal reference at the conditional it returns
+    params = ChannelParams(q, gamma, m)
+    cdna._constants.cache_clear()
+    results = {amino: ba_optimize(point_mass_host(amino), params) for amino in ORBIT_AMINOS}
+    shifts = cdna._orbit_tables(cdna._constants(params)).shift
+    shifted = {"Ser": {"Ile", "Leu", "Arg", "Ser"}, "Arg": set(), "Stp": {"Stp"}}[rare]
+    assert [bool(shift) for shift in shifts] == [amino in shifted for amino in ORBIT_AMINOS]
+    emptied = {amino for amino, result in results.items()
+               if (result.conditional[SYNONYM_INDICES[AMINO_INDEX[amino]]] == 0.0).any()}
+    # at Ser's point Arg's optimum leaves an orbit empty as well
+    assert emptied == (set() if rare == "Stp" else {"Arg"})
+    for amino, result in results.items():
+        assert result.converged, amino
+        assert_orbit_symmetric(amino, result.conditional)
+        info, top = decimal_point_mass(amino, q, gamma, m, {
+            codon: result.conditional[CODON_INDEX[codon]] for codon in SYNONYMS[amino]})
+        assert result.mutual_information == pytest.approx(info, rel=1e-10, abs=0.0), amino
+        assert result.mutual_information + result.gap_bits == pytest.approx(
+            top, rel=1e-10, abs=0.0), amino
+        assert result.gap_bits >= 0.0
+    assert results[rare].mutual_information > 0.0 or rare == "Ser"
 
 
 def test_point_mass_optima_are_nine_eighths_of_uniform_at_depth():

@@ -34,6 +34,17 @@ def test_point_noiseless_ncdna(capsys):
     assert json.loads(out)["value_bits"] == 2.0
 
 
+def test_point_reports_no_negative_gap(capsys):
+    # the uniform host certifies at its start; the gap, taken term by term,
+    # reads 0 there; formed as sum h*max D - I it reads -8.881784197e-16
+    code, out, _ = run(capsys, "point", "--quantity", "cdna_rate", "--host", "uniform",
+                       "--q", "0.01", "--gamma", "1", "--m", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gap_bits"] == 0.0
+    assert payload["iterations"] == 1 and payload["converged"] is True
+
+
 def test_point_capacity_catastrophic(capsys):
     code, out, _ = run(capsys, "point", "--quantity", "capacity",
                        "--q", "0.75", "--gamma", "1", "--m", "1")
@@ -508,6 +519,25 @@ def test_figures_certifies_every_optimizer_run(tmp_path, monkeypatch):
                for _, r in runs if r.converged)
 
 
+def test_figures_reports_no_negative_gap(tmp_path, monkeypatch):
+    # every gap is a sum of non-negative terms; formed as sum h*max D - I,
+    # 27 runs of this pass read below zero, down to -1.8e-15 bits
+    from dnacap import cdna, cli
+
+    gaps = []
+    optimize = cdna.ba_optimize
+
+    def recording_optimize(*args, **kwargs):
+        result = optimize(*args, **kwargs)
+        gaps.append(result.gap_bits)
+        return result
+
+    monkeypatch.setattr(cdna, "ba_optimize", recording_optimize)
+    cli.run_figures(tmp_path, {"toyA": DATA / "toy_gene_a.fasta"})
+    assert len(gaps) == 2286
+    assert min(gaps) >= 0.0
+
+
 def test_figures_rows_keep_the_information_inequalities(tmp_path, monkeypatch):
     # every row of the bundle, none excluded.  A point mass's rate is at most
     # 3*C_nc (the codon channel is three uses of the base channel; Cover and
@@ -588,7 +618,7 @@ def test_figures_builds_each_parameter_set_once_per_file(tmp_path, monkeypatch):
     cdna._constants.cache_clear()
     written = cli.run_figures(tmp_path, {"toyA": DATA / "toy_gene_a.fasta"})
     counts = dict(zip(written, per_file))
-    # the point masses of det_aminos build none: 14 closed forms and 5 orbit solvers
+    # the point masses of det_aminos build none: 14 closed forms and the orbit stack
     assert all(made == distinct for name, (made, distinct) in counts.items()
                if not name.startswith("det_aminos")), counts
     expected = {name: 0 if name.startswith(("ncdna", "det_aminos"))

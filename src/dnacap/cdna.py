@@ -520,8 +520,12 @@ def _constants(params: ChannelParams) -> _ChannelConstants:
     tables are dropped after each solve), 1 KiB more for the kernel's
     classes, and its full tables (164 KiB) once an input pmf on every codon
     has needed them, so at most about 5 MiB in all.  Sweeps revisit one m-grid per host and
-    method, and 32 covers the largest grid of the figures bundle (25 m),
-    so each of its parameter sets is derived once.  A least-recently-used
+    method, and 32 covers the largest grid of the figures bundle (25 m).
+    The bundle runs grid by grid, each det_aminos file right after the
+    hosts file on its (gamma, q) grid, so each of its parameter sets is
+    derived once, but for the 5 that det_methods shares with the gamma=0.1,
+    q=1e-2 grid (m = 1, 2, 3, 4 and 11), derived again after steg's 25
+    sets have evicted them.  A least-recently-used
     cache hits nothing on a cycle longer than ``maxsize``: a sweep over
     more than 32 m derives every point anew.
     """
@@ -1538,9 +1542,10 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     evicted with them (:meth:`_ChannelConstants.orbit_optima`), and every
     call returns a copy, its conditional the caller's own.  So a lone
     orbit point mass pays for the whole stack, and the other four are then
-    read for free.  So only a host that emits two aminos or
-    more runs the 64-codon optimizer, on the kernel kept with the
-    parameter set's constants (:func:`_constants`).  ``tol`` must be
+    read for free; in ``figures``, the det_aminos file of a grid reads
+    what its hosts file's Ser rows solved.  So only a host that emits
+    two aminos or more runs the 64-codon optimizer, on the kernel kept
+    with the parameter set's constants (:func:`_constants`).  ``tol`` must be
     finite and above zero, and ``max_iter`` at least 1; both are checked
     after the host, before any run.
     """

@@ -289,26 +289,27 @@ def _figure_specs(genes: dict[str, Path]) -> dict[str, list[SweepSpec]]:
             SweepSpec("ncdna", q, g, log_m_grid(1, top, 37))
             for g in (1.0, 0.1, 0.01, 0.001, 0.0)
         ]
+    # the two files of a grid run back to back: its 25 parameter sets are
+    # then still among the last 32 that cdna._constants keeps, so the
+    # det_aminos file reads the orbit optima that the hosts file's amino:Ser
+    # ba rows solved, and derives nothing anew
     for gamma in (1.0, 0.1):
         for q, top in ((1e-2, 10**5), (1e-9, 10**12)):
+            m_values = log_m_grid(1, top, 25)
             bundle[f"cdna_hosts_g{gamma:g}_q{q:g}.csv"] = [
-                SweepSpec("cdna_rate", q, gamma, log_m_grid(1, top, 25),
-                          host_source=h, method=meth)
+                SweepSpec("cdna_rate", q, gamma, m_values, host_source=h, method=meth)
                 for h in coding_hosts
                 for meth in ("ba", "uniform")
+            ]
+            bundle[f"det_aminos_g{gamma:g}_q{q:g}.csv"] = [
+                SweepSpec("cdna_rate", q, gamma, m_values, host_source=f"amino:{a}")
+                for a in multi
             ]
     bundle["steg_g0.1_q1e-05.csv"] = [
         SweepSpec(quant, 1e-5, 0.1, log_m_grid(1, 10**8, 25), host_source=h)
         for h in (["uniform"] + gene_hosts)
         for quant in ("steg_rate", "cdna_rate")
     ]
-    for gamma in (1.0, 0.1):
-        for q, top in ((1e-2, 10**5), (1e-9, 10**12)):
-            bundle[f"det_aminos_g{gamma:g}_q{q:g}.csv"] = [
-                SweepSpec("cdna_rate", q, gamma, log_m_grid(1, top, 25),
-                          host_source=f"amino:{a}")
-                for a in multi
-            ]
     # the linearized system is only well conditioned while within-category
     # mixing survives (mu^m away from 0), so compare methods on that range
     bundle["det_methods_g0.1_q1e-02.csv"] = [

@@ -1618,8 +1618,10 @@ def test_orbit_solver_keeps_the_digits_of_subnormal_optima(q, gamma, m):
 
 
 def test_orbit_solver_releases_an_orbit_it_emptied():
-    # the first Newton step empties {TCT, TCC}, whose optimal weight is
-    # 0.0067; pinned there for good, the run could not certify
+    # the first Newton step empties {TCT, TCC}, and the run releases it to
+    # 0.0067; pinned there for good, the run could not certify.  lam^m is
+    # subnormal here (2.3e-321) and I underflows to 0: in decimal, the
+    # optimum leaves {TCT, TCC} empty
     result = ba_optimize(point_mass_host("Ser"),
                          ChannelParams(0.5578282459559125, 0.6486319320891702, 1121))
     assert result.converged

@@ -482,8 +482,16 @@ def test_figures_writes_bundle(capsys, tmp_path):
                        "--fasta", f"toyA={GENE_A}")
     assert code == 0
     written = [Path(line).name for line in out.strip().splitlines()]
-    assert "ncdna_q0.01.csv" in written
-    assert "det_methods_g0.1_q1e-02.csv" in written
+    grids = [f"g{gamma}_q{q}" for gamma in ("1", "0.1") for q in ("0.01", "1e-09")]
+    assert sorted(written) == sorted(
+        ["ncdna_q0.01.csv", "ncdna_q1e-09.csv", "steg_g0.1_q1e-05.csv",
+         "det_methods_g0.1_q1e-02.csv"]
+        + [f"{kind}_{grid}.csv" for kind in ("cdna_hosts", "det_aminos") for grid in grids])
+    assert sorted(written) == sorted(path.name for path in out_dir.iterdir())
+    # grid by grid: each det_aminos file right after the hosts file of its grid
+    for grid in grids:
+        hosts = written.index(f"cdna_hosts_{grid}.csv")
+        assert written[hosts + 1] == f"det_aminos_{grid}.csv"
     for name in written:
         text = (out_dir / name).read_text()
         assert text.startswith("m,q,gamma,quantity,method,host,value_bits\n")
@@ -625,6 +633,32 @@ def test_figures_builds_each_parameter_set_once_per_file(tmp_path, monkeypatch):
                 else 18 if name.startswith("det_methods") else 25 for name in written}
     assert {name: made for name, (made, _) in counts.items()} == expected
     assert builds() == 143
+
+
+def test_figures_solves_each_orbit_stack_once_per_grid(tmp_path, monkeypatch):
+    from dnacap import cdna, cli
+
+    solved = []  # one entry for every stacked solve of the five orbit point masses
+    solve = cdna._orbit_optima
+    monkeypatch.setattr(cdna, "_orbit_optima", lambda *args: solved.append(1) or solve(*args))
+    per_file = []  # solves made for each file, in the order the files are computed
+    to_csv = cli.rows_to_csv
+
+    def recording_to_csv(rows):
+        per_file.append(len(solved) - sum(per_file))
+        return to_csv(rows)
+
+    monkeypatch.setattr(cli, "rows_to_csv", recording_to_csv)
+    cdna._constants.cache_clear()
+    written = cli.run_figures(tmp_path, {"toyA": DATA / "toy_gene_a.fasta"})
+    counts = dict(zip(written, per_file))
+    # each det_aminos file reads the optima its grid's hosts file solved for
+    # amino:Ser; det_methods runs last, after steg has evicted the 5 sets it
+    # shares with the gamma=0.1, q=1e-2 grid, so it solves all 18 of its sets
+    expected = {name: 25 if name.startswith("cdna_hosts")
+                else 18 if name.startswith("det_methods") else 0 for name in written}
+    assert counts == expected
+    assert len(solved) == 118
 
 
 def test_figures_bad_fasta_argument(capsys, tmp_path):

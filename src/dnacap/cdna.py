@@ -14,8 +14,8 @@ mutations; hosts induced by uniform codons; point-mass hosts, including
 their linearized conditional solver and the capacity search over all
 point masses).
 
-One optimizer serves every maximization but that of a point mass (below).
-It stops on the duality gap
+One optimizer serves every maximization but that of a point mass
+(:meth:`_ChannelConstants.point_mass`).  It stops on the duality gap
 ``sum_x' p(x') max_{u in x'} D_u - I``, an upper bound on the distance to
 the optimum (Blahut 1972), once the gap is at most ``tol`` times I plus
 1e-15 bits; ``converged`` means certified.  From the uniform start it
@@ -64,42 +64,28 @@ which are gathered once per parameter set on first need and kept with its
 kernel (164 KiB), and any other gathers its rows from the classes.  Those
 others come from a conditional with zero entries or a host that cannot
 emit every codon: a gene's host that lacks some aminos, or a point mass
-that no exact form below reads, as at the ``linearized`` conditionals of
-:func:`deterministic_rate`, which are not even on their orbits.  The point
-masses of 16 aminos need no tables: Met and Trp have one codon, which
-carries nothing, and the synonym sets of 14 more are orbits of the
-channel's symmetries (the 4-fold sets, and the 2-fold transition pairs at
-the third base), so the uniform conditional is optimal and I has a closed
-form in lam^m and mu^m.  The synonym sets of Ile, Leu, Arg, Ser and Stp
-split into two or three orbits of their stabilizers in the channel's
-symmetry group (of order 3072), the optimum is even on every orbit, and
-their point masses are maximized over one or two orbit weights by Newton
-steps in closed form, certified by sum_j w_j*(max D - D_j) <= tol*I with
-no floor.  One row per orbit, on the outputs of the positions where the
-synonyms differ, takes p - W from the probabilities where the entry is
-small and from the channel's characters elsewhere, products of 1, lam^m
-and mu^m with exact integer coefficients, so Stp's rows stay distinct at
-any depth.  The five are solved together, as one stack padded to 3 orbits
-and 64 outputs, once per parameter set and stop rule; each amino's sums
-stay in its own padded row, so its bits do not depend on the stack.  So
-the capacity search builds no 64x64 tables, runs no 64-codon optimizer
-and makes one stacked solve, and a lone orbit point mass pays for the
-whole stack.
-Sums over synonym sets, such as the
-check that every block of a conditional sums to one, are one
-``np.bincount`` over the codon-to-amino map.
+read at a conditional that is not even on its orbits, as the
+``linearized`` conditionals of :func:`deterministic_rate` are.
+
+The optimum of a point mass needs no tables
+(:meth:`_ChannelConstants.point_mass`): 16 aminos take a closed form, and
+Ile, Leu, Arg, Ser and Stp are maximized on the weights of the orbits of
+their synonym sets (``_ORBITS``).  Each orbit has one row, on the outputs
+of the positions where the synonyms differ, which takes p - W from the
+probabilities where the entry is small and from the channel's characters
+elsewhere, products of 1, lam^m and mu^m with exact integer coefficients,
+so Stp's rows stay distinct at any depth (:func:`_orbit_tables`).  Sums
+over synonym sets, such as the check that every block of a conditional
+sums to one, are one ``np.bincount`` over the codon-to-amino map.
 
 The channel's constants (the powers lam^m and mu^m, the base entries, the
 class values on one, two and three positions, the monomials
-lam^(m*e)*mu^(m*f), the closed forms of the 2- and 4-fold point masses,
-the kernel and the optima of the five orbit point masses under each stop
-rule) are derived once per parameter set, each on its first read, in one
-object (:class:`_ChannelConstants`) that the optimizer, the closed forms,
-the orbit rows and the linearized conditional share.  One cache keeps
-those of the last 32 parameter sets, kernels and orbit optima included,
-and evicts them together, so the 19 point masses of a capacity point
-derive them once and solve the orbit stack once, and sweeps that revisit
-an m-grid once per host and method build each kernel once.
+lam^(m*e)*mu^(m*f), the kernel and the point-mass optima) are derived once
+per parameter set, each on its first read, in one object
+(:class:`_ChannelConstants`) that the optimizer, the point masses, the
+orbit rows and the linearized conditional share.  One cache keeps those
+of the last 32 parameter sets and evicts each set's whole object
+(:func:`_constants`).
 """
 
 from __future__ import annotations
@@ -397,17 +383,15 @@ class _ChannelConstants:
     three positions are the entries of :func:`codon_matrix` bit for bit.
     ``monomials[e][f]`` is lam^(m*e) * mu^(m*f) for e, f < 4, the powers of
     the channel's characters on up to three positions.  ``two_fold`` and
-    ``four_fold`` are the I of the point masses that
-    :meth:`uniform_optimal` gives in closed form, and ``kernel`` is the
-    divergence kernel of the 64x64 channel.  :meth:`orbit_optima` holds
-    the optima of the five orbit point masses (Ile, Leu, Arg, Ser, Stp),
-    solved together once per stop rule.  Kernel and optima live and are
+    ``four_fold`` are the closed forms of :meth:`point_mass`, which returns
+    the optimum of every point mass, and ``kernel`` is the divergence
+    kernel of the 64x64 channel.  Kernel and point-mass optima live and are
     evicted with the rest (:func:`_constants`).
     """
 
     def __init__(self, params: ChannelParams):
         self.params = params
-        self._optima = {}
+        self._optima = {}  # (tol, max_iter) -> the five orbit optima (:meth:`point_mass`)
 
     @functools.cached_property
     def powers(self):
@@ -474,60 +458,61 @@ class _ChannelConstants:
         """
         return _kernel(self.classes[2], _class_deviations(self.stage[1]), _CODON_CLASSES)
 
-    def orbit_optima(self, tol, max_iter) -> tuple:
-        """The optima of the five orbit point masses under one stop rule (:func:`_orbit_optima`).
+    def point_mass(self, amino: int, tol, max_iter) -> RateResult:
+        """The certified optimum of the point mass on ``amino``, its conditional the caller's.
 
-        They are solved together on the first read of each (``tol``,
-        ``max_iter``) and kept, read-only, with the rest of the constants.
+        A point mass emits one synonym set, so I is maximized over that
+        set's conditional alone, and the host entropy is 0.  Met and Trp have
+        one codon, which carries nothing.  The 2- and 4-fold codons share
+        their first two bases, so I is that of the third.  The base channel
+        keeps its law under the Klein group of relabellings that keep
+        transitions (Kimura 1980; Evans and Speed 1993), a 4-fold set is one
+        orbit of it and a 2-fold set (a transition pair) one orbit of the
+        transition swap.  I is concave and invariant under these maps, so
+        the uniform conditional is optimal, every D_u equal there and the
+        gap 0 (Gallager 1968, section 4.5).  These 16 aminos return that
+        conditional with I in closed form (0, ``two_fold`` or
+        ``four_fold``, each derived once per parameter set), one iteration
+        and a gap of 0.
+
+        The synonym sets of Ile, Leu, Arg, Ser and Stp split into two or
+        three orbits (``_ORBITS``), and the optimum is even on each, so it
+        has one or two free orbit weights.  The five are solved together as
+        one stack with no 64x64 tables and certified with no floor
+        (:func:`_orbit_optima`), on the first call for each (``tol``,
+        ``max_iter``); the five results are kept, read-only, with the rest
+        of the constants and evicted with them (:func:`_constants`), and
+        each call returns a copy.  So a lone orbit point mass pays for the
+        whole stack, and the other four are then read for free.
         """
+        slot = _ORBIT_SLOT.get(amino)
+        if slot is None:
+            size = len(SYNONYM_INDICES[amino])
+            info = self.two_fold if size == 2 else self.four_fold if size == 4 else 0.0
+            return _rate_result(info, uniform_conditional(), 1, True, 0.0, gap_bits=0.0)
         key = (tol, max_iter)
         if key not in self._optima:
             self._optima[key] = _orbit_optima(self, tol, max_iter)
-        return self._optima[key]
-
-    def uniform_optimal(self, size: int) -> float | None:
-        """I(Z;U) in bits of a point mass on ``size`` synonyms whose uniform conditional is optimal.
-
-        That holds for a single codon (Met, Trp), its own orbit, which
-        carries nothing (0.0), a 2-fold set (``two_fold``) and a 4-fold set
-        (``four_fold``); for any other size the answer is None.  The 2- and
-        4-fold codons share their first two bases, so I is that of the
-        third.  The base channel keeps its law under the Klein group of
-        relabellings that keep transitions (Kimura 1980; Evans and Speed
-        1993), a 4-fold set is one orbit of it and a 2-fold set (a
-        transition pair) one orbit of the transition swap.  I is concave and
-        invariant under these maps, so the uniform conditional is optimal,
-        every D_u equal there and the gap 0 (Gallager 1968, section 4.5).
-        Both values depend on the parameter set alone, so each is derived
-        once per set and read by all 14 such aminos.
-        """
-        if size == 2:
-            return self.two_fold
-        if size == 4:
-            return self.four_fold
-        return 0.0 if size == 1 else None
+        result = self._optima[key][slot]
+        return _rate_result(result.mutual_information, result.conditional.copy(),
+                            result.iterations, result.converged, 0.0, gap_bits=result.gap_bits)
 
 
 @functools.lru_cache(maxsize=32)
 def _constants(params: ChannelParams) -> _ChannelConstants:
     """The constants of the channel at ``params``, shared by every reader.
 
-    This is the one cache of per-parameter-set state, kernels and orbit
-    optima included: those of the last 32 parameter sets are kept, and a
-    kernel and the five orbit optima leave with their constants.  One holds
-    about 3 KiB once every field but the kernel is derived, about 4 KiB
-    for the five orbit optima of each stop rule asked for (the stack's
-    tables are dropped after each solve), 1 KiB more for the kernel's
-    classes, and its full tables (164 KiB) once an input pmf on every codon
-    has needed them, so at most about 5 MiB in all.  Sweeps revisit one m-grid per host and
-    method, and 32 covers the largest grid of the figures bundle (25 m).
-    The bundle runs grid by grid, each det_aminos file right after the
-    hosts file on its (gamma, q) grid, so each of its parameter sets is
-    derived once, but for the 5 that det_methods shares with the gamma=0.1,
-    q=1e-2 grid (m = 1, 2, 3, 4 and 11), derived again after steg's 25
-    sets have evicted them.  A least-recently-used
-    cache hits nothing on a cycle longer than ``maxsize``: a sweep over
-    more than 32 m derives every point anew.
+    This is the one cache of per-parameter-set state, kernels and
+    point-mass optima (:meth:`_ChannelConstants.point_mass`) included:
+    those of the last 32 parameter sets are kept, and a kernel and the
+    optima leave with their constants.  One holds about 3 KiB once every
+    field but the kernel is derived, about 4 KiB for the five orbit optima
+    of each stop rule asked for, 1 KiB more for the kernel's classes, and
+    its full tables (164 KiB) once an input pmf on every codon has needed
+    them, so at most about 5 MiB in all.  Sweeps revisit one m-grid per
+    host and method, and 32 covers the largest grid of the figures bundle
+    (25 m).  A least-recently-used cache hits nothing on a cycle longer
+    than ``maxsize``: a sweep over more than 32 m derives every point anew.
     """
     return _ChannelConstants(params)
 
@@ -1064,12 +1049,12 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
 
 
 # The synonym sets of the five multi-codon aminos that are neither 2- nor
-# 4-fold (:meth:`_ChannelConstants.uniform_optimal`) split into the orbits
-# of their stabilizers in the channel's symmetry group, of order 3072: at each
-# position the 8 relabellings that keep {A, G} and {C, T}, and the 6
-# permutations of the positions.  The optimum is constant on each orbit
-# (Gallager 1968, section 4.5), so it has one free weight for Ile and Stp and
-# two for Leu, Arg and Ser.
+# 4-fold, each split into the orbits of its stabilizer in the channel's
+# symmetry group, of order 3072: at each position the 8 relabellings that
+# keep {A, G} and {C, T}, and the 6 permutations of the positions.  The
+# optimum is constant on each orbit (Gallager 1968, section 4.5), so
+# :meth:`_ChannelConstants.point_mass` has one free weight for Ile and Stp
+# and two for Leu, Arg and Ser.
 _ORBITS = {
     "Ile": (("ATT", "ATC"), ("ATA",)),
     "Leu": (("CTA", "CTG"), ("CTT", "CTC"), ("TTA", "TTG")),
@@ -1526,41 +1511,16 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     The host is checked first: its shape, then the point-mass test (one
     amino of mass exactly 1.0, which proves a valid pmf by itself), then,
     for any other host, the pmf check.  A point-mass host (as in every run
-    of :func:`capacity_c`) on a 4-fold, a 2-fold or a single-codon amino
-    builds no channel: its uniform conditional is optimal, and the run
-    returns I in closed form (0 for Met and Trp) with one iteration,
-    converged, a gap of 0 and the uniform
-    conditional.  A point mass on Ile, Leu, Arg, Ser or Stp builds no 64x64
-    channel either: the optimum is even on each orbit of its synonym set
-    (``_ORBITS``), so the run maximizes I over one or two orbit weights.
-    Its iterations are evaluations, the first at the uniform conditional;
-    it stops once ``sum_j w_j*(max D - D_j) <= tol*I``, with no floor, and
-    returns the conditional whose I it reports, equal on the codons of each
-    orbit.  The five are solved together as one stack (:func:`_orbit_optima`)
-    on the first such call for a parameter set, ``tol`` and ``max_iter``;
-    the five results are kept with the parameter set's constants and
-    evicted with them (:meth:`_ChannelConstants.orbit_optima`), and every
-    call returns a copy, its conditional the caller's own.  So a lone
-    orbit point mass pays for the whole stack, and the other four are then
-    read for free; in ``figures``, the det_aminos file of a grid reads
-    what its hosts file's Ser rows solved.  So only a host that emits
-    two aminos or more runs the 64-codon optimizer, on the kernel kept
-    with the parameter set's constants (:func:`_constants`).  ``tol`` must be
-    finite and above zero, and ``max_iter`` at least 1; both are checked
-    after the host, before any run.
+    of :func:`capacity_c`) returns :meth:`_ChannelConstants.point_mass`;
+    any other runs the 64-codon optimizer, on the kernel kept with the
+    parameter set's constants (:func:`_constants`).  ``tol`` must be finite
+    and above zero, and ``max_iter`` at least 1; both are checked after the
+    host, before any run.
     """
     host, amino = _checked_host(host)
     if amino is not None:
         _check_stop_rule(tol, max_iter)
-        constants = _constants(params)
-        closed_form = constants.uniform_optimal(len(SYNONYM_INDICES[amino]))
-        if closed_form is not None:
-            # a point mass has entropy 0, and the uniform conditional's gap is 0
-            return _rate_result(closed_form, uniform_conditional(), 1, True, 0.0, gap_bits=0.0)
-        # every other amino (Ile, Leu, Arg, Ser, Stp) has its orbits in ``_ORBITS``
-        result = constants.orbit_optima(tol, max_iter)[_ORBIT_SLOT[amino]]
-        return _rate_result(result.mutual_information, result.conditional.copy(),
-                            result.iterations, result.converged, 0.0, gap_bits=result.gap_bits)
+        return _constants(params).point_mass(amino, tol, max_iter)
     return _blahut_arimoto(_constants(params).kernel, _SYNONYM_SETS, host, tol, max_iter)
 
 
@@ -1650,8 +1610,8 @@ def deterministic_rate(amino: str, params: ChannelParams, method: str = "ba",
     """Rate for a host that always emits one amino acid (H(X') = 0).
 
     ``method`` selects the conditional: ``"ba"`` optimizes
-    (:func:`ba_optimize`: a closed form for 14 aminos, the orbit weights
-    for Ile, Leu, Arg, Ser and Stp), ``"uniform"`` spreads evenly,
+    (:func:`ba_optimize`, which returns
+    :meth:`_ChannelConstants.point_mass`), ``"uniform"`` spreads evenly,
     ``"linearized"`` uses the closed-form approximation.  Single-codon
     aminos (Met, Trp) can only carry rate zero and return immediately,
     with a gap of 0 for ``"ba"`` and none (None) for the two evaluations.
@@ -1677,17 +1637,12 @@ def capacity_c(params: ChannelParams, include_stp: bool = True,
                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> CodingCapacity:
     """Capacity of coding-host embedding: best point-mass host and its rate.
 
-    The capacity-achieving host pmf is deterministic, so the search
-    evaluates the optimized rate for each amino acid (the two
-    single-codon ones are zero outright, 14 more closed forms, and the
-    five orbit point masses on their orbit weights, with no run of the
-    64-codon optimizer and no 64x64 tables) and returns the argmax with
-    the full per-amino rate table.
-    Each amino is a call of :func:`deterministic_rate`; all 19 read the
-    constants of ``params`` (:func:`_constants`), derived once, so the 14
-    closed forms take two values between them, one 2-fold and one 4-fold,
-    and the five orbit point masses one stacked solve, which the first of
-    them runs and the other four read.
+    The capacity-achieving host pmf is deterministic, so the search takes
+    the optimized rate of each amino acid, one call of
+    :func:`deterministic_rate` each (the two single-codon ones are zero
+    outright; the other 19 run :func:`ba_optimize`, which returns
+    :meth:`_ChannelConstants.point_mass`), and returns the argmax with the
+    full per-amino rate table.
     With ``include_stp=False`` the stop symbol, which a real gene can use
     only once, is excluded from the argmax but still reported in the
     table.

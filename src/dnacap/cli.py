@@ -292,7 +292,10 @@ def _figure_specs(genes: dict[str, Path]) -> dict[str, list[SweepSpec]]:
     # the two files of a grid run back to back: its 25 parameter sets are
     # then still among the last 32 that cdna._constants keeps, so the
     # det_aminos file reads the orbit optima that the hosts file's amino:Ser
-    # ba rows solved, and derives nothing anew
+    # ba rows solved, and derives nothing anew.  So each parameter set of
+    # the bundle is derived once, but for the 5 that det_methods shares with
+    # the gamma=0.1, q=1e-2 grid (m = 1, 2, 3, 4 and 11), derived again
+    # after steg's 25 sets have evicted them
     for gamma in (1.0, 0.1):
         for q, top in ((1e-2, 10**5), (1e-9, 10**12)):
             m_values = log_m_grid(1, top, 25)

@@ -96,9 +96,6 @@ class CodonCounts:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def __add__(self, other: "CodonCounts") -> "CodonCounts":
-        return CodonCounts(self.counts + other.counts)
-
     def to_json(self) -> str:
         """JSON object mapping codon string to count, canonical order."""
         return json.dumps({c: int(n) for c, n in zip(CODONS, self.counts)})

@@ -252,12 +252,6 @@ def test_amino_pmf_csv_has_21_rows():
     assert "Tyr,0.5" in lines
 
 
-def test_counts_addition():
-    total = count_codons(["TAT"]) + count_codons(["TGC", "TAT"])
-    assert total.total == 3
-    assert total.counts[CODONS.index("TAT")] == 2
-
-
 # --- equivalence with the per-character reference ---------------------------------
 #
 # The loops below are the reference the vectorised reader must reproduce:

@@ -83,16 +83,17 @@ class values on one, two and three positions, the monomials
 lam^(m*e)*mu^(m*f), the kernel and the point-mass optima) are derived once
 per parameter set, each on its first read, in one object
 (:class:`_ChannelConstants`) that the optimizer, the point masses, the
-orbit rows and the linearized conditional share.  One cache keeps those
-of the last 32 parameter sets and evicts each set's whole object
-(:func:`_constants`).
+orbit rows and the linearized conditional share.  It also keeps I at the
+uniform conditional that optimizer runs read as their first point, which
+:func:`uniform_conditional_rate` reads for the same host.  One cache
+keeps those of the last 32 parameter sets and evicts each set's whole
+object (:func:`_constants`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -147,8 +148,7 @@ class SingularSystemError(ValueError):
     """The linearized conditional system is singular or hopelessly conditioned."""
 
 
-@dataclass(frozen=True)
-class RateResult:
+class RateResult(NamedTuple):
     """Outcome of a rate evaluation or optimization.
 
     ``rate`` is ``max(0, mutual_information - host_entropy)`` in
@@ -385,13 +385,20 @@ class _ChannelConstants:
     the channel's characters on up to three positions.  ``two_fold`` and
     ``four_fold`` are the closed forms of :meth:`point_mass`, which returns
     the optimum of every point mass, and ``kernel`` is the divergence
-    kernel of the 64x64 channel.  Kernel and point-mass optima live and are
-    evicted with the rest (:func:`_constants`).
+    kernel of the 64x64 channel.  :meth:`uniform_start` returns I at the
+    uniform conditional where an optimizer run at this parameter set has
+    already read it as its first point.  Kernel, point-mass optima and
+    those starts live and are evicted with the rest (:func:`_constants`).
     """
 
     def __init__(self, params: ChannelParams):
         self.params = params
         self._optima = {}  # (tol, max_iter) -> the five orbit optima (:meth:`point_mass`)
+        # I at the uniform start (:meth:`uniform_start`): one float per orbit
+        # amino from the first stacked solve, whatever its stop rule, and the
+        # host bytes and I of the last 64-codon run that could keep its own
+        self.orbit_starts = (None,) * len(_ORBITS)
+        self.engine_start = (None, None)
 
     @functools.cached_property
     def powers(self):
@@ -492,27 +499,47 @@ class _ChannelConstants:
             return _rate_result(info, uniform_conditional(), 1, True, 0.0, gap_bits=0.0)
         key = (tol, max_iter)
         if key not in self._optima:
-            self._optima[key] = _orbit_optima(self, tol, max_iter)
+            self._optima[key], self.orbit_starts = _orbit_optima(self, tol, max_iter)
         result = self._optima[key][slot]
         return _rate_result(result.mutual_information, result.conditional.copy(),
                             result.iterations, result.converged, 0.0, gap_bits=result.gap_bits)
+
+    def uniform_start(self, host, amino) -> float | None:
+        """I in bits at the uniform conditional of a checked ``host``, if a run read it, else None.
+
+        Every optimizer run reads I at the uniform conditional as its first
+        point, by the same formula as an evaluation there
+        (:func:`_evaluate`), so with the same bits.  A stacked solve of the
+        orbit point masses keeps that value for each of the five
+        (:func:`_orbit_optima`), and ``ba_optimize`` keeps it for the last
+        host the 64-codon optimizer ran on, keyed by the host's bytes.
+        ``amino`` is the host's point mass, if any.
+        """
+        slot = _ORBIT_SLOT.get(amino)
+        if slot is not None:
+            return self.orbit_starts[slot]
+        key, info = self.engine_start
+        return info if key == host.tobytes() else None
 
 
 @functools.lru_cache(maxsize=32)
 def _constants(params: ChannelParams) -> _ChannelConstants:
     """The constants of the channel at ``params``, shared by every reader.
 
-    This is the one cache of per-parameter-set state, kernels and
-    point-mass optima (:meth:`_ChannelConstants.point_mass`) included:
-    those of the last 32 parameter sets are kept, and a kernel and the
-    optima leave with their constants.  One holds about 3 KiB once every
-    field but the kernel is derived, about 4 KiB for the five orbit optima
-    of each stop rule asked for, 1 KiB more for the kernel's classes, and
-    its full tables (164 KiB) once an input pmf on every codon has needed
-    them, so at most about 5 MiB in all.  Sweeps revisit one m-grid per
-    host and method, and 32 covers the largest grid of the figures bundle
-    (25 m).  A least-recently-used cache hits nothing on a cycle longer
-    than ``maxsize``: a sweep over more than 32 m derives every point anew.
+    This is the one cache of per-parameter-set state, kernels, point-mass
+    optima (:meth:`_ChannelConstants.point_mass`) and the I of optimizer
+    runs' uniform starts (:meth:`_ChannelConstants.uniform_start`)
+    included: those of the last 32 parameter sets are kept, and a kernel,
+    the optima and the starts leave with their constants.  One holds about
+    3 KiB once every field but the kernel is derived, about 4 KiB for the
+    five orbit optima of each stop rule asked for, under 1 KiB for the
+    starts (six floats and one host's 168 bytes, no array), 1 KiB more for
+    the kernel's classes, and its full tables (164 KiB) once an input pmf
+    on every codon has needed them, so at most about 5 MiB in all.  Sweeps
+    revisit one m-grid per host and method, and 32 covers the largest grid
+    of the figures bundle (25 m).  A least-recently-used cache hits nothing
+    on a cycle longer than ``maxsize``: a sweep over more than 32 m derives
+    every point anew.
     """
     return _ChannelConstants(params)
 
@@ -926,7 +953,8 @@ def _check_stop_rule(tol, max_iter) -> None:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
-def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
+def _blahut_arimoto(kernel, partition, host_mass, tol,
+                    max_iter) -> tuple[RateResult, float | None]:
     """Maximize I over the per-group conditionals until the duality gap certifies it.
 
     The gap sum_g h(g)*max_{u in g} D_u - I bounds the distance to the
@@ -937,10 +965,16 @@ def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
     trial, a BA step, and where neither does, a step towards each group's
     input of largest D.  It ends uncertified at ``max_iter`` evaluations,
     or when none of the three raises I.
+
+    It returns the result and I at the uniform start, as an evaluation of
+    the uniform conditional reads it, or None where the two differ in
+    support: a subnormal mass times 1/|group| can underflow to 0, and then
+    the evaluation leaves that input out.
     """
     _check_stop_rule(tol, max_iter)
     run = _Ascent(_Problem(kernel, host_mass[partition.group_of]), partition, host_mass,
                   tol, max_iter)
+    start = run.info if (run.problem.mass * run.point.cond).all() else None
     blahut = True  # BA steps while they at least halve the gap
     while not run.certified() and run.budget():
         if blahut:
@@ -952,7 +986,7 @@ def _blahut_arimoto(kernel, partition, host_mass, tol, max_iter) -> RateResult:
     full = partition.start.copy()  # uniform where the host has no mass
     full[run.problem.support] = run.point.cond
     return _rate_result(run.info, full, run.iterations, run.certified(),
-                        entropy_bits(host_mass), gap_bits=run.gap)
+                        entropy_bits(host_mass), gap_bits=run.gap), start
 
 
 def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
@@ -986,7 +1020,7 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
     kernel = _kernel(entries, channel.shape[1] * entries - 1.0,
                      np.arange(entries.size).reshape(channel.shape))
     return _blahut_arimoto(kernel, _partition(members, channel.shape[0]), mass,
-                           tol, max_iter)
+                           tol, max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1236,7 +1270,9 @@ def _orbit_tables(constants: _ChannelConstants, select=slice(None)) -> _OrbitTab
 
     def exact(blocks):
         differences = np.matmul(powers[:, None, :], blocks[select])[:, 0]
-        return np.ldexp(differences, np.array(shift)[:, None]) if any(shift) else differences
+        # C int exponents: np.ldexp on 5x576 takes about 2 us with them, 13 us with int64
+        return np.ldexp(differences, np.array(shift, dtype=np.intc)[:, None]) if any(shift) \
+            else differences
 
     pairs = exact(code.pairs).reshape(len(rows), _STACK_ORBITS, _STACK_ORBITS, -1)
     offsets = exact(code.offsets).reshape(len(rows), _STACK_ORBITS, -1) if any(characters) \
@@ -1432,12 +1468,16 @@ def _orbit_optima(constants: _ChannelConstants, tol, max_iter) -> tuple:
     amino whose run has ended is evaluated at its own point again; the
     rounds go on while any run does.  The returned conditionals are the
     points whose I and gap are reported, spread evenly over each orbit, one
-    read-only result per amino in ``_ORBITS`` order.
+    read-only result per amino in ``_ORBITS`` order.  Beside them it returns
+    each amino's I at the uniform start, scaled back, which has the bits of
+    an evaluation there (:func:`_evaluate`) because every table of an amino
+    holds the same bits whichever aminos share the stack.
     """
     code = _orbit_code()
     tables = _orbit_tables(constants)
     faces = _orbit_faces(tables, tables.valid @ _FACE_BITS)  # every orbit free
     point = _orbit_point(tables, code.start)
+    starts = tuple(math.ldexp(info, -2 * shift) for info, shift in zip(point.info, tables.shift))
     lanes = range(len(point.info))
     iterations, stalls, ended = [1] * len(lanes), [0] * len(lanes), [False] * len(lanes)
     while running := [lane for lane in lanes if not ended[lane] and stalls[lane] < 2
@@ -1470,7 +1510,7 @@ def _orbit_optima(constants: _ChannelConstants, tol, max_iter) -> tuple:
         cond.flags.writeable = False
         results.append(_rate_result(math.ldexp(info, -2 * shift), cond, iterations[slot],
                                     gap <= tol * info, 0.0, gap_bits=math.ldexp(gap, -2 * shift)))
-    return tuple(results)
+    return tuple(results), starts
 
 
 def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
@@ -1513,15 +1553,20 @@ def ba_optimize(host, params: ChannelParams, tol=DEFAULT_TOL,
     for any other host, the pmf check.  A point-mass host (as in every run
     of :func:`capacity_c`) returns :meth:`_ChannelConstants.point_mass`;
     any other runs the 64-codon optimizer, on the kernel kept with the
-    parameter set's constants (:func:`_constants`).  ``tol`` must be finite
-    and above zero, and ``max_iter`` at least 1; both are checked after the
-    host, before any run.
+    parameter set's constants (:func:`_constants`), which also keep I at
+    the run's uniform start for :func:`uniform_conditional_rate`.  ``tol``
+    must be finite and above zero, and ``max_iter`` at least 1; both are
+    checked after the host, before any run.
     """
     host, amino = _checked_host(host)
+    constants = _constants(params)
     if amino is not None:
         _check_stop_rule(tol, max_iter)
-        return _constants(params).point_mass(amino, tol, max_iter)
-    return _blahut_arimoto(_constants(params).kernel, _SYNONYM_SETS, host, tol, max_iter)
+        return constants.point_mass(amino, tol, max_iter)
+    result, start = _blahut_arimoto(constants.kernel, _SYNONYM_SETS, host, tol, max_iter)
+    if start is not None:
+        constants.engine_start = (host.tobytes(), start)
+    return result
 
 
 def rate_q0(host) -> float:
@@ -1548,9 +1593,17 @@ def uniform_conditional_rate(host, params: ChannelParams) -> RateResult:
     A good, cheap approximation to the optimized rate: exact at q=0 and
     for the uniform-codon host, and close elsewhere.  The host is checked
     as by :func:`evaluate_rate`; the conditional, built here, is not.
+    Every optimizer run reads this I as its first point, so where
+    :func:`ba_optimize` has already run on the same host and parameter
+    set, I is read from the constants that kept it
+    (:meth:`_ChannelConstants.uniform_start`), with the same bits, and
+    otherwise evaluated.
     """
     host, amino = _checked_host(host)
-    return _evaluate(host, amino, uniform_conditional(), params)
+    info = _constants(params).uniform_start(host, amino)
+    if info is None:
+        return _evaluate(host, amino, uniform_conditional(), params)
+    return _rate_result(info, uniform_conditional(), 0, True, entropy_bits(host))
 
 
 def steganographic_rate(host_codon_usage, host, params: ChannelParams) -> RateResult:

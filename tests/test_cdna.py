@@ -82,7 +82,7 @@ def kernel_builds(monkeypatch):
 def engine(host, params, tol=cdna.DEFAULT_TOL, max_iter=cdna.DEFAULT_MAX_ITER):
     """The 64-codon optimizer on ``host``; ba_optimize solves point masses without it."""
     return cdna._blahut_arimoto(kimura_kernel(params), cdna._SYNONYM_SETS, host,
-                                tol, max_iter)
+                                tol, max_iter)[0]
 
 
 def test_uniform_codon_host_is_multiplicity_over_64():
@@ -1118,7 +1118,7 @@ def test_one_group_of_many_inputs_matches_a_plain_blahut_arimoto_loop():
 
 def fingerprint(result):
     floats = np.array([result.rate, result.mutual_information, result.host_entropy])
-    return (floats.tobytes(), result.iterations, result.converged,
+    return (floats.tobytes(), result.iterations, result.converged, result.gap_bits,
             result.conditional.tobytes())
 
 
@@ -1395,6 +1395,97 @@ def test_a_sweep_longer_than_the_caches_returns_the_values_of_fresh_constants():
     assert info.currsize <= info.maxsize == 32
 
 
+# --- the uniform conditional's I, read from the optimizer run that evaluated it ---
+
+def det_aminos_points():
+    """Every parameter set of the figure bundle's det_aminos files."""
+    from dnacap import cli
+
+    specs = [specs[0] for name, specs in cli._figure_specs({}).items()
+             if name.startswith("det_aminos")]
+    return [ChannelParams(spec.q, spec.gamma, m) for spec in specs for m in spec.m_grid]
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """One entry for every rate evaluated from here on, rather than read."""
+    calls, evaluate = [], cdna._evaluate
+    monkeypatch.setattr(cdna, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    return calls
+
+
+def test_uniform_rate_read_after_ba_has_the_bits_of_a_cold_evaluation(gene_a, evaluations):
+    hosts = {"uniform": uniform_codon_host(), "toy_gene_a": gene_a[0],
+             **{amino: point_mass_host(amino) for amino in ORBIT_AMINOS}}
+    shifted = characters = 0
+    points = det_aminos_points()
+    assert len(points) == 100
+    for params in points:
+        # uniform rows first, each evaluated on cold constants, then ba
+        cdna._constants.cache_clear()
+        cold = {name: fingerprint(uniform_conditional_rate(host, params))
+                for name, host in hosts.items()}
+        optima = {name: fingerprint(ba_optimize(host, params)) for name, host in hosts.items()}
+        tables = cdna._orbit_tables(cdna._constants(params))
+        shifted += any(tables.shift)
+        characters += tables.characters
+        # ba first, as the bundle runs them: each uniform row is read, and
+        # neither order moves a bit of either result
+        cdna._constants.cache_clear()
+        for name, host in hosts.items():
+            assert fingerprint(ba_optimize(host, params)) == optima[name], (name, params)
+            evaluations.clear()
+            assert fingerprint(uniform_conditional_rate(host, params)) == cold[name], (name, params)
+            assert evaluations == [], (name, params)
+        # deterministic_rate reads through uniform_conditional_rate
+        for amino in ORBIT_AMINOS:
+            result = deterministic_rate(amino, params, method="uniform")
+            assert fingerprint(result) == cold[amino], (amino, params)
+        assert evaluations == []
+    # the grids hold points whose orbit rows are scaled against underflow,
+    # and points where some entry takes p - W from the characters
+    assert shifted and characters
+
+
+def test_uniform_rate_reads_only_the_start_of_the_last_engine_host(gene_a, evaluations):
+    params = ChannelParams(1e-2, 0.1, 30)
+    gene, uniform = gene_a[0], uniform_codon_host()
+    # Ile's subnormal mass, times its 1/3, underflows to 0: the optimizer's
+    # start keeps Ile's codons, an evaluation leaves them out, and the two
+    # sums of I differ in the last bit here
+    tiny = gene.copy()
+    tiny[AMINO_INDEX["Leu"]] += tiny[AMINO_INDEX["Ile"]]
+    tiny[AMINO_INDEX["Ile"]] = 5e-324
+    assert np.count_nonzero(tiny[AMINO_OF_CODON] * uniform_conditional()) \
+        == np.count_nonzero(tiny[AMINO_OF_CODON]) - 3
+    hosts = {"uniform": uniform, "gene": gene, "tiny": tiny}
+    cdna._constants.cache_clear()
+    cold = {name: fingerprint(uniform_conditional_rate(host, params))
+            for name, host in hosts.items()}
+    cdna._constants.cache_clear()
+    for name in ("uniform", "gene", "tiny"):
+        ba_optimize(hosts[name], params)
+    # the tiny host's start is not kept, and only the last kept host is read:
+    # a copy of it with the same bits reads, any other host evaluates
+    for name, host, evaluated in (("tiny", tiny, 1), ("uniform", uniform, 1),
+                                  ("gene", gene.copy(), 0)):
+        evaluations.clear()
+        assert fingerprint(uniform_conditional_rate(host, params)) == cold[name], name
+        assert len(evaluations) == evaluated, name
+    # the kept starts leave with their constants
+    ba_optimize(point_mass_host("Ser"), params)
+    evaluations.clear()
+    uniform_conditional_rate(point_mass_host("Ser"), params)
+    assert evaluations == []
+    for m in range(1, 33):
+        cdna._constants(ChannelParams(1e-2, 0.1, 1000 + m))
+    for name, host in (("gene", gene), ("Ser", point_mass_host("Ser"))):
+        evaluations.clear()
+        uniform_conditional_rate(host, params)
+        assert evaluations == [1], name
+    assert fingerprint(uniform_conditional_rate(gene, params)) == cold["gene"]
+
+
 # --- closed forms of the point masses whose uniform conditional is optimal -----
 
 UNIFORM_OPTIMAL = [a for a in AMINO_ACIDS if MULTIPLICITIES[AMINO_INDEX[a]] in (2, 4)]
@@ -1491,8 +1582,7 @@ def test_closed_forms_agree_with_a_fresh_optimizer_run():
         params = ChannelParams(q, gamma, m)
         for amino in UNIFORM_OPTIMAL:
             host = point_mass_host(amino)
-            run = cdna._blahut_arimoto(kimura_kernel(params), cdna._SYNONYM_SETS, host,
-                                       cdna.DEFAULT_TOL, cdna.DEFAULT_MAX_ITER)
+            run = engine(host, params)
             info = ba_optimize(host, params).mutual_information
             assert run.converged, (params, amino)
             assert abs(info - run.mutual_information) <= 1e-9 * info + 1e-15, (params, amino)

@@ -494,15 +494,19 @@ class _ChannelConstants:
         """
         slot = _ORBIT_SLOT.get(amino)
         if slot is None:
-            size = len(SYNONYM_INDICES[amino])
-            info = self.two_fold if size == 2 else self.four_fold if size == 4 else 0.0
-            return _rate_result(info, uniform_conditional(), 1, True, 0.0, gap_bits=0.0)
+            return _rate_result(self.closed_form(amino), uniform_conditional(), 1, True, 0.0,
+                                gap_bits=0.0)
         key = (tol, max_iter)
         if key not in self._optima:
             self._optima[key], self.orbit_starts = _orbit_optima(self, tol, max_iter)
         result = self._optima[key][slot]
         return _rate_result(result.mutual_information, result.conditional.copy(),
                             result.iterations, result.converged, 0.0, gap_bits=result.gap_bits)
+
+    def closed_form(self, amino: int) -> float:
+        """I in bits of a point mass not in ``_ORBITS`` at its optimum, the uniform conditional."""
+        size = len(SYNONYM_INDICES[amino])
+        return self.two_fold if size == 2 else self.four_fold if size == 4 else 0.0
 
     def uniform_start(self, host, amino) -> float | None:
         """I in bits at the uniform conditional of a checked ``host``, if a run read it, else None.
@@ -786,12 +790,11 @@ class _Ascent:
         """
         cond, div = self.point.cond, self.point.div
         free = cond > 0.0
-        if not free.all():
-            # an input at zero is released only once the face is nearly
-            # optimal: the face's own gap is at most half the total
-            face_max = self.group_max(div, free)
-            if float(self.group_mass @ face_max) / _LN2 - self.info <= 0.5 * self.gap:
-                free |= div > face_max[self.dense]
+        # an input at zero is released only once the face is nearly optimal:
+        # the face's own gap is at most half the total (with none at zero, a no-op)
+        face_max = self.group_max(div, free)
+        if float(self.group_mass @ face_max) / _LN2 - self.info <= 0.5 * self.gap:
+            free |= div > face_max[self.dense]
         face = np.flatnonzero(free)
         model = self._newton_model(face)
         if model is None:
@@ -1041,22 +1044,28 @@ def _point_mass(host) -> int | None:
 
 
 def _evaluate(host, amino, cond, params: ChannelParams) -> RateResult:
-    """The rate at ``cond`` of a checked host, whose point mass, if any, is ``amino``."""
-    slot = _ORBIT_SLOT.get(amino)
+    """The rate at ``cond`` of a checked host, whose point mass, if any, is ``amino``.
+
+    A point mass is read exactly at a block even on every orbit of its
+    synonym set.  A set that is one orbit (Met, Trp, the 2- and 4-fold
+    aminos) takes the closed form of its optimum at the uniform block.
+    Ile, Leu, Arg, Ser and Stp are read in their lane of the orbit stack,
+    the other lanes at their uniform start.
+    """
+    constants, slot = _constants(params), _ORBIT_SLOT.get(amino)
     if slot is not None:
-        # a point mass on Ile, Leu, Arg, Ser or Stp with a conditional even on
-        # every orbit, as the uniform one, is read in the exact orbit form,
-        # on a stack of that amino alone
         code = _orbit_code()
         block, orbit_of, sizes = cond[code.members[slot]], code.orbit_of[slot], code.sizes[slot]
         weights = np.bincount(orbit_of, block, minlength=_STACK_ORBITS)
         if np.array_equal(block, (weights[:sizes.size] / sizes)[orbit_of]):
-            tables = _orbit_tables(_constants(params), [slot])
-            info = math.ldexp(float(_orbit_point(tables, weights[None]).info[0]),
-                              -2 * int(tables.shift[0]))
-            return _rate_result(info, cond, 0, True, entropy_bits(host))
+            tables, stack = _orbit_tables(constants), code.start.copy()
+            stack[slot] = weights
+            info = math.ldexp(_orbit_point(tables, stack).info[slot], -2 * tables.shift[slot])
+            return _rate_result(info, cond, 0, True, 0.0)
+    elif amino is not None and (cond == _SYNONYM_SETS.start)[SYNONYM_INDICES[amino]].all():
+        return _rate_result(constants.closed_form(amino), cond, 0, True, 0.0)
     # I(Z;U) depends on the input pmf alone: each input weighs its mass
-    problem = _Problem(_constants(params).kernel, host[AMINO_OF_CODON] * cond)
+    problem = _Problem(constants.kernel, host[AMINO_OF_CODON] * cond)
     info = problem.information(np.ones(len(problem.support))).info
     return _rate_result(info, cond, 0, True, entropy_bits(host))
 
@@ -1069,14 +1078,16 @@ def evaluate_rate(host, cond, params: ChannelParams) -> RateResult:
     does not sum to one for an amino the host emits.  The host is checked
     first: its shape, then the point-mass test (one entry of exactly 1.0,
     which proves a valid pmf), then, for any other host, the pmf check;
-    the conditional after it.  A point mass on Ile,
-    Leu, Arg, Ser or Stp whose block is even on every orbit (the uniform
-    conditional, or an optimum of :func:`ba_optimize`) is read in the
-    exact orbit form of the optimizer, without the 64x64 tables.  Any
-    other conditional is read in the tables, so a Stp block that is not
-    even on its orbits (TAG != TGA, by as little as one ulp) reads I at
-    small gamma only to about eps*sqrt(I) + eps**2 bits absolute, which
-    leaves no digit of I deep in the cascade.
+    the conditional after it.  A point mass on Ile, Leu, Arg, Ser or Stp
+    whose block is even on every orbit (the uniform conditional, or an
+    optimum of :func:`ba_optimize`) is read in the exact orbit form of the
+    optimizer, and one on any other amino whose block is uniform in the
+    closed form of its optimum, both without the 64x64 tables.  Any other
+    conditional is read in the tables, so a Stp block that is not even on
+    its orbits (TAG != TGA, by as little as one ulp) reads I at small
+    gamma only to about eps*sqrt(I) + eps**2 bits absolute, which leaves
+    no digit of I deep in the cascade, and a 2-fold block off uniform
+    loses the 2-fold rows at small gamma as the tables do.
     """
     host, amino = _checked_host(host)
     return _evaluate(host, amino, _check_conditional(cond, host), params)
@@ -1229,7 +1240,7 @@ def _orbit_code() -> _OrbitCode:
 
 
 class _OrbitTables(NamedTuple):
-    """A stack of orbit aminos' rows at one parameter set, for :func:`_orbit_point`."""
+    """The stack of the five orbit aminos' rows at one parameter set, for :func:`_orbit_point`."""
 
     valid: np.ndarray  # (a, 3): the orbits each amino has
     rows: np.ndarray  # (a, 3, 64): W of each representative
@@ -1243,41 +1254,40 @@ class _OrbitTables(NamedTuple):
     shift: list  # per amino: the differences are scaled by 2**shift, I and D by 2**(2*shift)
 
 
-def _orbit_tables(constants: _ChannelConstants, select=slice(None)) -> _OrbitTables:
-    """The orbit rows of the aminos ``select`` of the stack, from the class values and powers.
+def _orbit_tables(constants: _ChannelConstants) -> _OrbitTables:
+    """The orbit rows of the five aminos of the stack, from the class values and powers.
 
     Every entry of an amino is computed from that amino's own constants
-    alone, so its tables hold the same bits whichever aminos share the stack.
+    alone, and every later step of :func:`_orbit_point` works lane by lane,
+    so an amino's I and D hold the same bits whatever the other lanes hold.
     """
     code = _orbit_code()
-    ends = np.concatenate((*constants.classes, [0.0]))[code.ends[:, select]]
+    ends = np.concatenate((*constants.classes, [0.0]))[code.ends]
     rows, means = ends[0], (0.5 * ends).sum(axis=0)
-    powers = np.append(constants.monomials, 0.0)[code.monomials[select]]
+    powers = np.append(constants.monomials, 0.0)[code.monomials]
     sizes = np.abs(powers)
     # p - W errs by about eps*W from the probabilities, and by at most
     # eps*2*sum|Lambda|/n from the characters: each entry takes the smaller
-    bound = 2.0 * np.cumsum(sizes * code.counts[select], axis=1)[:, -1] / code.outputs[select]
+    bound = 2.0 * np.cumsum(sizes * code.counts, axis=1)[:, -1] / code.outputs
     # every row holds every class value, so its largest entry is max(entries)**k
     top = max(constants.entries)
-    characters = [top**k >= b for k, b in zip(code.positions[select].tolist(), bound.tolist())]
-    small = rows < bound[:, None, None]
-    if not all(characters):
-        small |= ~np.array(characters)[:, None, None]
+    characters = np.array([top**k >= b for k, b in zip(code.positions.tolist(), bound.tolist())])
+    small = (rows < bound[:, None, None]) | ~characters[:, None, None]
     # rows within 2**-400 of each other have I below 2**-800, and tol*I may
     # turn subnormal: their differences are scaled to about 2**-200, and I
-    # and every D to about 2**-400; no entry is small there
+    # and every D to about 2**-400; no entry is small there.  A shift of 0
+    # moves no bit.  C int exponents: np.ldexp on 5x576 takes about 2 us
+    # with them, 13 us with int64
     shift = [_underflow_shift((largest,)) for largest in sizes.max(axis=1).tolist()]
+    exponents = np.array(shift, dtype=np.intc)[:, None]
 
     def exact(blocks):
-        differences = np.matmul(powers[:, None, :], blocks[select])[:, 0]
-        # C int exponents: np.ldexp on 5x576 takes about 2 us with them, 13 us with int64
-        return np.ldexp(differences, np.array(shift, dtype=np.intc)[:, None]) if any(shift) \
-            else differences
+        return np.ldexp(np.matmul(powers[:, None, :], blocks)[:, 0], exponents)
 
     pairs = exact(code.pairs).reshape(len(rows), _STACK_ORBITS, _STACK_ORBITS, -1)
-    offsets = exact(code.offsets).reshape(len(rows), _STACK_ORBITS, -1) if any(characters) \
+    offsets = exact(code.offsets).reshape(len(rows), _STACK_ORBITS, -1) if characters.any() \
         else None
-    return _OrbitTables(code.valid[select], rows, small, offsets is not None, *_reciprocal(rows),
+    return _OrbitTables(code.valid, rows, small, offsets is not None, *_reciprocal(rows),
                         means, offsets, pairs, shift)
 
 
@@ -1470,8 +1480,8 @@ def _orbit_optima(constants: _ChannelConstants, tol, max_iter) -> tuple:
     points whose I and gap are reported, spread evenly over each orbit, one
     read-only result per amino in ``_ORBITS`` order.  Beside them it returns
     each amino's I at the uniform start, scaled back, which has the bits of
-    an evaluation there (:func:`_evaluate`) because every table of an amino
-    holds the same bits whichever aminos share the stack.
+    an evaluation there (:func:`_evaluate`) because an amino's lane holds
+    the same bits whatever the other lanes hold (:func:`_orbit_tables`).
     """
     code = _orbit_code()
     tables = _orbit_tables(constants)

@@ -90,11 +90,9 @@ def _row_divergence(entries, deviations) -> float:
     Not clamped, so it keeps its relative accuracy however small it is.
     """
     # the terms are about d**2/2, which the series reads to rounding at any
-    # scale below 2**-200
+    # scale below 2**-200; a shift of 0 moves no bit
     shift = _underflow_shift(deviations)
-    if shift:
-        deviations = [math.ldexp(d, shift) for d in deviations]
-    total = sum(weight * _excess(entry, d)
+    total = sum(weight * _excess(entry, math.ldexp(d, shift))
                 for weight, entry, d in zip((1.0, 1.0, 2.0), entries, deviations))
     return math.ldexp(total / (4.0 * math.log(2.0)), -2 * shift)
 

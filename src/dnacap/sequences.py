@@ -206,9 +206,7 @@ def _frame_codes(records: list[bytes], frame: int, headers=None) -> np.ndarray:
     short = int(np.argmax(too_short)) if too_short.any() else len(records)
     n_codons = usable[:short] // 3
     trailing = usable[:short] % 3
-    framed = records[:short]
-    if frame or trailing.any():
-        framed = [c[frame:frame + 3 * n] for c, n in zip(framed, n_codons.tolist())]
+    framed = [c[frame:frame + 3 * n] for c, n in zip(records, n_codons.tolist())]
     first, second, third = np.frombuffer(b"".join(framed), dtype=np.uint8).reshape(-1, 3).T
     index = 25 * first + 5 * second + third
     # N codons and stop codons are few: find them, then count them per record

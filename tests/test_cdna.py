@@ -1486,6 +1486,57 @@ def test_uniform_rate_reads_only_the_start_of_the_last_engine_host(gene_a, evalu
     assert fingerprint(uniform_conditional_rate(gene, params)) == cold["gene"]
 
 
+def float_bits(result):
+    return np.array([result.rate, result.mutual_information, result.host_entropy]).tobytes()
+
+
+# the 16 aminos whose synonym set is one orbit: Met, Trp and the 2- and 4-fold sets
+SINGLE_ORBIT = [a for a in AMINO_ACIDS if MULTIPLICITIES[AMINO_INDEX[a]] in (1, 2, 4)]
+
+
+def test_uniform_rate_of_a_single_orbit_point_mass_is_its_optimum(kernel_builds):
+    # the uniform conditional is these point masses' optimum, and both methods
+    # read its closed form: the 64x64 tables lose the 2-fold rows at small
+    # gamma, where Phe read "uniform" 0.0 at m=3000 against "ba"'s 1.9e-51
+    deep = [ChannelParams(1e-2, 0.1, 1000), ChannelParams(1e-2, 0.1, 3000),
+            ChannelParams(1e-2, 0.001, 10000)]
+    cdna._constants.cache_clear()
+    for params in det_aminos_points() + deep:
+        for amino in SINGLE_ORBIT:
+            optimum = float_bits(deterministic_rate(amino, params, "ba"))
+            assert float_bits(deterministic_rate(amino, params, "uniform")) == optimum, (
+                amino, params)
+            evaluated = evaluate_rate(point_mass_host(amino), uniform_conditional(), params)
+            assert float_bits(evaluated) == optimum, (amino, params)
+    assert kernel_builds == []
+    for params in deep:
+        info = deterministic_rate("Phe", params, "uniform").mutual_information
+        assert info == pytest.approx(decimal_point_mass_information(
+            "Phe", params.q, params.gamma, params.m), rel=1e-12, abs=0.0), params
+    # a 2-fold block one ulp off uniform is read in the tables, which hold
+    # I at m=1000 only to about 5e-9 relative
+    params = ChannelParams(1e-2, 0.1, 1000)
+    cond = uniform_conditional()
+    ttt, ttc = SYNONYM_INDICES[AMINO_INDEX["Phe"]]
+    cond[ttt], cond[ttc] = np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)
+    info = evaluate_rate(point_mass_host("Phe"), cond, params).mutual_information
+    optimum = ba_optimize(point_mass_host("Phe"), params).mutual_information
+    assert kernel_builds == [1]
+    assert info != optimum and info == pytest.approx(optimum, rel=1e-8)
+
+
+def test_an_orbit_optimum_evaluates_to_the_bits_of_its_run():
+    # an even block is read in its amino's lane of the orbit stack, the other
+    # lanes at their uniform start, where the run's last evaluation held them
+    # at their own points: a lane's bits do not depend on the other lanes
+    for params in det_aminos_points():
+        for amino in ORBIT_AMINOS:
+            host = point_mass_host(amino)
+            optimum = ba_optimize(host, params)
+            assert float_bits(evaluate_rate(host, optimum.conditional, params)) == float_bits(
+                optimum), (amino, params)
+
+
 # --- closed forms of the point masses whose uniform conditional is optimal -----
 
 UNIFORM_OPTIMAL = [a for a in AMINO_ACIDS if MULTIPLICITIES[AMINO_INDEX[a]] in (2, 4)]

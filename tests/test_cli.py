@@ -665,17 +665,17 @@ def test_figures_reads_each_uniform_row_its_ba_run_evaluated(tmp_path, monkeypat
     from dnacap import cdna, cli
 
     # the 64-codon evaluations of a pass (optimizer points and evaluations),
-    # and its orbit tables: of the full stack, and of single aminos
-    counts = {"information": 0, "stack": 0, "single": 0}
+    # and its orbit stack tables
+    counts = {"information": 0, "stack": 0}
     information, tables = cdna._Problem.information, cdna._orbit_tables
 
     def counted_information(problem, cond):
         counts["information"] += 1
         return information(problem, cond)
 
-    def counted_tables(constants, select=slice(None)):
-        counts["stack" if select == slice(None) else "single"] += 1
-        return tables(constants, select)
+    def counted_tables(constants):
+        counts["stack"] += 1
+        return tables(constants)
 
     monkeypatch.setattr(cdna._Problem, "information", counted_information)
     monkeypatch.setattr(cdna, "_orbit_tables", counted_tables)
@@ -683,9 +683,10 @@ def test_figures_reads_each_uniform_row_its_ba_run_evaluated(tmp_path, monkeypat
     cli.run_figures(tmp_path, {"toyA": DATA / "toy_gene_a.fasta"})
     # every uniform row of the cdna_hosts files (100 for each of the uniform
     # host, the gene and amino:Ser) and of det_methods (Ser and Leu) reads I
-    # from its ba run's start; the one linearized row even on its orbits
-    # (Leu at m=4) is evaluated on a single-amino stack
-    assert counts == {"information": 793, "stack": 118, "single": 1}
+    # from its ba run's start; of the 119 stack tables, 118 are the stacked
+    # solves and one evaluates the one linearized row even on its orbits (Leu
+    # at m=4) in Leu's lane
+    assert counts == {"information": 793, "stack": 119}
 
 
 def test_figures_bad_fasta_argument(capsys, tmp_path):

@@ -687,10 +687,6 @@ class _Ascent:
         """``cond`` scaled to sum to one over every group."""
         return cond / np.bincount(self.dense, cond)[self.dense]
 
-    def group_max(self, div, free):
-        """max_{u in g, free} D_u for every group g, in nats."""
-        return np.where(free, div, -np.inf)[self.members].max(axis=1)
-
     def budget(self) -> bool:
         return self.iterations < self.max_iter
 
@@ -699,39 +695,36 @@ class _Ascent:
 
         Once ``max_iter`` iterations are spent it returns False without
         evaluating or counting ``cond``; no step checks the budget itself.
-        A rise of more than ``_DECISIVE*I`` is read off the two values of
-        I.  Within that band of rounding a trial whose own gap certifies it
-        is taken; otherwise the exact gain decides, which keeps its accuracy
+        A trial whose I is not finite (an output no free input reaches) is
+        refused, its iteration counted.  Otherwise its maxima and gap
+        (:meth:`_bound`) are formed once, and kept if it is taken.  A rise
+        of more than ``_DECISIVE*I`` is read off the two values of I.
+        Within that band of rounding a trial whose own gap certifies it is
+        taken; otherwise the exact gain decides, which keeps its accuracy
         where I moves less than its own rounding.  A ``trusted`` move (a
         Blahut-Arimoto update, which never lowers I) is taken whatever the
-        values show within their rounding.  A move taken within rounding
-        keeps I from falling.
+        values show within their rounding.  A move read off the values
+        takes the larger of the two, so I never falls.
         """
         if not self.budget():
             return False
         self.iterations += 1
         trial = self.problem.information(cond)
-        if not math.isfinite(trial.info):  # an output no free input reaches
+        if not math.isfinite(trial.info):
             return False
-        rise = trial.info - self.info
-        if trusted:
-            if rise < -_MONOTONE_SLACK * self.info:
-                raise AssertionError(
-                    f"Blahut-Arimoto objective decreased: {self.info} -> {trial.info}"
-                )
+        rise, band = trial.info - self.info, _DECISIVE * abs(self.info)
+        if trusted and rise < -_MONOTONE_SLACK * self.info:
+            raise AssertionError(f"Blahut-Arimoto objective decreased: {self.info} -> {trial.info}")
+        top, gap = self._bound(trial)
+        if trusted or rise > band or rise >= -band and self._within(gap, trial.info):
             info = max(self.info, trial.info)
-        elif rise > _DECISIVE * abs(self.info):
-            info = trial.info
-        elif rise >= -_DECISIVE * abs(self.info) and self._within(
-                self._bound(trial)[1], trial.info):
-            info = max(self.info, trial.info)  # certified, and no fall the values can show
         else:
             rise = self.problem.gain(self.point, self.top[self.dense], cond)
             if rise <= 0.0:
                 return False
             info = self.info + rise
         self.point, self.info = trial, info
-        self.top, self.gap = self._bound(trial)
+        self.top, self.gap = top, gap
         return True
 
     def ba_step(self, trusted=False) -> bool:
@@ -792,7 +785,7 @@ class _Ascent:
         free = cond > 0.0
         # an input at zero is released only once the face is nearly optimal:
         # the face's own gap is at most half the total (with none at zero, a no-op)
-        face_max = self.group_max(div, free)
+        face_max = np.where(free, div, -np.inf)[self.members].max(axis=1)
         if float(self.group_mass @ face_max) / _LN2 - self.info <= 0.5 * self.gap:
             free |= div > face_max[self.dense]
         face = np.flatnonzero(free)
@@ -1119,27 +1112,6 @@ _FLAT = np.finfo(float).eps
 _STACK_ORBITS, _STACK_OUTPUTS = 3, 64
 
 
-def _faces():
-    """The orbits of every face of the orbit Newton step, and its number of directions.
-
-    A face is the set of free orbits, read as the bits 1, 2 and 4.  Its
-    reference is its first orbit, and its other orbits are the targets of
-    the two direction slots; a slot without a target holds an orbit off
-    the face, so the three are distinct.
-    """
-    orbits, counts = [], []
-    for face in range(8):
-        on = [j for j in range(3) if face >> j & 1] or [0]
-        orbits.append(on + [j for j in range(3) if j not in on])
-        counts.append(len(on) - 1)
-    return _read_only((np.array(orbits), np.array(counts)))
-
-
-# per face: its reference and target orbits, and how many targets it has
-_FACE_ORBITS, _FACE_COUNT = _faces()
-_FACE_BITS = np.array([1, 2, 4])
-
-
 class _OrbitCode(NamedTuple):
     """The orbit constants of the five aminos of ``_ORBITS``, stacked in its order.
 
@@ -1240,12 +1212,16 @@ def _orbit_code() -> _OrbitCode:
 
 
 class _OrbitTables(NamedTuple):
-    """The stack of the five orbit aminos' rows at one parameter set, for :func:`_orbit_point`."""
+    """The stack of the five orbit aminos' rows at one parameter set, for :func:`_orbit_point`.
 
-    valid: np.ndarray  # (a, 3): the orbits each amino has
+    ``offsets`` is None when the characters bound p - W more tightly
+    than the probabilities for no amino: every entry is then ``small``,
+    and the exact differences are not formed.  The orbits each amino has
+    are ``_orbit_code().valid``.
+    """
+
     rows: np.ndarray  # (a, 3, 64): W of each representative
     small: np.ndarray  # where p - W comes from the probabilities
-    characters: bool  # whether any entry takes p - W from the characters
     inv: np.ndarray  # the kernel's 1/W and series cut-off (:func:`_reciprocal`)
     series_below: np.ndarray
     means: np.ndarray  # (a, 3, 64): each orbit's mean row
@@ -1287,8 +1263,7 @@ def _orbit_tables(constants: _ChannelConstants) -> _OrbitTables:
     pairs = exact(code.pairs).reshape(len(rows), _STACK_ORBITS, _STACK_ORBITS, -1)
     offsets = exact(code.offsets).reshape(len(rows), _STACK_ORBITS, -1) if characters.any() \
         else None
-    return _OrbitTables(code.valid, rows, small, offsets is not None, *_reciprocal(rows),
-                        means, offsets, pairs, shift)
+    return _OrbitTables(rows, small, *_reciprocal(rows), means, offsets, pairs, shift)
 
 
 class _OrbitPoint(NamedTuple):
@@ -1307,16 +1282,16 @@ def _orbit_point(tables: _OrbitTables, weights) -> _OrbitPoint:
 
     p - W comes from the probabilities where ``small`` and from the exact
     differences elsewhere, as sum_i w_i*(mean_i - rep_j).  Shallow, every
-    entry is small and the exact differences are not formed: in the
-    capacity benchmark's box, where every run is shallow, forming them
-    anyway costs about 6% of a ``capacity_c`` call.  Each sum over outputs
-    runs inside one amino's padded row, whose padding adds exact zeros.
-    The gap is taken term by term, each term non-negative, so it is never
-    below zero.
+    entry is small and the exact differences are not formed (``offsets``
+    is None): in the capacity benchmark's box, where every run is shallow,
+    forming them anyway costs about 6% of a ``capacity_c`` call.  Each sum
+    over outputs runs inside one amino's padded row, whose padding adds
+    exact zeros.  The gap is taken term by term, each term non-negative,
+    so it is never below zero.
     """
     out = np.matmul(weights[:, None, :], tables.means)
     num = out - tables.rows
-    if tables.characters:
+    if tables.offsets is not None:
         num = np.where(tables.small, num,
                        np.matmul(weights[:, None, :], tables.offsets).reshape(num.shape))
     div = _terms(tables.rows, num, tables.inv, tables.series_below).sum(axis=2)
@@ -1331,11 +1306,14 @@ def _orbit_point(tables: _OrbitTables, weights) -> _OrbitPoint:
 
 
 class _OrbitFaces(NamedTuple):
-    """The Newton directions of one face (:func:`_faces`) of every amino of a stack.
+    """The Newton directions of one face of every amino of a stack.
 
-    Slot s holds the row mean_t - mean_ref of its target t.  It is kept
-    unless it has no target, or its scale (its largest entry) is at most
-    ``_FLAT`` times the largest of the face, flat to rounding or
+    A face is the set of free orbits.  Its reference is its first orbit,
+    and its other orbits are the targets of the two direction slots; a
+    slot without a target holds an orbit off the face, so the three are
+    distinct.  Slot s holds the row mean_t - mean_ref of its target t.  It
+    is kept unless it has no target, or its scale (its largest entry) is
+    at most ``_FLAT`` times the largest of the face, flat to rounding or
     underflowed.
     """
 
@@ -1344,12 +1322,19 @@ class _OrbitFaces(NamedTuple):
     kept: list  # per amino: (slot, target, scale) of every kept slot
 
 
-def _orbit_faces(tables: _OrbitTables, face) -> _OrbitFaces:
-    """The directions of the faces ``face`` of the aminos of ``tables``."""
-    orbits = _FACE_ORBITS[face]
-    rows = tables.pairs[np.arange(len(face))[:, None], orbits[:, 1:], orbits[:, :1]]
+def _orbit_faces(tables: _OrbitTables, free) -> _OrbitFaces:
+    """The directions of the faces ``free``, an (a, 3) mask, of the aminos of ``tables``.
+
+    A stable sort puts each face's free orbits first, in order, and the
+    others after them, in order: the reference, then the targets.  A face
+    of k free orbits has max(k - 1, 0) targets; with none free, orbit 0
+    is the reference and the face keeps no direction.
+    """
+    orbits = np.argsort(~free, axis=1, kind="stable")
+    counts = np.maximum(free.sum(axis=1) - 1, 0)
+    rows = tables.pairs[np.arange(len(free))[:, None], orbits[:, 1:], orbits[:, :1]]
     kept = []
-    for (_, *targets), count, scales in zip(orbits.tolist(), _FACE_COUNT[face].tolist(),
+    for (_, *targets), count, scales in zip(orbits.tolist(), counts.tolist(),
                                             np.abs(rows).max(axis=2).tolist()):
         floor = _FLAT * max(scales[:count], default=0.0)
         kept.append([(slot, targets[slot], scales[slot]) for slot in range(count)
@@ -1361,28 +1346,30 @@ def _orbit_newton(tables: _OrbitTables, faces: _OrbitFaces, point: _OrbitPoint, 
     """The Newton points of I in the orbit weights of the aminos ``running``.
 
     ``faces`` holds the directions of the faces of every orbit, used while
-    every weight is positive.  Each direction moves weight from the face's
-    first orbit (the reference) to one other, scaled by its own exact
-    difference row (:class:`_OrbitFaces`).  The gradient is D_t - D_ref
-    and -H the Gram matrix of the rows under 1/p, formed for every amino
-    at once and solved in closed form on one or two coordinates
-    (:func:`_orbit_moves`).  An orbit at zero weight is released once the
-    face is nearly optimal, as in :meth:`_Ascent.newton`; where the
-    reference would fall below zero the step is cut at the first orbit it
-    empties (:func:`_ratio_step`).  It returns the weights with each Newton
-    point in place, and the aminos that have one: not an amino whose face
-    keeps no direction, whose system is singular or whose point is not
-    finite.
+    every weight is positive; once some orbit is at zero weight, the faces
+    are formed again from the mask of free orbits (:func:`_orbit_faces`).
+    Each direction moves weight from the face's first orbit (the
+    reference) to one other, scaled by its own exact difference row
+    (:class:`_OrbitFaces`).  The gradient is D_t - D_ref and -H the Gram
+    matrix of the rows under 1/p, formed for every amino at once and
+    solved in closed form on one or two coordinates (:func:`_orbit_moves`).
+    An orbit at zero weight is released once the face is nearly optimal,
+    as in :meth:`_Ascent.newton`; where the reference would fall below
+    zero the step is cut at the first orbit it empties (:func:`_ratio_step`).
+    It returns the weights with each Newton point in place, and the aminos
+    that have one.  An amino whose face keeps no direction, whose system
+    is singular or whose point is not finite keeps its weights and is not
+    among them.
     """
-    weights, div = point.weights, point.div
+    weights, div, valid = point.weights, point.div, _orbit_code().valid
     free = weights > 0.0
-    if (free != tables.valid).any():
+    if (free != valid).any():
         # an orbit at zero weight is released once the face is nearly
         # optimal: the face's own gap is at most half the total
         face_top = np.where(free, div, -np.inf).max(axis=1)
         release = face_top / _LN2 - np.array(point.info) <= 0.5 * np.array(point.gap)
-        free |= release[:, None] & (div > face_top[:, None]) & tables.valid
-        faces = _orbit_faces(tables, free @ _FACE_BITS)
+        free |= release[:, None] & (div > face_top[:, None]) & valid
+        faces = _orbit_faces(tables, free)
     rows = faces.rows
     weighted = np.divide(rows, point.out[:, None, :], out=np.zeros(rows.shape),
                          where=point.out[:, None, :] > 0.0)
@@ -1485,7 +1472,7 @@ def _orbit_optima(constants: _ChannelConstants, tol, max_iter) -> tuple:
     """
     code = _orbit_code()
     tables = _orbit_tables(constants)
-    faces = _orbit_faces(tables, tables.valid @ _FACE_BITS)  # every orbit free
+    faces = _orbit_faces(tables, code.valid)  # every orbit free
     point = _orbit_point(tables, code.start)
     starts = tuple(math.ldexp(info, -2 * shift) for info, shift in zip(point.info, tables.shift))
     lanes = range(len(point.info))

@@ -595,6 +595,61 @@ def test_singular_newton_system_takes_the_minimum_norm_step_on_the_factor():
                                rtol=1e-12, atol=1e-15)
 
 
+def matrix_ascent(channel, groups, host_mass):
+    """The engine at the uniform start of ``channel``, as :func:`ba_partitioned` starts it."""
+    entries = channel.ravel()
+    kernel = cdna._kernel(entries, channel.shape[1] * entries - 1.0,
+                          np.arange(entries.size).reshape(channel.shape))
+    partition = cdna._partition(groups, channel.shape[0])
+    return cdna._Ascent(cdna._Problem(kernel, host_mass[partition.group_of]), partition,
+                        host_mass, cdna.DEFAULT_TOL, cdna.DEFAULT_MAX_ITER)
+
+
+def test_a_trial_of_infinite_divergence_is_refused_and_counted():
+    # identity rows with input 1 at zero: output 1 is reached by no input,
+    # so D_1 is infinite and I is 0*inf (the kernel warns on the way)
+    run = matrix_ascent(np.eye(4), [np.array([0, 1]), np.array([2, 3])], np.array([0.5, 0.5]))
+    point, info, gap = run.point, run.info, run.gap
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for trusted in (False, True):
+            assert not run._advance(np.array([1.0, 0.0, 0.5, 0.5]), trusted)
+    assert run.iterations == 3
+    assert run.point is point and (run.info, run.gap) == (info, gap) == (2.0, 0.0)
+
+
+def test_a_flat_face_has_no_newton_model_and_no_step_towards_the_best():
+    # identical rows: p - W is exactly 0, so -H is 0 and every D_u is 0
+    run = matrix_ascent(np.full((4, 4), 0.25), [np.array([0, 1]), np.array([2, 3])],
+                        np.array([0.5, 0.5]))
+    assert (run.info, run.gap) == (0.0, 0.0)
+    assert run._newton_model(np.arange(4)) is None
+    assert not run.toward_best() and not run.newton()
+    assert run.iterations == 1  # neither evaluated a trial
+
+
+def test_a_newton_system_with_a_group_of_no_free_input_has_no_step():
+    # inputs 2 and 3 make up group 1: with both pinned its sum has no free
+    # input to take it up, the KKT system is singular, and the minimum-norm
+    # step refuses it too
+    curvature = np.array([[2.0, 0.5, 0.1, 0.0],
+                          [0.5, 1.0, 0.0, 0.2],
+                          [0.1, 0.0, 3.0, 0.4],
+                          [0.0, 0.2, 0.4, 1.0]])
+    groups = np.array([0, 0, 1, 1])
+    factor = np.linalg.cholesky(curvature)
+    model = cdna._Model(np.array([0.3, -0.3, 0.2, -0.2]), curvature, groups, factor,
+                        np.ones(4), 1.0)
+    pinned = np.array([False, False, True, True])
+    move = np.array([0.0, 0.0, -0.25, 0.0])
+    assert cdna._minimum_norm_step(model, np.arange(2), move, np.array([0.0, 0.25])) is None
+    run = matrix_ascent(np.full((4, 4), 0.25), [np.array([0, 1]), np.array([2, 3])],
+                        np.array([0.5, 0.5]))
+    assert run._newton_direction(model, pinned, move) is None
+    # with one input of each group pinned, both sums are taken up
+    step = run._newton_direction(model, np.array([False, True, False, True]), move)
+    assert step is not None and np.bincount(groups, step) == pytest.approx([0.0, 0.0], abs=1e-15)
+
+
 def test_ba_solves_a_singular_system_of_no_copies_without_lstsq(lstsq_calls):
     # the first Newton system after the Blahut-Arimoto phase is singular
     # although no two synonyms are copies
@@ -1428,7 +1483,7 @@ def test_uniform_rate_read_after_ba_has_the_bits_of_a_cold_evaluation(gene_a, ev
         optima = {name: fingerprint(ba_optimize(host, params)) for name, host in hosts.items()}
         tables = cdna._orbit_tables(cdna._constants(params))
         shifted += any(tables.shift)
-        characters += tables.characters
+        characters += tables.offsets is not None
         # ba first, as the bundle runs them: each uniform row is read, and
         # neither order moves a bit of either result
         cdna._constants.cache_clear()
@@ -1767,6 +1822,80 @@ def test_orbit_solver_releases_an_orbit_it_emptied():
                          ChannelParams(0.5578282459559125, 0.6486319320891702, 1121))
     assert result.converged
     assert (result.conditional[SYNONYM_INDICES[AMINO_INDEX["Ser"]]] > 0.0).all()
+
+
+def test_orbit_faces_read_every_free_mask_in_every_lane():
+    # rows of distinct scales, none flat, so every slot with a target is kept
+    tables = cdna._orbit_tables(cdna._constants(ChannelParams(1e-2, 0.5, 30)))
+    shape = tables.pairs.shape
+    scales = np.arange(1.0, 1.0 + np.prod(shape[:3])).reshape(*shape[:3], 1)
+    tables = tables._replace(pairs=np.broadcast_to(scales, shape))
+    masks = [[bool(face >> j & 1) for j in range(3)] for face in range(8)]
+    lanes = len(ORBIT_AMINOS)
+    for first in range(8):
+        free = np.array([masks[(first + lane) % 8] for lane in range(lanes)])
+        faces = cdna._orbit_faces(tables, free)
+        for lane, mask in enumerate(free.tolist()):
+            on = [j for j in range(3) if mask[j]]
+            orbits = on + [j for j in range(3) if not mask[j]]  # [0, 1, 2] with none free
+            assert faces.ref[lane] == orbits[0], mask
+            rows = tables.pairs[lane, orbits[1:], orbits[0]]
+            assert np.array_equal(faces.rows[lane], rows), mask
+            assert faces.kept[lane] == [(slot, orbits[1 + slot], float(rows[slot, 0]))
+                                        for slot in range(max(len(on) - 1, 0))], mask
+
+
+def test_orbit_moves_refuse_a_singular_system_and_pin_two_overshoots():
+    one, two = [(0, 1, 2.0)], [(0, 1, 1.0), (1, 2, 1.0)]
+    assert cdna._orbit_moves([[0.0, 0.0], [0.0, 0.0]], one, [1.0], [0.5]) is None
+    assert cdna._orbit_moves([[4.0, 0.0], [0.0, 0.0]], one, [1.0], [0.5]) == [0.5]
+    # det = a*d - b*b at most 1e-12*a*d counts as singular
+    assert cdna._orbit_moves([[1.0, 1.0], [1.0, 1.0]], two, [1.0, 0.5], [0.5, 0.5]) is None
+    near = 1.0 - 1e-13
+    assert cdna._orbit_moves([[1.0, near], [near, 1.0]], two, [1.0, 0.5], [0.5, 0.5]) is None
+    near = 1.0 - 1e-11
+    assert cdna._orbit_moves([[1.0, near], [near, 1.0]], two, [1.0, 0.5], [0.5, 0.5]) is not None
+    # both moves take their orbit below zero: both are pinned there at once,
+    # although with the first pinned alone the second would move by -0.25
+    coupled = [[1.0, -0.5], [-0.5, 1.0]]
+    assert cdna._orbit_moves(coupled, two, [-1.0, -0.2], [0.1, 0.5]) == [-0.1, -0.5]
+
+
+def test_an_orbit_lane_without_a_newton_point_keeps_its_weights(monkeypatch):
+    code, lanes = cdna._orbit_code(), range(len(ORBIT_AMINOS))
+
+    def newton(params, pairs=None):
+        tables = cdna._orbit_tables(cdna._constants(params))
+        faces = cdna._orbit_faces(tables if pairs is None else tables._replace(pairs=pairs),
+                                  code.valid)
+        return faces, cdna._orbit_newton(tables, faces, cdna._orbit_point(tables, code.start),
+                                         lanes)
+
+    # lam = mu = 0: every row is the same, so no face keeps a direction
+    faces, (trials, moved) = newton(ChannelParams(0.75, 1.0, 3))
+    assert faces.kept == [[]] * len(lanes) and moved == []
+    assert trials.tobytes() == code.start.tobytes()
+    # Ser's rows made flat: the other lanes keep the bits of their points
+    params, ser = ChannelParams(1e-2, 0.5, 30), ORBIT_AMINOS.index("Ser")
+    _, (steps, moved) = newton(params)
+    assert moved == list(lanes)
+    pairs = cdna._orbit_tables(cdna._constants(params)).pairs.copy()
+    pairs[ser] = 0.0
+    faces, (trials, moved) = newton(params, pairs)
+    assert faces.kept[ser] == [] and moved == [lane for lane in lanes if lane != ser]
+    assert trials[ser].tobytes() == code.start[ser].tobytes()
+    assert np.delete(trials, ser, axis=0).tobytes() == np.delete(steps, ser, axis=0).tobytes()
+    # a singular system, or a point that is not finite: no lane moves, and
+    # each run ends after its one evaluation, uncertified, at the uniform start
+    for moves in (lambda *args: None, lambda gram, kept, grad, at: [math.inf] * len(kept)):
+        monkeypatch.setattr(cdna, "_orbit_moves", moves)
+        _, (trials, moved) = newton(params)
+        assert moved == [] and trials.tobytes() == code.start.tobytes()
+        results, starts = cdna._orbit_optima(cdna._constants(params), cdna.DEFAULT_TOL,
+                                             cdna.DEFAULT_MAX_ITER)
+        for result, start in zip(results, starts):
+            assert result.iterations == 1 and not result.converged
+            assert result.mutual_information == start
 
 
 @pytest.mark.parametrize("q,gamma,m,rare", [

@@ -273,15 +273,14 @@ def _first_unnormalized(sums, host):
 class _Tables(NamedTuple):
     """The divergence kernel's constants for some rows of a channel, one row per input.
 
-    ``rows`` holds the probabilities W.  p - W is exact to rounding in the
-    probability form where W is small and in the deviation form (W - 1/n
-    for n outputs) elsewhere; the absolute errors (about eps*W and
+    ``stacked[0]`` holds the probabilities W.  p - W is exact to rounding
+    in the probability form where W is small and in the deviation form
+    (W - 1/n for n outputs) elsewhere; the absolute errors (about eps*W and
     eps*|W - 1/n|) cross at W = 1/(2n), which sets ``small``.  The float
     tables are layers of one array gathered from the classes
     (:func:`_gather`), so every table stays contiguous.
     """
 
-    rows: np.ndarray
     small: np.ndarray
     entry: np.ndarray  # W where small, else W - 1/n
     stacked: np.ndarray  # [W, W - 1/n] as two layers: p_in @ stacked = [p, p - 1/n]
@@ -292,7 +291,7 @@ class _Tables(NamedTuple):
 def _gather(layers, small, index) -> _Tables:
     # np.take keeps every layer contiguous; indexing layers[:, index] would not
     taken = np.take(layers, index, axis=1)
-    return _Tables(taken[0], small[index], taken[2], taken[:2], taken[3], taken[4])
+    return _Tables(small[index], taken[2], taken[:2], taken[3], taken[4])
 
 
 class _Kernel:
@@ -374,13 +373,13 @@ def _terms(w, num, inv, series_below):
 class _ChannelConstants:
     """The Kimura channel's constants at one parameter set, each derived on first read.
 
-    ``powers`` holds (lam^m, 1 - lam^m) and (mu^m, 1 - mu^m), ``stage`` the
-    m-stage base entries and their deviations, and ``entries`` those
-    entries clipped to [0, 1].  ``classes[k - 1]`` holds the 3**k values of
-    the channel on k positions, one per tuple of per-position relations,
-    read-only: products of the clipped entries in the order in which
-    :func:`mutation_channel._kron` multiplies the positions, so the 27 on
-    three positions are the entries of :func:`codon_matrix` bit for bit.
+    ``powers`` holds (lam^m, 1 - lam^m) and (mu^m, 1 - mu^m), and ``stage``
+    the m-stage base entries and their deviations.  ``classes[k - 1]``
+    holds the 3**k values of the channel on k positions, one per tuple of
+    per-position relations, read-only: products of the base entries
+    clipped to [0, 1], in the order in which :func:`mutation_channel._kron`
+    multiplies the positions, so the 27 on three positions are the entries
+    of :func:`codon_matrix` bit for bit.
     ``monomials[e][f]`` is lam^(m*e) * mu^(m*f) for e, f < 4, the powers of
     the channel's characters on up to three positions.  ``two_fold`` and
     ``four_fold`` are the closed forms of :meth:`point_mass`, which returns
@@ -409,12 +408,8 @@ class _ChannelConstants:
         return _stage_entries(self.params)
 
     @functools.cached_property
-    def entries(self) -> tuple:
-        return tuple(min(max(entry, 0.0), 1.0) for entry in self.stage[0])
-
-    @functools.cached_property
     def classes(self) -> tuple:
-        one = np.array(self.entries)
+        one = np.array([min(max(entry, 0.0), 1.0) for entry in self.stage[0]])
         two = np.multiply.outer(one, one).ravel()
         return _read_only((one, two, np.multiply.outer(two, one).ravel()))
 
@@ -595,7 +590,7 @@ class _Problem:
         k, p_in = self.tables, self.mass * cond
         out = p_in @ k.stacked  # p(z), then p(z) - 1/n
         num = np.where(k.small, out[0], out[1]) - k.entry
-        div = _terms(k.rows, num, k.inv, k.series_below).sum(axis=-1)
+        div = _terms(k.stacked[0], num, k.inv, k.series_below).sum(axis=-1)
         return _Point(cond, float(p_in @ div) / _LN2, div, num, out[0])
 
     def gain(self, point: "_Point", top, trial) -> float:
@@ -653,13 +648,13 @@ class _Ascent:
     def __init__(self, problem: _Problem, partition: _Partition, host_mass, tol, max_iter):
         self.problem = problem
         self.tol, self.max_iter = tol, max_iter
-        self.emitted = np.flatnonzero(host_mass)  # the host mass is >= 0
-        self.group_mass = host_mass[self.emitted]
+        emitted = np.flatnonzero(host_mass)  # the host mass is >= 0
+        self.group_mass = host_mass[emitted]
         # the members of each emitted group, as positions in the support
-        self.members = np.searchsorted(problem.support, partition.members[self.emitted])
+        self.members = np.searchsorted(problem.support, partition.members[emitted])
         # the group of every supported input, numbered 0..k-1
         self.dense = np.empty(problem.support.size, dtype=np.intp)
-        self.dense[self.members] = np.arange(self.emitted.size)[:, None]
+        self.dense[self.members] = np.arange(emitted.size)[:, None]
         self.iterations = 1
         self.point = problem.information(partition.start[problem.support])
         self.info = self.point.info
@@ -748,7 +743,7 @@ class _Ascent:
         :meth:`_advance` alone enforces the budget.
         """
         point, mass = self.point, self.problem.mass
-        best = self.members[np.arange(self.emitted.size), point.div[self.members].argmax(axis=1)]
+        best = self.members[np.arange(self.group_mass.size), point.div[self.members].argmax(axis=1)]
         direction = -point.cond
         direction[best] += 1.0
         slope = float((mass * direction) @ (point.div - self.top[self.dense]))
@@ -1015,8 +1010,12 @@ def ba_partitioned(channel, groups, host_mass, tol=DEFAULT_TOL,
     entries = channel.ravel()  # every entry is a class of its own
     kernel = _kernel(entries, channel.shape[1] * entries - 1.0,
                      np.arange(entries.size).reshape(channel.shape))
-    return _blahut_arimoto(kernel, _partition(members, channel.shape[0]), mass,
-                           tol, max_iter)[0]
+    # a trial that empties the only input reaching some output has an
+    # infinite D there (a log of 0, then inf - inf), and _Ascent._advance
+    # refuses it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _blahut_arimoto(kernel, _partition(members, channel.shape[0]), mass,
+                               tol, max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1108,8 +1107,9 @@ _CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1,
 # a direction of orbit weights whose difference row is at most this share of
 # the largest one moves I by less than its rounding
 _FLAT = np.finfo(float).eps
-# every stacked amino is padded to this many orbits and outputs
-_STACK_ORBITS, _STACK_OUTPUTS = 3, 64
+# every stacked amino is padded to this many orbits, outputs and monomial
+# blocks; Ser has 9 blocks, the most of any amino
+_STACK_ORBITS, _STACK_OUTPUTS, _STACK_BLOCKS = 3, 64, 9
 
 
 class _OrbitCode(NamedTuple):
@@ -1118,10 +1118,10 @@ class _OrbitCode(NamedTuple):
     Each amino's outputs are numbered like codons on the k positions where
     its synonyms differ (n = 4**k).  Every amino is padded to 3 orbits and
     64 outputs: a padded orbit repeats the first in every table, with
-    weight 0 (``valid`` is False there), and a padded output is 0 in every
-    row.  The 4 outputs of Ile lie 8 apart, so that numpy's pairwise sum
-    over 64 entries adds them one after the other, as it adds 4, and every
-    sum over an amino's outputs has the bits of its sum over its own n.
+    weight 0 in ``start``, and a padded output is 0 in every row.  The 4
+    outputs of Ile lie 8 apart, so that numpy's pairwise sum over 64
+    entries adds them one after the other, as it adds 4, and every sum
+    over an amino's outputs has the bits of its sum over its own n.
     Every orbit has a representative, its first codon, and a mean row, the
     mean of its first and last codons (that of the orbit).  ``ends`` holds
     the first and the last codon's entries as indices into the class values
@@ -1129,25 +1129,25 @@ class _OrbitCode(NamedTuple):
     mean_a - mean_b and ``offsets`` mean_i - rep_j at [i, j] as integer
     multiples of 1/n: one block per monomial lam^(m*e) * mu^(m*f), the sum
     over its characters chi of the exact coefficient differences (0, +-1
-    or +-2) times chi.
+    or +-2) times chi.  Each amino's blocks are padded to the most any
+    amino has (9, for Ser) with zero blocks of monomial 16 and no
+    characters.
     """
 
     members: tuple  # per amino: the codons of every orbit, in orbit order
     orbit_of: tuple  # per amino: the orbit of each of them
     sizes: tuple  # per amino: codons per orbit
-    valid: np.ndarray  # (5, 3)
-    start: np.ndarray  # (5, 3): the uniform conditional's orbit weights
+    start: np.ndarray  # (5, 3): the uniform conditional's orbit weights, 0 on padding
     ends: np.ndarray  # (2, 5, 3, 64)
-    pairs: np.ndarray  # (5, blocks, 3*3*64)
-    offsets: np.ndarray  # (5, blocks, 3*3*64)
-    monomials: np.ndarray  # (5, blocks): 4*e + f, or 16 (a 0) on padding
-    counts: np.ndarray  # (5, blocks): characters per block, 0 on padding
+    pairs: np.ndarray  # (5, 9, 3*3*64)
+    offsets: np.ndarray  # (5, 9, 3*3*64)
+    monomials: np.ndarray  # (5, 9): 4*e + f, or 16 (a 0) on padding
+    counts: np.ndarray  # (5, 9): characters per block, 0 on padding
     positions: np.ndarray  # (5,): k
-    outputs: np.ndarray  # (5,): n
 
 
 def _orbit_part(orbits):
-    """One amino's entries of :class:`_OrbitCode`, its blocks unpadded."""
+    """One amino's entries of :class:`_OrbitCode`, padded to the stack's shape."""
     codons = [codon for orbit in orbits for codon in orbit]
     positions = [i for i in range(3) if len({codon[i] for codon in codons}) > 1]
     k, r = len(positions), len(orbits)
@@ -1168,20 +1168,23 @@ def _orbit_part(orbits):
     at = characters[:, bases @ place]  # chi(u) for every character and codon
     means, reps = 0.5 * (at[:, firsts] + at[:, lasts]), at[:, firsts]
     differences = np.stack([means[:, :, None] - means[:, None, :],
-                            means[:, :, None] - reps[:, None, :]], axis=1)  # (characters, 2, 3, 3)
+                            means[:, :, None] - reps[:, None, :]])  # (2, characters, 3, 3)
     # the monomial 4*e + f of each character that differs on the synonyms
-    used = differences.reshape(len(characters), -1).any(axis=1)
+    used = differences.any(axis=(0, 2, 3))
     monomial = (4 * (digits == 1).sum(axis=1) + (digits >= 2).sum(axis=1))[used]
     keys, counts = np.unique(monomial, return_counts=True)
-    terms = differences[used, ..., None] * characters[used, None, None, None, :]
-    blocks = np.zeros((len(keys), 2, _STACK_ORBITS, _STACK_ORBITS, _STACK_OUTPUTS))
-    blocks[..., spots] = ((monomial == keys[:, None]).astype(float)
-                          @ terms.reshape(len(monomial), -1)).reshape(-1, 2, 3, 3, 4**k) / 4.0**k
+    terms = differences[:, used, ..., None] * characters[used, None, None, :]
+    blocks = np.zeros((2, _STACK_BLOCKS, _STACK_ORBITS, _STACK_ORBITS, _STACK_OUTPUTS))
+    blocks[:, :len(keys), ..., spots] = np.matmul(
+        (monomial == keys[:, None]).astype(float),
+        terms.reshape(2, len(monomial), -1)).reshape(2, -1, 3, 3, 4**k) / 4.0**k
     start = np.zeros(_STACK_ORBITS)
     start[:r] = sizes / sizes.sum()
+    pairs, offsets = blocks.reshape(2, _STACK_BLOCKS, -1)
+    padding = (0, _STACK_BLOCKS - len(keys))
     return (np.array([CODON_INDEX[codon] for codon in codons]), np.repeat(np.arange(r), sizes),
-            sizes.astype(float), np.arange(_STACK_ORBITS) < r, start, index, blocks, keys, counts,
-            k, 4**k)
+            sizes.astype(float), start, index, pairs, offsets,
+            np.pad(keys, padding, constant_values=16), np.pad(counts, padding).astype(float), k)
 
 
 @functools.cache
@@ -1189,24 +1192,13 @@ def _orbit_code() -> _OrbitCode:
     """The stacked orbit constants, built on first use and kept.
 
     The build takes about 2 ms, paid by the first orbit solve or
-    evaluation of a process rather than at import.  Each amino's blocks
-    are padded with zero blocks of monomial 16 to the most any amino has
-    (9, for Ser).
+    evaluation of a process rather than at import.
     """
-    parts = list(zip(*(_orbit_part(orbits) for orbits in _ORBITS.values())))
-    blocks, keys, counts = parts[6:9]
-    width = max(len(key) for key in keys)
-    padded = np.zeros((len(blocks), width, *blocks[0].shape[1:]))
-    monomials = np.full((len(blocks), width), 16)
-    characters = np.zeros((len(blocks), width))
-    for slot, (block, key, count) in enumerate(zip(blocks, keys, counts)):
-        padded[slot, :len(key)] = block
-        monomials[slot, :len(key)] = key
-        characters[slot, :len(key)] = count
-    pairs, offsets = padded.reshape(len(blocks), width, 2, -1).transpose(2, 0, 1, 3)
-    code = _OrbitCode(parts[0], parts[1], parts[2], *map(np.array, parts[3:5]),
-                      np.array(parts[5]).transpose(1, 0, 2, 3).copy(), pairs.copy(),
-                      offsets.copy(), monomials, characters, *map(np.array, parts[9:]))
+    members, orbit_of, sizes, start, ends, pairs, offsets, monomials, counts, positions = zip(
+        *(_orbit_part(orbits) for orbits in _ORBITS.values()))
+    code = _OrbitCode(members, orbit_of, sizes, np.array(start), np.stack(ends, axis=1),
+                      np.array(pairs), np.array(offsets), np.array(monomials), np.array(counts),
+                      np.array(positions))
     _read_only((*code.members, *code.orbit_of, *code.sizes, *code[3:]))
     return code
 
@@ -1217,7 +1209,7 @@ class _OrbitTables(NamedTuple):
     ``offsets`` is None when the characters bound p - W more tightly
     than the probabilities for no amino: every entry is then ``small``,
     and the exact differences are not formed.  The orbits each amino has
-    are ``_orbit_code().valid``.
+    are those of positive weight in ``_orbit_code().start``.
     """
 
     rows: np.ndarray  # (a, 3, 64): W of each representative
@@ -1244,9 +1236,9 @@ def _orbit_tables(constants: _ChannelConstants) -> _OrbitTables:
     sizes = np.abs(powers)
     # p - W errs by about eps*W from the probabilities, and by at most
     # eps*2*sum|Lambda|/n from the characters: each entry takes the smaller
-    bound = 2.0 * np.cumsum(sizes * code.counts, axis=1)[:, -1] / code.outputs
-    # every row holds every class value, so its largest entry is max(entries)**k
-    top = max(constants.entries)
+    bound = 2.0 * np.cumsum(sizes * code.counts, axis=1)[:, -1] / 4.0**code.positions
+    # every row holds every class value, so its largest entry is max(classes[0])**k
+    top = float(constants.classes[0].max())
     characters = np.array([top**k >= b for k, b in zip(code.positions.tolist(), bound.tolist())])
     small = (rows < bound[:, None, None]) | ~characters[:, None, None]
     # rows within 2**-400 of each other have I below 2**-800, and tol*I may
@@ -1273,7 +1265,6 @@ class _OrbitPoint(NamedTuple):
     div: np.ndarray  # (a, 3): D of each representative, in nats
     out: np.ndarray  # (a, 64): p on the outputs
     info: list  # per amino: I in bits
-    top: list  # per amino: max D, in nats
     gap: list  # per amino: sum_j w_j*(max D - D_j), in bits
 
 
@@ -1295,14 +1286,13 @@ def _orbit_point(tables: _OrbitTables, weights) -> _OrbitPoint:
         num = np.where(tables.small, num,
                        np.matmul(weights[:, None, :], tables.offsets).reshape(num.shape))
     div = _terms(tables.rows, num, tables.inv, tables.series_below).sum(axis=2)
-    info, top, gap = [], [], []
+    info, gap = [], []
     # a padded orbit has weight 0 and repeats the first orbit's D
     for (w0, w1, w2), (d0, d1, d2) in zip(weights.tolist(), div.tolist()):
         high = max(d0, d1, d2)
         info.append((w0 * d0 + w1 * d1 + w2 * d2) / _LN2)
-        top.append(high)
         gap.append((w0 * (high - d0) + w1 * (high - d1) + w2 * (high - d2)) / _LN2)
-    return _OrbitPoint(weights, div, out[:, 0], info, top, gap)
+    return _OrbitPoint(weights, div, out[:, 0], info, gap)
 
 
 class _OrbitFaces(NamedTuple):
@@ -1361,7 +1351,7 @@ def _orbit_newton(tables: _OrbitTables, faces: _OrbitFaces, point: _OrbitPoint, 
     is singular or whose point is not finite keeps its weights and is not
     among them.
     """
-    weights, div, valid = point.weights, point.div, _orbit_code().valid
+    weights, div, valid = point.weights, point.div, _orbit_code().start > 0.0
     free = weights > 0.0
     if (free != valid).any():
         # an orbit at zero weight is released once the face is nearly
@@ -1442,8 +1432,8 @@ def _orbit_gains(point: _OrbitPoint, candidate: _OrbitPoint, tables: _OrbitTable
     move = candidate.weights - point.weights
     change = np.matmul(move[:, None, :], tables.pairs[:, :, 0])[:, 0]
     kl = _terms(candidate.out, -change, *_reciprocal(candidate.out)).sum(axis=1)
-    return [float(np.dot(dw, d - top)) - value for dw, d, top, value
-            in zip(move, point.div, point.top, kl.tolist())]
+    return [float(np.dot(dw, d - d.max())) - value for dw, d, value
+            in zip(move, point.div, kl.tolist())]
 
 
 def _orbit_optima(constants: _ChannelConstants, tol, max_iter) -> tuple:
@@ -1472,7 +1462,7 @@ def _orbit_optima(constants: _ChannelConstants, tol, max_iter) -> tuple:
     """
     code = _orbit_code()
     tables = _orbit_tables(constants)
-    faces = _orbit_faces(tables, code.valid)  # every orbit free
+    faces = _orbit_faces(tables, code.start > 0.0)  # every orbit free
     point = _orbit_point(tables, code.start)
     starts = tuple(math.ldexp(info, -2 * shift) for info, shift in zip(point.info, tables.shift))
     lanes = range(len(point.info))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -1007,7 +1008,7 @@ def test_linearized_conditional_gathers_its_rows_without_the_kernel():
     # the same solve on the kernel's rows gives the same bits
     kernel = kimura_kernel(params)
     for amino, pi in solved.items():
-        rows = kernel.take(SYNONYM_INDICES[AMINO_INDEX[amino]]).rows
+        rows = kernel.take(SYNONYM_INDICES[AMINO_INDEX[amino]]).stacked[0]
         raw = np.clip(np.linalg.solve(rows @ rows.T, np.ones(len(rows))), 0.0, None)
         assert pi.tobytes() == (raw / raw.sum()).tobytes(), amino
 
@@ -1076,6 +1077,19 @@ def test_ba_matches_grid_search_on_synthetic_code():
     assert abs(result.mutual_information - oracle) < 1e-3
     # the asymmetric channel pulls the optimum away from uniform
     assert np.abs(result.conditional - 0.5).max() > 0.01
+
+
+def test_ba_partitioned_refuses_a_trial_of_infinite_divergence_without_a_warning():
+    # the second input alone reaches the second output; a trial that empties
+    # it has an infinite D there, a log of 0 and an inf - inf on the way
+    channel = [[1 / 6, 1 / 3, 1 / 2], [0, 1, 0], [0, 2 / 7, 5 / 7]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = ba_partitioned(channel, [[0, 1], [2]], [0.5, 0.5])
+    assert result.converged and result.iterations == 11
+    assert result.mutual_information.hex() == "0x1.09e104850d269p-1"
+    assert result.gap_bits.hex() == "0x1.901ae9fc84b5fp-35"
+    assert result.conditional.tolist() == [0.07592557743333078, 0.9240744225666693, 1.0]
 
 
 @pytest.mark.parametrize("mass, message", [
@@ -1259,7 +1273,7 @@ def test_class_tables_match_the_64x64_tables_bit_for_bit():
         for idx in (*SYNONYM_INDICES, np.arange(7), np.arange(0, 64, 3), np.arange(64)):
             selected = [np.take(table, idx, axis=-2) for table in reference]
             assert bits(kernel.take(idx)) == bits(selected), (params, idx)
-    assert (kimura_kernel(ChannelParams(1.0, 1.5, 5)).full.rows == 0.0).any()
+    assert (kimura_kernel(ChannelParams(1.0, 1.5, 5)).full.stacked[0] == 0.0).any()
     # a host of every input reads the kept full tables themselves; the point
     # masses of the capacity search never gather them
     params = ChannelParams(1e-2, 0.5, 7)
@@ -1763,6 +1777,22 @@ def test_orbit_table_holds_the_stabilizer_orbits():
         assert stabilizer_orbits(amino) == {frozenset(SYNONYMS[amino])}, amino
 
 
+def test_the_orbit_stack_pads_each_lane_with_empty_blocks_and_orbits():
+    code = cdna._orbit_code()
+    # a block of the amino's own has at least one character; its blocks come first
+    blocks = (code.counts > 0).sum(axis=1)
+    assert blocks.max() == cdna._STACK_BLOCKS  # no block is padding in every lane
+    for lane, own in enumerate(blocks.tolist()):
+        assert (code.counts[lane, :own] > 0).all() and (code.monomials[lane, :own] < 16).all()
+        assert (code.monomials[lane, own:] == 16).all() and (code.counts[lane, own:] == 0).all()
+        assert not code.pairs[lane, own:].any() and not code.offsets[lane, own:].any()
+        # every block of its own carries an exact difference
+        assert (code.pairs[lane, :own].any(axis=1) | code.offsets[lane, :own].any(axis=1)).all()
+    # a padded orbit has no weight at the uniform start
+    assert (code.start > 0.0).sum(axis=1).tolist() == [
+        len(orbits) for orbits in cdna._ORBITS.values()] == [2, 3, 3, 3, 2]
+
+
 def assert_orbit_symmetric(amino, conditional):
     for orbit in cdna._ORBITS[amino]:
         values = {conditional[CODON_INDEX[codon]].hex() for codon in orbit}
@@ -1867,7 +1897,7 @@ def test_an_orbit_lane_without_a_newton_point_keeps_its_weights(monkeypatch):
     def newton(params, pairs=None):
         tables = cdna._orbit_tables(cdna._constants(params))
         faces = cdna._orbit_faces(tables if pairs is None else tables._replace(pairs=pairs),
-                                  code.valid)
+                                  code.start > 0.0)
         return faces, cdna._orbit_newton(tables, faces, cdna._orbit_point(tables, code.start),
                                          lanes)
 
